@@ -2,8 +2,10 @@
 
 Each ordered label pair (i, j) owns a tiny 2-layer relu MLP h_ij(x); the
 probability of label i is sigmoid(sum_j W[i,j] * h_ij(x) + b[i]). The pair
-MLPs are stored as stacked arrays so a whole batch runs through einsum, and
-backprop is hand-derived for this fixed architecture (no autodiff).
+MLPs are stored as stacked arrays. The first layers of all L*L pairs read as
+one (L*L*hidden, d) matrix, so a batch's first-layer forward, its weight
+gradient and its input gradient are BLAS matrix products (`@` on reshaped
+views). Backprop is hand-derived for this fixed architecture (no autodiff).
 """
 
 from __future__ import annotations
@@ -14,6 +16,10 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import DimensionError
+
+# rows of the (L*L*hidden, d) first-layer gradient added per block in
+# pair_backward
+W1_BLOCK_ROWS = 256
 
 
 @dataclass
@@ -121,10 +127,12 @@ def pair_features(model: SemModel, X: np.ndarray):
     of intermediates for the backward pass."""
     if X.ndim != 2 or X.shape[1] != model.d:
         raise DimensionError(f"expected features of dimension {model.d}")
-    z = np.einsum("ijhd,bd->bijh", model.w1, X) + model.b1
-    a = np.maximum(z, 0.0)
+    L, h = model.L, model.hidden
+    a = (X @ model.w1.reshape(L * L * h, model.d).T).reshape(len(X), L, L, h)
+    a += model.b1
+    np.maximum(a, 0.0, out=a)  # relu in place; a > 0 exactly where z > 0
     H = np.einsum("ijh,bijh->bij", model.w2, a) + model.b2
-    return H, (X, z, a)
+    return H, (X, a)
 
 
 def head(model: SemModel, H: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -136,27 +144,41 @@ def head(model: SemModel, H: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 def head_backward(model: SemModel, H: np.ndarray, mask: np.ndarray,
                   probs: np.ndarray, dprobs: np.ndarray,
-                  grads: GradientBundle, dH: np.ndarray) -> None:
-    """Accumulate grads for one masked head; dH collects dLoss/dH."""
+                  grads: GradientBundle | None, dH: np.ndarray) -> None:
+    """Accumulate grads for one masked head; dH collects dLoss/dH. With
+    grads=None only dH is accumulated."""
     dlogits = dprobs * probs * (1.0 - probs)
-    grads.b += dlogits.sum(axis=0)
-    gW = np.einsum("bi,bij->ij", dlogits, H) * mask
-    np.fill_diagonal(gW, 0.0)
-    grads.W += gW
+    if grads is not None:
+        grads.b += dlogits.sum(axis=0)
+        gW = np.einsum("bi,bij->ij", dlogits, H) * mask
+        np.fill_diagonal(gW, 0.0)
+        grads.W += gW
     dH += dlogits[:, :, None] * (model.W * mask)[None, :, :]
 
 
 def pair_backward(model: SemModel, cache, dH: np.ndarray,
-                  grads: GradientBundle, need_dx: bool = False):
-    """Backprop accumulated dH through the stacked pair MLPs."""
-    X, z, a = cache
+                  grads: GradientBundle | None = None):
+    """Backprop accumulated dH through the stacked pair MLPs.
+
+    With a gradient bundle, accumulates the pair-MLP parameter gradients
+    into it and returns None. With grads=None, computes only the input
+    gradient dLoss/dX of shape (B, d) and returns it.
+    """
+    X, a = cache
+    B, L, h, d = len(X), model.L, model.hidden, model.d
+    dz = dH[:, :, :, None] * model.w2[None] * (a > 0.0)
+    dz_flat = dz.reshape(B, L * L * h)
+    if grads is None:
+        return dz_flat @ model.w1.reshape(L * L * h, d)
     grads.b2 += dH.sum(axis=0)
     grads.w2 += np.einsum("bij,bijh->ijh", dH, a)
-    dz = dH[:, :, :, None] * model.w2[None] * (z > 0.0)
-    grads.w1 += np.einsum("bijh,bd->ijhd", dz, X)
+    # zero_gradients allocates contiguous arrays, so this reshape is a view;
+    # the product is added one block of rows at a time so its temporary
+    # stays in cache
+    gw1 = grads.w1.reshape(L * L * h, d)
+    for s in range(0, L * L * h, W1_BLOCK_ROWS):
+        gw1[s:s + W1_BLOCK_ROWS] += dz_flat[:, s:s + W1_BLOCK_ROWS].T @ X
     grads.b1 += dz.sum(axis=0)
-    if need_dx:
-        return np.einsum("bijh,ijhd->bd", dz, model.w1)
     return None
 
 

@@ -158,25 +158,34 @@ def _check_finite(name: str, value: float) -> float:
     return value
 
 
+def _salience_counterfactuals(model: SemModel, X: np.ndarray, H: np.ndarray,
+                              cache, P_union: np.ndarray, union: np.ndarray,
+                              obj: ObjectiveSpec) -> np.ndarray:
+    """Counterfactual inputs for a batch from its union-mask forward (H, the
+    pair cache and the union probabilities): salience is
+    |d(mean union prediction)/dx|, and the least salient features are
+    perturbed."""
+    dH = np.zeros_like(H)
+    head_backward(model, H, union, P_union,
+                  np.full_like(P_union, 1.0 / model.L), None, dH)
+    dX = pair_backward(model, cache, dH)
+    rng_cf = np.random.default_rng(list(obj.rng_seed) + [2])
+    return np.stack([generate_counterfactual(X[i], dX[i], obj.perturb_frac,
+                                             rng_cf, batch=X)
+                     for i in range(len(X))])
+
+
 def counterfactual_batch(model: SemModel, X: np.ndarray,
                          obj: ObjectiveSpec) -> np.ndarray:
     """Salience-ranked counterfactual inputs for one batch, exactly as the
     curiosity surrogate builds them. Useful for freezing the counterfactuals
     (ObjectiveSpec.frozen_xcf) in gradient checks."""
     X = np.asarray(X, dtype=np.float64)
-    L = model.L
     union = (np.sum(obj.masks, axis=0) if obj.masks is not None
-             else full_mask(L))
+             else full_mask(model.L))
     H, cache = pair_features(model, X)
-    P = head(model, H, union)
-    tmp = zero_gradients(model)
-    dH = np.zeros_like(H)
-    head_backward(model, H, union, P, np.full_like(P, 1.0 / L), tmp, dH)
-    dX = pair_backward(model, cache, dH, tmp, need_dx=True)
-    rng_cf = np.random.default_rng(list(obj.rng_seed) + [2])
-    return np.stack([generate_counterfactual(X[i], dX[i], obj.perturb_frac,
-                                             rng_cf, batch=X)
-                     for i in range(len(X))])
+    return _salience_counterfactuals(model, X, H, cache, head(model, H, union),
+                                     union, obj)
 
 
 def composite_value_and_grads(model: SemModel, X: np.ndarray, Y: np.ndarray,
@@ -279,20 +288,11 @@ def composite_value_and_grads(model: SemModel, X: np.ndarray, Y: np.ndarray,
         P_pl = [head(model, Hs[0], Mk) for Mk in obj.masks]
         dP_pl = [np.zeros_like(P) for P in P_pl]
 
-        # counterfactuals: salience = |d(mean prediction)/dx|, then perturb
         if obj.frozen_xcf is not None:
             Xcf = obj.frozen_xcf
         else:
-            tmp = zero_gradients(model)
-            dH_sal = np.zeros_like(Hs[0])
-            head_backward(model, Hs[0], union, P_union[0],
-                          np.full_like(P_union[0], 1.0 / L), tmp, dH_sal)
-            dX = pair_backward(model, caches[0], dH_sal, tmp, need_dx=True)
-            rng_cf = np.random.default_rng(list(obj.rng_seed) + [2])
-            Xcf = np.stack([generate_counterfactual(X[i], dX[i],
-                                                    obj.perturb_frac,
-                                                    rng_cf, batch=X)
-                            for i in range(B)])
+            Xcf = _salience_counterfactuals(model, X, Hs[0], caches[0],
+                                            P_union[0], union, obj)
         Hcf, cache_cf = pair_features(model, Xcf)
         dHcf = np.zeros_like(Hcf)
         P_cf = [head(model, Hcf, Mk) for Mk in obj.masks]
@@ -355,6 +355,11 @@ def composite_value_and_grads(model: SemModel, X: np.ndarray, Y: np.ndarray,
     return total, grads, bd
 
 
+# elements per block of AdamW's elementwise passes: five float64 blocks
+# (parameter, gradient, both moments, scratch) take 640 KB, which fits in L2
+ADAM_BLOCK = 1 << 14
+
+
 class AdamW:
     """Adaptive moment estimation with decoupled weight decay; two rate
     groups (pair MLPs + encoders vs. W and b) and global-norm clipping."""
@@ -383,23 +388,52 @@ class AdamW:
                 self.decays.append(0.0)
         self.m = [np.zeros_like(p) for p in self.params]
         self.v = [np.zeros_like(p) for p in self.params]
+        for p in self.params:
+            if not p.flags.c_contiguous:
+                raise ValueError("AdamW updates parameters in place through "
+                                 "flat views; they must be C-contiguous")
+        self.scratch = np.empty(min(ADAM_BLOCK,
+                                    max(p.size for p in self.params)))
 
     def step(self, grads: GradientBundle) -> None:
+        """One update, in place. The global-norm clip scale s multiplies the
+        gradient inside the moment updates (m += (1-beta1)*s*g,
+        v += (1-beta2)*s^2*g^2), so no clipped copy of the gradients is made.
+        Each array is walked in blocks of ADAM_BLOCK elements, so the dozen
+        elementwise passes over a block run from cache."""
         gs = grads.arrays()
+        scale = 1.0
         if self.cfg.grad_clip > 0:
-            norm = math.sqrt(sum(float((g ** 2).sum()) for g in gs))
+            norm = math.sqrt(sum(float(np.vdot(g, g)) for g in gs))
             if norm > self.cfg.grad_clip:
-                gs = [g * (self.cfg.grad_clip / norm) for g in gs]
+                scale = self.cfg.grad_clip / norm
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
+        c1 = (1.0 - self.beta1) * scale
+        c2 = (1.0 - self.beta2) * scale * scale
         for p, g, m, v, lr, wd in zip(self.params, gs, self.m, self.v,
                                       self.lrs, self.decays):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g ** 2
-            p -= lr * ((m / bc1) / (np.sqrt(v / bc2) + self.eps) + wd * p)
+            p, g, m, v = (a.reshape(-1) for a in (p, g, m, v))
+            for s in range(0, p.size, ADAM_BLOCK):
+                pb, gb, mb, vb = (a[s:s + ADAM_BLOCK] for a in (p, g, m, v))
+                buf = self.scratch[:pb.size]
+                mb *= self.beta1
+                np.multiply(gb, c1, out=buf)
+                mb += buf
+                vb *= self.beta2
+                np.multiply(gb, gb, out=buf)
+                buf *= c2
+                vb += buf
+                # buf <- lr * m_hat / (sqrt(v_hat) + eps)
+                np.divide(vb, bc2, out=buf)
+                np.sqrt(buf, out=buf)
+                buf += self.eps
+                np.divide(mb, buf, out=buf)
+                buf *= lr / bc1
+                if wd:
+                    pb *= 1.0 - lr * wd
+                pb -= buf
 
 
 @dataclass

@@ -4,8 +4,9 @@ from scipy.special import expit
 
 from ccg.graph import GraphLossConfig
 from ccg.sem import (PairwiseMlp, full_mask, init_model, loss_and_gradients,
-                     param_count, predict, predict_batch, predict_masked,
-                     project_diagonal)
+                     pair_backward, pair_features, param_count, predict,
+                     predict_batch, predict_masked, project_diagonal,
+                     zero_gradients)
 from ccg.training import ObjectiveSpec, counterfactual_batch
 
 from conftest import fd_probe, toy_setup
@@ -120,6 +121,76 @@ class TestInit:
                 traversal += mlp.w1.size + mlp.b1.size + mlp.w2.size + 1
         traversal += m.W.size + m.b.size
         assert traversal == formula
+
+
+def random_model(L, hidden, d, seed):
+    """Model with every pair slot (diagonal included) and bias random."""
+    m = init_model(d, L, hidden, seed)
+    rng = np.random.default_rng(seed)
+    for arr in m.param_arrays().values():
+        arr[...] = rng.normal(size=arr.shape)
+    return m
+
+
+def einsum_pair_oracle(m, X, dH):
+    """Pair-MLP forward, parameter gradients and input gradient written as
+    plain einsums over the stacked (L, L, hidden, d) arrays."""
+    z = np.einsum("ijhd,bd->bijh", m.w1, X) + m.b1
+    a = np.maximum(z, 0.0)
+    H = np.einsum("ijh,bijh->bij", m.w2, a) + m.b2
+    dz = dH[:, :, :, None] * m.w2[None] * (z > 0.0)
+    grads = {"w1": np.einsum("bijh,bd->ijhd", dz, X), "b1": dz.sum(axis=0),
+             "w2": np.einsum("bij,bijh->ijh", dH, a), "b2": dH.sum(axis=0)}
+    dx = np.einsum("bijh,ijhd->bd", dz, m.w1)
+    return H, grads, dx
+
+
+# the second shape has L*L*hidden = 275 first-layer rows, more than one
+# block of the w1-gradient accumulation
+@pytest.mark.parametrize("L,hidden,d,B", [(3, 4, 5, 7), (5, 11, 6, 7)])
+class TestPairKernels:
+    def test_forward_matches_einsum_oracle(self, L, hidden, d, B):
+        m = random_model(L, hidden, d, seed=L)
+        X = np.random.default_rng(1).normal(size=(B, d))
+        H, _ = pair_features(m, X)
+        H_ref, _, _ = einsum_pair_oracle(m, X, np.zeros((B, L, L)))
+        np.testing.assert_allclose(H, H_ref, rtol=1e-12, atol=1e-12)
+
+    def test_backward_matches_einsum_oracle(self, L, hidden, d, B):
+        m = random_model(L, hidden, d, seed=L + 1)
+        rng = np.random.default_rng(2)
+        X = rng.normal(size=(B, d))
+        dH = rng.normal(size=(B, L, L))
+        _, g_ref, dx_ref = einsum_pair_oracle(m, X, dH)
+        _, cache = pair_features(m, X)
+        # gradients accumulate into what the bundle already holds
+        grads = zero_gradients(m)
+        start = {k: rng.normal(size=getattr(grads, k).shape)
+                 for k in ("w1", "b1", "w2", "b2")}
+        for k, v in start.items():
+            getattr(grads, k)[...] = v
+        assert pair_backward(m, cache, dH, grads) is None
+        for k in start:
+            np.testing.assert_allclose(getattr(grads, k), start[k] + g_ref[k],
+                                       rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(pair_backward(m, cache, dH), dx_ref,
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_input_gradient_matches_finite_differences(self, L, hidden, d, B):
+        m = random_model(L, hidden, d, seed=L + 2)
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(B, d))
+        c = rng.normal(size=(B, L, L))  # loss = sum(c * H)
+        _, cache = pair_features(m, X)
+        dx = pair_backward(m, cache, c)
+        step = 1e-6
+        for b, f in [(0, 0), (B - 1, d - 1), (B // 2, d // 2), (1, d - 2)]:
+            Xp, Xm = X.copy(), X.copy()
+            Xp[b, f] += step
+            Xm[b, f] -= step
+            fd = ((c * pair_features(m, Xp)[0]).sum()
+                  - (c * pair_features(m, Xm)[0]).sum()) / (2 * step)
+            assert dx[b, f] == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
 def ce_objective(stats, **kw):

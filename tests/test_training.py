@@ -6,10 +6,12 @@ import pytest
 from ccg.data import LabelStats, generate_synthetic
 from ccg.errors import NumericalError
 from ccg.graph import GraphLossConfig
-from ccg.sem import init_model, param_count
+from ccg.players import init_encoders
+from ccg.sem import init_model, param_count, zero_gradients
 from ccg.training import (AdamW, ObjectiveSpec, TrainConfig, alpha_weights,
-                          composite_value_and_grads, load_run, rare_reg_loss,
-                          save_run, train, weighted_ce)
+                          composite_value_and_grads, counterfactual_batch,
+                          load_run, rare_reg_loss, save_run, train,
+                          weighted_ce)
 
 from conftest import toy_setup
 
@@ -106,12 +108,49 @@ class TestCompositeObjective:
         for a, b in zip(g1.arrays(), g2.arrays()):
             np.testing.assert_array_equal(a, b)
 
+    def test_frozen_counterfactuals_reproduce_the_composite(self):
+        # gradient checks freeze counterfactual_batch's output; it must be
+        # exactly the batch the composite builds for itself
+        ds, stats, model, _, part, masks, encs, wt = toy_setup(seed=10)
+        obj = self.make_obj(ds, stats, part, masks, encs, wt,
+                            lambda_ce=1.0, lambda_rare=0.5, lambda_graph=0.4,
+                            lambda_inv=0.3, lambda_env=0.6, lambda_rwd=0.8,
+                            beta=0.7, gamma_r=0.9, m_envs=3, perturb_frac=0.3)
+        t1, g1, _ = composite_value_and_grads(model, ds.X, ds.Y, obj)
+        obj.frozen_xcf = counterfactual_batch(model, ds.X, obj)
+        assert not np.array_equal(obj.frozen_xcf, ds.X)
+        t2, g2, _ = composite_value_and_grads(model, ds.X, ds.Y, obj)
+        assert t1 == t2
+        for a, b in zip(g1.arrays(), g2.arrays()):
+            np.testing.assert_array_equal(a, b)
+
     def test_nonfinite_probability_raises_numerical_error(self):
         ds, stats, model, _, part, masks, encs, wt = toy_setup(seed=9)
         model.b[...] = np.nan
         obj = self.make_obj(ds, stats, part, masks, encs, wt, lambda_ce=1.0)
         with pytest.raises(NumericalError):
             composite_value_and_grads(model, ds.X, ds.Y, obj)
+
+
+def textbook_clipped_adamw(params, grad_steps, lrs, decays, clip,
+                           beta1=0.9, beta2=0.999, eps=1e-8):
+    """Reference AdamW: clip all gradients to global norm `clip`, update
+    both moments, bias-correct, then apply the step and decoupled decay."""
+    params = [p.copy() for p in params]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t, gs in enumerate(grad_steps, start=1):
+        norm = math.sqrt(sum(float((g ** 2).sum()) for g in gs))
+        if norm > clip:
+            gs = [g * (clip / norm) for g in gs]
+        for i, g in enumerate(gs):
+            m[i] = beta1 * m[i] + (1.0 - beta1) * g
+            v[i] = beta2 * v[i] + (1.0 - beta2) * g ** 2
+            m_hat = m[i] / (1.0 - beta1 ** t)
+            v_hat = v[i] / (1.0 - beta2 ** t)
+            params[i] = params[i] - lrs[i] * (
+                m_hat / (np.sqrt(v_hat) + eps) + decays[i] * params[i])
+    return params
 
 
 class TestAdamW:
@@ -155,6 +194,38 @@ class TestAdamW:
         opt.step(g1)
         # clipped update stays bounded by lr regardless of gradient scale
         assert np.abs(model.W - before).max() < 1.1
+
+    def test_non_contiguous_parameter_rejected(self):
+        # updates go through flat views, which a strided array cannot give
+        model = init_model(3, 3, 2, seed=6)
+        model.W = model.W.T
+        with pytest.raises(ValueError):
+            AdamW(model, None, TrainConfig())
+
+    def test_clipped_steps_match_textbook_formula(self):
+        # w1 has 6*6*8*64 = 18432 elements, more than one update block
+        model = init_model(64, 6, 8, seed=3)
+        encs = init_encoders(64, 4, 2, seed=4)
+        cfg = TrainConfig(lr_main=0.05, lr_aux=0.2, weight_decay=0.3,
+                          grad_clip=1.0)
+        opt = AdamW(model, encs, cfg)
+        before = [p.copy() for p in opt.params]
+        rng = np.random.default_rng(5)
+        steps = []
+        for _ in range(4):
+            g = zero_gradients(model, n_encoders=2, enc_dim=4)
+            for arr in g.arrays():
+                arr[...] = rng.normal(0.0, 3.0, arr.shape)
+            assert math.sqrt(sum(float((a ** 2).sum())
+                                 for a in g.arrays())) > cfg.grad_clip
+            steps.append([a.copy() for a in g.arrays()])
+            opt.step(g)
+        expected = textbook_clipped_adamw(before, steps, opt.lrs, opt.decays,
+                                          cfg.grad_clip)
+        # atol covers entries where a parameter and its update nearly cancel:
+        # both are O(0.1) and differ from the reference by a few ulp
+        for got, want in zip(opt.params, expected):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
 class TestTrain:
