@@ -4,22 +4,22 @@ decomposition with causal masks, counterfactual curiosity rewards, causal
 invariance losses, imbalance-aware training, and a planted-world synthetic
 benchmark."""
 
-from .data import (Dataset, LabelStats, PlantedWorld, Sample, co_occurrence,
+from .data import (Dataset, LabelStats, PlantedWorld, co_occurrence,
                    compute_label_stats, generate_synthetic, load_dataset,
                    save_dataset, semantic_similarity)
 from .evaluation import (MetricsReport, average_precision, evaluate,
                          mean_average_precision, rare_f1, structure_score)
 from .graph import (CausalGraph, GraphLossConfig, export_dot, extract_graph,
                     graph_loss, ideal_weights, psi, rare_indicator)
-from .invariance import (EnvViews, contrastive_inv_loss, env_consistency_loss,
-                         make_env_views)
+from .invariance import (contrastive_inv_loss, env_consistency_loss,
+                         make_env_views_batch)
 from .players import (MaskSet, Partition, PlayerEncoder, build_masks,
                       init_encoders, partition_labels, player_encode,
                       player_predict)
-from .reward import (RewardBreakdown, RewardConfig, anneal, cf_consistency,
-                     generate_counterfactual, js_divergence, player_reward)
-from .sem import (GradientBundle, PairwiseMlp, SemModel, init_model,
-                  loss_and_gradients, param_count, predict, predict_masked)
+from .reward import (RewardConfig, anneal, curiosity_surrogate,
+                     generate_counterfactual, js_divergence)
+from .sem import (GradientBundle, SemModel, init_model, param_count, predict,
+                  predict_masked)
 from .training import (AlphaWeights, ObjectiveSpec, TrainConfig, TrainResult,
                        alpha_weights, composite_value_and_grads, rare_reg_loss,
                        train, weighted_ce)

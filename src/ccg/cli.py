@@ -107,7 +107,7 @@ def cmd_train(args) -> int:
     result, _ = _train_one(args.data, cfg, args.world, args.extra_envs)
     training.save_run(args.out, result)
     if result.aborted:
-        print("training aborted on numerical error; last checkpoint retained",
+        print(f"training aborted: {result.aborted}; last checkpoint retained",
               file=sys.stderr)
         return 2
     print(f"model written to {args.out}")

@@ -18,12 +18,6 @@ import numpy as np
 from .errors import CapacityError, DatasetError
 
 
-@dataclass(frozen=True)
-class Sample:
-    features: np.ndarray  # (d,) float64
-    labels: np.ndarray    # (L,) int, entries in {0,1}
-
-
 @dataclass
 class Dataset:
     X: np.ndarray  # (n, d) float64
@@ -53,10 +47,6 @@ class Dataset:
     @property
     def L(self) -> int:
         return self.Y.shape[1]
-
-    @property
-    def samples(self) -> list[Sample]:
-        return [Sample(self.X[i], self.Y[i]) for i in range(self.n)]
 
     def subset(self, idx) -> "Dataset":
         return Dataset(self.X[idx], self.Y[idx], list(self.label_names))
@@ -90,7 +80,7 @@ def compute_label_stats(ds: Dataset, rare_pct: float) -> LabelStats:
     return LabelStats(freq=freq, rare_set=rare_set_for(freq, rare_pct), rare_pct=rare_pct)
 
 
-def load_dataset(path, expected_d: int | None = None) -> Dataset:
+def load_dataset(path) -> Dataset:
     """Read a JSONL dataset: one {"features": [...], "labels": [...]} per line."""
     feats, labs = [], []
     with open(path) as fh:
@@ -115,8 +105,6 @@ def load_dataset(path, expected_d: int | None = None) -> Dataset:
             labs.append([int(v) for v in y])
     if not feats:
         raise DatasetError("empty dataset")
-    if expected_d is not None and len(feats[0]) != expected_d:
-        raise DatasetError(f"expected d={expected_d}, file has d={len(feats[0])}")
     X = np.array(feats, dtype=np.float64)
     Y = np.array(labs, dtype=np.int8)
     return Dataset(X, Y, default_label_names(Y.shape[1]))

@@ -87,20 +87,15 @@ def _f1(tp: int, fp: int, fn: int) -> float:
     return 2 * prec * rec / (prec + rec)
 
 
-def rare_f1(preds: np.ndarray, y: np.ndarray, stats: LabelStats, p: float,
-            micro: bool = False) -> float:
-    """F1 over the bottom-p% labels by training frequency, predictions
-    thresholded at 0.5. Macro by default; micro behind the flag."""
+def rare_f1(preds: np.ndarray, y: np.ndarray, stats: LabelStats,
+            p: float) -> float:
+    """Macro F1 over the bottom-p% labels by training frequency, predictions
+    thresholded at 0.5."""
     cols = sorted(rare_set_for(np.asarray(stats.freq), p))
     if not cols:
         return 0.0
     yhat = (np.asarray(preds)[:, cols] >= 0.5).astype(int)
     yt = np.asarray(y)[:, cols].astype(int)
-    if micro:
-        tp = int(((yhat == 1) & (yt == 1)).sum())
-        fp = int(((yhat == 1) & (yt == 0)).sum())
-        fn = int(((yhat == 0) & (yt == 1)).sum())
-        return _f1(tp, fp, fn)
     scores = []
     for c in range(len(cols)):
         tp = int(((yhat[:, c] == 1) & (yt[:, c] == 1)).sum())

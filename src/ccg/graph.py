@@ -95,9 +95,9 @@ def graph_loss(W: np.ndarray, Wtilde: np.ndarray,
     return loss, grad
 
 
-def extract_graph(W: np.ndarray, K: int, warmup_done: bool = True) -> CausalGraph:
+def extract_graph(W: np.ndarray, K: int) -> CausalGraph:
     """Top-K positive outgoing strengths per source label; ties to smaller
-    target index. Callers gate extraction on warmup completion."""
+    target index."""
     if K < 1:
         raise ValueError("K must be >= 1")
     W = np.asarray(W, dtype=np.float64)

@@ -1,36 +1,19 @@
-"""Augmented-environment views and the dual invariance losses."""
+"""Augmented-environment views and the dual invariance losses: the
+cross-environment prediction consistency loss and the contrastive encoder
+invariance loss, each returning its value and gradient."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .data import PlantedWorld
-from .reward import clamp_probs
+from .reward import bce_terms
 
 
-@dataclass
-class EnvViews:
-    views: list[np.ndarray]  # view 0 is the unmodified input
-
-    @property
-    def M(self) -> int:
-        return len(self.views)
-
-
-def _perturb(x: np.ndarray, planted: PlantedWorld | None,
-             rng: np.random.Generator) -> np.ndarray:
+def _perturb(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     out = x.copy()
-    if planted is not None:
-        # rescale the whole spurious block by one scalar drawn U(-1, 1) —
-        # the same family as the generator's environment shifts, which move
-        # the spurious-feature mean toward (or past) zero
-        sp = planted.spurious_indices()
-        if len(sp):
-            out[sp] = out[sp] * rng.uniform(-1.0, 1.0)
-        return out
     active = np.flatnonzero(x != 0.0)
     k = math.ceil(0.1 * len(active)) if len(active) else 0
     zero_idx = rng.choice(active, size=k, replace=False) if k else np.array([], dtype=int)
@@ -39,70 +22,71 @@ def _perturb(x: np.ndarray, planted: PlantedWorld | None,
     return out
 
 
-def make_env_views(x: np.ndarray, M: int, planted: PlantedWorld | None = None,
-                   seed=0) -> EnvViews:
-    """View 1 is x itself. With a planted world, later views rescale the
-    spurious-block features by a random U(-1, 1) factor; without one, they
-    zero a random 10% of active features and jitter the rest."""
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    x = np.asarray(x, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    views = [x.copy()]
-    for _ in range(M - 1):
-        views.append(_perturb(x, planted, rng))
-    return EnvViews(views=views)
-
-
 def make_env_views_batch(X: np.ndarray, M: int, planted: PlantedWorld | None,
                          rng: np.random.Generator) -> list[np.ndarray]:
-    """Batch counterpart used by the training loop; one rng stream, fixed
-    view order for determinism."""
+    """M views of a batch; view 0 is X itself. With a planted world, later
+    views rescale each sample's spurious-block features by a random U(-1, 1)
+    factor; without one, they zero a random 10% of each sample's active
+    features and jitter the rest. One rng stream, fixed view order."""
+    if M < 1:
+        raise ValueError("M must be >= 1")
     X = np.asarray(X, dtype=np.float64)
     views = [X]
     for _ in range(M - 1):
         if planted is not None:
+            # the same family as the generator's environment shifts, which
+            # move the spurious-feature mean toward (or past) zero
             V = X.copy()
             sp = planted.spurious_indices()
             if len(sp):
                 V[:, sp] = V[:, sp] * rng.uniform(-1.0, 1.0, size=(len(X), 1))
         else:
-            V = np.stack([_perturb(X[i], None, rng) for i in range(len(X))])
+            V = np.stack([_perturb(X[i], rng) for i in range(len(X))])
         views.append(V)
     return views
 
 
-def contrastive_inv_loss(encodings: list[np.ndarray]) -> float:
-    """Sum over players and unordered view pairs of squared L2 distance
-    between encodings; mean over the batch when encodings are (M, B, e)."""
-    total = 0.0
-    for enc in encodings:
-        enc = np.asarray(enc, dtype=np.float64)
-        M = enc.shape[0]
+def contrastive_inv_loss(encodings):
+    """Sum over players and unordered view pairs of the batch-mean squared L2
+    distance between encodings. encodings[k][m] is player k's (B, e)
+    encoding of view m. Returns (value, d_encodings) with d_encodings[k][m]
+    the gradient for encodings[k][m]."""
+    value = 0.0
+    d_encodings = []
+    for hk in encodings:
+        M, B = len(hk), len(hk[0])
+        dk = []
         for m in range(M):
-            for n in range(m + 1, M):
-                diff = enc[m] - enc[n]
-                sq = (diff ** 2).sum(axis=-1)
-                total += float(sq.mean()) if sq.ndim else float(sq)
-    return total
+            dh = np.zeros_like(hk[m])
+            for n in range(M):
+                if n == m:
+                    continue
+                diff = hk[m] - hk[n]
+                if n > m:
+                    value += float((diff ** 2).sum(axis=1).mean())
+                dh += (2.0 / B) * diff
+            dk.append(dh)
+        d_encodings.append(dk)
+    return value, d_encodings
 
 
-def env_consistency_loss(preds: list[list[np.ndarray]],
-                         y_players: list[np.ndarray]) -> float:
-    """(1/M) sum over environments of the per-player binary cross-entropy
-    against the true labels, summed over players and labels, mean over batch.
+def env_consistency_loss(P_views: list[np.ndarray], Y: np.ndarray):
+    """(1/M) sum over the M environment views of the binary cross-entropy
+    against the true labels, summed over labels, mean over the batch.
 
-    preds[m][k] holds player k's probabilities for its own labels under
-    environment m; y_players[k] the matching ground truth.
+    P_views[m] holds the (B, L) union-mask probabilities of view m. Row i of
+    the union mask is row i of the mask of the player that owns label i, so
+    this equals the sum over players of each player's loss on its own
+    labels. Returns (value, dP) with dP[m] the gradient for P_views[m].
     """
-    M = len(preds)
+    M = len(P_views)
     if M < 1:
         raise ValueError("need at least one environment")
-    total = 0.0
-    for m in range(M):
-        for k, pk in enumerate(preds[m]):
-            p = clamp_probs(np.atleast_2d(np.asarray(pk, dtype=np.float64)))
-            y = np.atleast_2d(np.asarray(y_players[k], dtype=np.float64))
-            bce = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
-            total += float(bce.sum(axis=1).mean())
-    return total / M
+    B = len(Y)
+    value = 0.0
+    dP = []
+    for P in P_views:
+        loss, dprobs = bce_terms(P, Y)
+        value += float(loss.sum(axis=1).mean()) / M
+        dP.append(dprobs / (M * B))
+    return value, dP

@@ -12,8 +12,7 @@ from .sem import SemModel, pair_features, head
 
 @dataclass
 class Partition:
-    subsets: list[list[int]]                    # N disjoint, sorted label subsets
-    chains: list[list[tuple[int, int, float]]]  # graph edges internal to each subset
+    subsets: list[list[int]]  # N disjoint, sorted label subsets
 
     @property
     def N(self) -> int:
@@ -107,13 +106,7 @@ def partition_labels(g: CausalGraph, N: int, freq: np.ndarray) -> Partition:
                 break
         comps = _components(L, edges)
 
-    subsets = [list(c) for c in comps]
-    chains = []
-    for sub in subsets:
-        s = set(sub)
-        chains.append(sorted([e for e in g.edges if e[0] in s and e[1] in s],
-                             key=lambda e: (e[0], e[1])))
-    return Partition(subsets=subsets, chains=chains)
+    return Partition(subsets=[list(c) for c in comps])
 
 
 def build_masks(p: Partition, g: CausalGraph) -> MaskSet:

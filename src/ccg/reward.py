@@ -1,5 +1,8 @@
-"""Counterfactual curiosity reward: JS consistency, prediction diversity,
-rare-label accuracy, and the beta/gamma_R annealing schedule."""
+"""Counterfactual curiosity reward: the differentiable curiosity surrogate
+(prediction diversity, counterfactual JS consistency, logged rare-label
+accuracy), the Bernoulli divergences and clamped BCE it shares with the
+other loss terms, counterfactual inputs, and the beta/gamma_R annealing
+schedule."""
 
 from __future__ import annotations
 
@@ -7,8 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .data import LabelStats
 
 PROB_EPS = 1e-6
 
@@ -23,16 +24,19 @@ class RewardConfig:
     total_steps: int = 1
 
 
-@dataclass
-class RewardBreakdown:
-    rare_acc: float
-    diversity: float          # >= 0
-    cf_consistency: float     # in [-ln 2, 0]
-    total: float
-
-
 def clamp_probs(p: np.ndarray) -> np.ndarray:
     return np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
+
+
+def bce_terms(probs: np.ndarray, Y: np.ndarray):
+    """Elementwise binary cross-entropy of clamped probabilities and its
+    derivative in the probabilities (zero where the clamp is active)."""
+    p = clamp_probs(probs)
+    y = np.asarray(Y, dtype=np.float64)
+    loss = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
+    in_range = (probs > PROB_EPS) & (probs < 1.0 - PROB_EPS)
+    dprobs = -(y / p - (1.0 - y) / (1.0 - p)) * in_range
+    return loss, dprobs
 
 
 def kl_bernoulli(p, q):
@@ -68,13 +72,6 @@ def js_divergence(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * kl(p, m) + 0.5 * kl(q, m)
 
 
-def cf_consistency(pi_orig: np.ndarray, pi_cf: np.ndarray) -> float:
-    """Negative JS between original and counterfactual Bernoulli predictions,
-    averaged over the player's labels; in [-ln 2, 0]."""
-    js = js_bernoulli(pi_orig, pi_cf)
-    return float(-js.mean())
-
-
 def generate_counterfactual(x: np.ndarray, salience: np.ndarray, frac: float,
                             seed, batch: np.ndarray | None = None) -> np.ndarray:
     """Perturb ceil(frac * nnz) nonzero features, preferring lowest
@@ -103,34 +100,61 @@ def generate_counterfactual(x: np.ndarray, salience: np.ndarray, frac: float,
     return out
 
 
-def player_reward(k: int, preds_all_players: list[np.ndarray], y_true: np.ndarray,
-                  subsets: list[list[int]], pi_cf_k: np.ndarray,
-                  stats: LabelStats, coeffs: tuple[float, float]) -> RewardBreakdown:
-    """Curiosity reward for player k on one sample.
+def curiosity_surrogate(P_players: list[np.ndarray], P_cf: list[np.ndarray],
+                        Y: np.ndarray, subsets: list, freq: np.ndarray,
+                        beta: float, gamma_r: float):
+    """Differentiable curiosity surrogate -beta * diversity + gamma_R * JS_cf
+    on one batch.
 
-    preds_all_players holds each player's full L-length probability vector;
-    pi_cf_k is player k's probabilities on the counterfactual sample.
+    P_players[k] and P_cf[k] are player k's (B, L) probabilities on the batch
+    and on its counterfactuals; player k scores only its own labels
+    subsets[k]. diversity is the mean over players of KL(player || mean of
+    the other players), JS_cf the mean over players of the JS divergence
+    between original and counterfactual predictions, each averaged over the
+    batch and the player's labels. rare_acc (1/(1 + freq)-weighted accuracy)
+    is logged only; its indicator has no gradient.
+
+    Returns (diversity, cf_js, rare_acc, dP_players, dP_cf), where the
+    gradients are those of -beta * diversity + gamma_R * JS_cf.
     """
-    beta, gamma_r = coeffs
-    sub = np.array(subsets[k], dtype=int)
-    pk = preds_all_players[k][sub]
-    yk = np.asarray(y_true, dtype=np.float64)[sub]
-    freq = np.asarray(stats.freq, dtype=np.float64)[sub]
-    correct = ((pk >= 0.5).astype(np.float64) == yk).astype(np.float64)
-    rare_acc = float((correct / (1.0 + freq)).mean())
+    N, B = len(P_players), len(Y)
+    dP_pl = [np.zeros_like(P) for P in P_players]
+    dP_cf = [np.zeros_like(P) for P in P_cf]
+    div_total, js_total, racc_total = 0.0, 0.0, 0.0
+    for k, sub in enumerate(subsets):
+        sub = np.asarray(sub, dtype=int)
+        p_raw = P_players[k][:, sub]
+        p = clamp_probs(p_raw)
+        in_p = (p_raw > PROB_EPS) & (p_raw < 1.0 - PROB_EPS)
 
-    N = len(preds_all_players)
-    if N >= 2:
-        others = np.mean([preds_all_players[j][sub]
-                          for j in range(N) if j != k], axis=0)
-        diversity = float(kl_bernoulli(pk, others).mean())
-    else:
-        diversity = 0.0
+        correct = ((p_raw >= 0.5) == (Y[:, sub] >= 0.5)).astype(np.float64)
+        racc_total += float((correct / (1.0 + freq[sub])[None, :]).mean())
 
-    cfc = cf_consistency(pk, pi_cf_k[sub])
-    total = rare_acc + beta * diversity + gamma_r * cfc
-    return RewardBreakdown(rare_acc=rare_acc, diversity=diversity,
-                           cf_consistency=cfc, total=total)
+        if N >= 2:
+            r_raw = np.mean([P_players[j][:, sub] for j in range(N) if j != k],
+                            axis=0)
+            r = clamp_probs(r_raw)
+            in_r = (r_raw > PROB_EPS) & (r_raw < 1.0 - PROB_EPS)
+            div_total += float(kl_bernoulli(p_raw, r_raw).mean())
+            sc = -beta / (N * len(sub) * B)
+            dp = (np.log(p / r) - np.log((1.0 - p) / (1.0 - r))) * in_p
+            dP_pl[k][:, sub] += sc * dp
+            dr = (-p / r + (1.0 - p) / (1.0 - r)) * in_r
+            for j in range(N):
+                if j != k:
+                    dP_pl[j][:, sub] += sc * dr / (N - 1)
+
+        q_raw = P_cf[k][:, sub]
+        q = clamp_probs(q_raw)
+        in_q = (q_raw > PROB_EPS) & (q_raw < 1.0 - PROB_EPS)
+        mmid = 0.5 * (p + q)
+        js_total += float(js_bernoulli(p_raw, q_raw).mean())
+        sc = gamma_r / (N * len(sub) * B)
+        dP_pl[k][:, sub] += sc * 0.5 * np.log(
+            p * (1.0 - mmid) / (mmid * (1.0 - p))) * in_p
+        dP_cf[k][:, sub] += sc * 0.5 * np.log(
+            q * (1.0 - mmid) / (mmid * (1.0 - q))) * in_q
+    return div_total / N, js_total / N, racc_total / N, dP_pl, dP_cf
 
 
 def anneal(step: int, total_steps: int, cfg: RewardConfig) -> tuple[float, float]:

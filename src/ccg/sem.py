@@ -23,18 +23,6 @@ W1_BLOCK_ROWS = 256
 
 
 @dataclass
-class PairwiseMlp:
-    """View of a single pair's MLP: forward(x) = w2 . relu(w1 x + b1) + b2."""
-    w1: np.ndarray  # (hidden, d)
-    b1: np.ndarray  # (hidden,)
-    w2: np.ndarray  # (hidden,)
-    b2: float
-
-    def forward(self, x: np.ndarray) -> float:
-        return float(self.w2 @ np.maximum(self.w1 @ x + self.b1, 0.0) + self.b2)
-
-
-@dataclass
 class SemModel:
     d: int
     L: int
@@ -45,15 +33,6 @@ class SemModel:
     b2: np.ndarray  # (L, L)
     W: np.ndarray   # (L, L) causal weights, diagonal kept at exactly 0
     b: np.ndarray   # (L,)
-
-    def pair_mlp(self, i: int, j: int) -> PairwiseMlp:
-        return PairwiseMlp(self.w1[i, j], self.b1[i, j], self.w2[i, j], float(self.b2[i, j]))
-
-    def set_pair_mlp(self, i: int, j: int, mlp: PairwiseMlp) -> None:
-        self.w1[i, j] = mlp.w1
-        self.b1[i, j] = mlp.b1
-        self.w2[i, j] = mlp.w2
-        self.b2[i, j] = mlp.b2
 
     def copy(self) -> "SemModel":
         return SemModel(self.d, self.L, self.hidden,
@@ -203,12 +182,3 @@ def predict_batch(model: SemModel, X: np.ndarray,
 
 def project_diagonal(model: SemModel) -> None:
     np.fill_diagonal(model.W, 0.0)
-
-
-def loss_and_gradients(model: SemModel, batch, objective):
-    """Composite objective value and analytic gradients; see training module
-    for the ObjectiveSpec contract."""
-    from . import training
-    X, Y = batch
-    total, grads, _ = training.composite_value_and_grads(model, np.asarray(X), np.asarray(Y), objective)
-    return total, grads

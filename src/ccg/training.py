@@ -1,10 +1,21 @@
 """Composite objective, optimizer, and the end-to-end training loop.
 
-The objective is assembled from: imbalance-weighted cross-entropy, a
-rare-column BCE regularizer, the graph-learning loss on W, the contrastive
-encoder invariance loss, the cross-environment prediction consistency loss,
-and the differentiable curiosity surrogate (-beta * diversity +
-gamma_R * JS_cf). Gradients are exact reverse-mode for every term.
+Each loss term has one function that returns its value and its gradient
+with respect to its direct inputs:
+
+- imbalance-weighted cross-entropy (`weighted_ce`) and the rare-column BCE
+  regularizer (`rare_reg_loss`) are here;
+- the graph-learning loss on W is `graph.graph_loss`;
+- the contrastive encoder invariance loss and the cross-environment
+  prediction consistency loss are `invariance.contrastive_inv_loss` and
+  `invariance.env_consistency_loss`;
+- the differentiable curiosity surrogate (-beta * diversity +
+  gamma_R * JS_cf) is `reward.curiosity_surrogate`.
+
+`composite_value_and_grads` runs the model's forwards, calls each active
+term, adds lambda * value to the total, and chains lambda * gradient back
+through the heads, the pair MLPs and the player encoders. Gradients are
+exact reverse-mode for every term.
 """
 
 from __future__ import annotations
@@ -22,11 +33,12 @@ from .errors import NumericalError
 from .graph import (CausalGraph, GraphLossConfig, extract_graph, graph_loss,
                     ideal_weights, save_graph, load_graph)
 from .data import co_occurrence
-from .invariance import make_env_views_batch
+from .invariance import (contrastive_inv_loss, env_consistency_loss,
+                         make_env_views_batch)
 from .players import (MaskSet, Partition, PlayerEncoder, build_masks,
                       encode_batch, init_encoders, partition_labels)
-from .reward import (PROB_EPS, RewardConfig, anneal, clamp_probs,
-                     generate_counterfactual, js_bernoulli, kl_bernoulli)
+from .reward import (RewardConfig, anneal, bce_terms, curiosity_surrogate,
+                     generate_counterfactual)
 from .sem import (GradientBundle, SemModel, full_mask, head, head_backward,
                   init_model, pair_backward, pair_features, project_diagonal,
                   zero_gradients)
@@ -93,32 +105,25 @@ def alpha_weights(stats: LabelStats) -> AlphaWeights:
     return AlphaWeights(alpha=raw * len(raw) / raw.sum())
 
 
-def _bce_terms(probs: np.ndarray, Y: np.ndarray):
-    p = clamp_probs(probs)
-    y = np.asarray(Y, dtype=np.float64)
-    loss = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
-    in_range = (probs > PROB_EPS) & (probs < 1.0 - PROB_EPS)
-    dprobs = -(y / p - (1.0 - y) / (1.0 - p)) * in_range
-    return loss, dprobs
+def weighted_ce(P: np.ndarray, Y: np.ndarray, alpha: np.ndarray):
+    """Imbalance-weighted BCE of (B, L) probabilities: mean over the batch,
+    alpha-weighted sum over labels, with both class terms included.
+    Returns (value, dP)."""
+    loss, dprobs = bce_terms(P, Y)
+    value = float((loss * alpha[None, :]).sum(axis=1).mean())
+    return value, dprobs * alpha[None, :] / len(P)
 
 
-def weighted_ce(preds: np.ndarray, y: np.ndarray, alpha) -> float:
-    """Imbalance-weighted BCE: mean over the batch, alpha-weighted sum over
-    labels, with both class terms included."""
-    a = alpha.alpha if isinstance(alpha, AlphaWeights) else np.asarray(alpha)
-    loss, _ = _bce_terms(np.atleast_2d(preds), np.atleast_2d(y))
-    return float((loss * a[None, :]).sum(axis=1).mean())
-
-
-def rare_reg_loss(preds: np.ndarray, y: np.ndarray, stats: LabelStats) -> float:
-    """BCE restricted to rare-label columns; 0 when the rare set is empty."""
-    cols = sorted(stats.rare_set)
-    if not cols:
-        return 0.0
-    preds = np.atleast_2d(preds)
-    y = np.atleast_2d(y)
-    loss, _ = _bce_terms(preds[:, cols], y[:, cols])
-    return float(loss.sum(axis=1).mean())
+def rare_reg_loss(P: np.ndarray, Y: np.ndarray, rare_cols: list[int]):
+    """BCE of (B, L) probabilities restricted to the rare-label columns,
+    summed over them, mean over the batch; 0 when there are none.
+    Returns (value, dP)."""
+    dP = np.zeros_like(P)
+    if not rare_cols:
+        return 0.0, dP
+    loss, dprobs = bce_terms(P[:, rare_cols], Y[:, rare_cols])
+    dP[:, rare_cols] = dprobs / len(P)
+    return float(loss.sum(axis=1).mean()), dP
 
 
 @dataclass
@@ -194,162 +199,94 @@ def composite_value_and_grads(model: SemModel, X: np.ndarray, Y: np.ndarray,
     (total, GradientBundle, per-term breakdown). Pure given obj.rng_seed."""
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
-    B, L = len(X), model.L
     have_players = obj.masks is not None and obj.subsets is not None
-    union = np.sum(obj.masks, axis=0) if have_players else full_mask(L)
+    union = np.sum(obj.masks, axis=0) if have_players else full_mask(model.L)
     n_enc = len(obj.encoders) if obj.encoders is not None else 0
     grads = zero_gradients(model, n_encoders=n_enc,
                            enc_dim=obj.encoders[0].w.shape[0] if n_enc else 0)
     bd: dict[str, float] = {}
     total = 0.0
 
-    # environment views (view 0 is the raw batch)
+    # environment views (view 0 is the raw batch) and their union forwards
     M = obj.m_envs if (obj.lambda_env != 0.0 or obj.lambda_inv != 0.0) else 1
     rng_views = np.random.default_rng(list(obj.rng_seed) + [1])
     views = make_env_views_batch(X, M, obj.planted, rng_views)
-
-    caches, Hs, dHs = [], [], []
-    for V in views:
-        H, cache = pair_features(model, V)
-        Hs.append(H)
-        caches.append(cache)
-        dHs.append(np.zeros_like(H))
-
+    Hs, caches = zip(*(pair_features(model, V) for V in views))
+    dHs = [np.zeros_like(H) for H in Hs]
     P_union = [head(model, H, union) for H in Hs]
     dP_union = [np.zeros_like(P) for P in P_union]
 
-    # weighted cross-entropy on the raw view
-    ce_loss, ce_dp = _bce_terms(P_union[0], Y)
-    ce = float((ce_loss * obj.alpha[None, :]).sum(axis=1).mean())
+    ce, d_ce = weighted_ce(P_union[0], Y, obj.alpha)
     bd["ce"] = _check_finite("weighted_ce", ce)
     total += obj.lambda_ce * ce
-    dP_union[0] += obj.lambda_ce * ce_dp * obj.alpha[None, :] / B
+    dP_union[0] += obj.lambda_ce * d_ce
 
-    # rare-label regularizer
-    rare_cols = sorted(obj.stats.rare_set)
-    if obj.lambda_rare != 0.0 and rare_cols:
-        rr_loss, rr_dp = _bce_terms(P_union[0][:, rare_cols], Y[:, rare_cols])
-        rr = float(rr_loss.sum(axis=1).mean())
+    bd["rare"] = 0.0
+    if obj.lambda_rare != 0.0:
+        rr, d_rr = rare_reg_loss(P_union[0], Y, sorted(obj.stats.rare_set))
         bd["rare"] = _check_finite("rare_reg", rr)
         total += obj.lambda_rare * rr
-        dP_union[0][:, rare_cols] += obj.lambda_rare * rr_dp / B
-    else:
-        bd["rare"] = 0.0
+        dP_union[0] += obj.lambda_rare * d_rr
 
-    # cross-environment prediction consistency
+    bd["env"] = 0.0
     if obj.lambda_env != 0.0:
-        env = 0.0
-        for m in range(M):
-            el, edp = _bce_terms(P_union[m], Y)
-            env += float(el.sum(axis=1).mean()) / M
-            dP_union[m] += obj.lambda_env * edp / (M * B)
+        env, d_env = env_consistency_loss(P_union, Y)
         bd["env"] = _check_finite("env_consistency", env)
         total += obj.lambda_env * env
-    else:
-        bd["env"] = 0.0
+        for dP, d in zip(dP_union, d_env):
+            dP += obj.lambda_env * d
 
-    # graph-learning loss on W
+    bd["graph"] = 0.0
     if obj.lambda_graph != 0.0 and obj.wtilde is not None:
         gl, gW = graph_loss(model.W, obj.wtilde, obj.graph_cfg)
         bd["graph"] = _check_finite("graph_loss", gl)
         total += obj.lambda_graph * gl
         grads.W += obj.lambda_graph * gW
-    else:
-        bd["graph"] = 0.0
 
-    # contrastive encoder invariance across views
+    bd["inv"] = 0.0
     if obj.lambda_inv != 0.0 and obj.encoders is not None and M >= 2:
-        inv = 0.0
-        encs = [[encode_batch(enc, V) for V in views] for enc in obj.encoders]
-        for k, hk in enumerate(encs):
-            for m in range(M):
-                dh = np.zeros_like(hk[m])
-                for n in range(M):
-                    if n == m:
-                        continue
-                    diff = hk[m] - hk[n]
-                    if n > m:
-                        inv += float((diff ** 2).sum(axis=1).mean())
-                    dh += (2.0 / B) * diff
-                dh *= obj.lambda_inv
-                grads.enc_w[k] += dh.T @ views[m]
-                grads.enc_b[k] += dh.sum(axis=0)
+        inv, d_enc = contrastive_inv_loss(
+            [[encode_batch(enc, V) for V in views] for enc in obj.encoders])
         bd["inv"] = _check_finite("contrastive_inv", inv)
         total += obj.lambda_inv * inv
-    else:
-        bd["inv"] = 0.0
+        for k, dk in enumerate(d_enc):
+            for V, dh in zip(views, dk):
+                dh *= obj.lambda_inv
+                grads.enc_w[k] += dh.T @ V
+                grads.enc_b[k] += dh.sum(axis=0)
 
-    # curiosity surrogate: -beta * diversity + gamma_R * JS_cf
     bd["diversity"] = 0.0
     bd["cf_js"] = 0.0
     bd["rare_acc"] = 0.0
     if obj.lambda_rwd != 0.0 and have_players:
-        N = len(obj.masks)
         P_pl = [head(model, Hs[0], Mk) for Mk in obj.masks]
-        dP_pl = [np.zeros_like(P) for P in P_pl]
-
         if obj.frozen_xcf is not None:
             Xcf = obj.frozen_xcf
         else:
             Xcf = _salience_counterfactuals(model, X, Hs[0], caches[0],
                                             P_union[0], union, obj)
         Hcf, cache_cf = pair_features(model, Xcf)
-        dHcf = np.zeros_like(Hcf)
         P_cf = [head(model, Hcf, Mk) for Mk in obj.masks]
-        dP_cf = [np.zeros_like(P) for P in P_cf]
+        div, js, racc, dP_pl, dP_cf = curiosity_surrogate(
+            P_pl, P_cf, Y, obj.subsets,
+            np.asarray(obj.stats.freq, dtype=np.float64), obj.beta,
+            obj.gamma_r)
+        bd["diversity"] = _check_finite("diversity", div)
+        bd["cf_js"] = _check_finite("cf_js", js)
+        bd["rare_acc"] = racc
+        total += obj.lambda_rwd * (-obj.beta * div + obj.gamma_r * js)
 
-        div_total, js_total, racc_total = 0.0, 0.0, 0.0
-        freq = np.asarray(obj.stats.freq, dtype=np.float64)
-        for k, sub in enumerate(obj.subsets):
-            sub = np.asarray(sub, dtype=int)
-            p_raw = P_pl[k][:, sub]
-            p = clamp_probs(p_raw)
-            in_p = (p_raw > PROB_EPS) & (p_raw < 1.0 - PROB_EPS)
-
-            # rare-label accuracy (logged only; indicator has no gradient)
-            correct = ((p_raw >= 0.5) == (Y[:, sub] >= 0.5)).astype(np.float64)
-            racc_total += float((correct / (1.0 + freq[sub])[None, :]).mean())
-
-            if N >= 2:
-                r_raw = np.mean([P_pl[j][:, sub] for j in range(N) if j != k],
-                                axis=0)
-                r = clamp_probs(r_raw)
-                in_r = (r_raw > PROB_EPS) & (r_raw < 1.0 - PROB_EPS)
-                div_total += float(kl_bernoulli(p_raw, r_raw).mean())
-                sc = obj.lambda_rwd * (-obj.beta) / (N * len(sub) * B)
-                dp = (np.log(p / r) - np.log((1.0 - p) / (1.0 - r))) * in_p
-                dP_pl[k][:, sub] += sc * dp
-                dr = (-p / r + (1.0 - p) / (1.0 - r)) * in_r
-                for j in range(N):
-                    if j != k:
-                        dP_pl[j][:, sub] += sc * dr / (N - 1)
-
-            q_raw = P_cf[k][:, sub]
-            q = clamp_probs(q_raw)
-            in_q = (q_raw > PROB_EPS) & (q_raw < 1.0 - PROB_EPS)
-            mmid = 0.5 * (p + q)
-            js_total += float(js_bernoulli(p_raw, q_raw).mean())
-            sc = obj.lambda_rwd * obj.gamma_r / (N * len(sub) * B)
-            dP_pl[k][:, sub] += sc * 0.5 * np.log(
-                p * (1.0 - mmid) / (mmid * (1.0 - p))) * in_p
-            dP_cf[k][:, sub] += sc * 0.5 * np.log(
-                q * (1.0 - mmid) / (mmid * (1.0 - q))) * in_q
-
-        diversity = div_total / N
-        js_cf = js_total / N
-        bd["diversity"] = _check_finite("diversity", diversity)
-        bd["cf_js"] = _check_finite("cf_js", js_cf)
-        bd["rare_acc"] = racc_total / N
-        total += obj.lambda_rwd * (-obj.beta * diversity + obj.gamma_r * js_cf)
-
+        dHcf = np.zeros_like(Hcf)
         for k, Mk in enumerate(obj.masks):
-            head_backward(model, Hs[0], Mk, P_pl[k], dP_pl[k], grads, dHs[0])
-            head_backward(model, Hcf, Mk, P_cf[k], dP_cf[k], grads, dHcf)
+            head_backward(model, Hs[0], Mk, P_pl[k], obj.lambda_rwd * dP_pl[k],
+                          grads, dHs[0])
+            head_backward(model, Hcf, Mk, P_cf[k], obj.lambda_rwd * dP_cf[k],
+                          grads, dHcf)
         pair_backward(model, cache_cf, dHcf, grads)
 
-    for m in range(len(views)):
-        head_backward(model, Hs[m], union, P_union[m], dP_union[m], grads, dHs[m])
-        pair_backward(model, caches[m], dHs[m], grads)
+    for H, cache, P, dP, dH in zip(Hs, caches, P_union, dP_union, dHs):
+        head_backward(model, H, union, P, dP, grads, dH)
+        pair_backward(model, cache, dH, grads)
 
     bd["total"] = _check_finite("total", total)
     return total, grads, bd
@@ -447,7 +384,7 @@ class TrainResult:
     wtilde: np.ndarray
     config: TrainConfig
     log: list[dict] = field(default_factory=list)
-    aborted: bool = False
+    aborted: str | None = None  # the NumericalError message when it aborted
 
 
 def _val_metrics(model, masks, val_ds, stats, rare_pct):
@@ -465,6 +402,8 @@ def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
     full-composite epochs with early stopping on validation mAP."""
     if ds.n == 0:
         raise ValueError("dataset is empty")
+    if cfg.m_envs < 1:
+        raise ValueError("m_envs must be >= 1")
     n = ds.n
     perm = np.random.default_rng([cfg.seed, 11]).permutation(n)
     n_val = int(round(cfg.val_frac * n))
@@ -501,7 +440,7 @@ def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
 
     def build_partition():
         src = co_occurrence(train_ds) if cfg.partition_source == "cooccur" else model.W
-        g = extract_graph(src, cfg.k_topk, warmup_done=True)
+        g = extract_graph(src, cfg.k_topk)
         p = partition_labels(g, min(cfg.n_players, ds.L), stats.freq)
         return g, p, build_masks(p, g)
 
@@ -562,8 +501,8 @@ def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
                                  for e in encoders])
             if epoch - best["epoch"] >= cfg.patience and epoch >= cfg.warmup_epochs:
                 break
-    except NumericalError:
-        result.aborted = True
+    except NumericalError as exc:
+        result.aborted = str(exc)
 
     if best["model"] is not None:
         result.model = model = best["model"]
@@ -622,13 +561,7 @@ def load_run(run_dir: str):
     if os.path.exists(gpath):
         graph = load_graph(gpath)
         if obj["players"] is not None:
-            subsets = [sorted(int(x) for x in sub) for sub in obj["players"]]
-            chains = []
-            for sub in subsets:
-                s = set(sub)
-                chains.append(sorted([e for e in graph.edges
-                                      if e[0] in s and e[1] in s],
-                                     key=lambda e: (e[0], e[1])))
-            partition = Partition(subsets=subsets, chains=chains)
+            partition = Partition(subsets=[sorted(int(x) for x in sub)
+                                           for sub in obj["players"]])
             masks = build_masks(partition, graph)
     return model, encoders, partition, masks, graph, stats, cfg

@@ -86,6 +86,25 @@ class TestTrainCommand:
                   "--out", str(tmp_path / "o")])
         assert rc == 1
 
+    def test_m_envs_zero_exits_1(self, gen_dir, tmp_path, capsys):
+        rc = run(["train", "--data", str(gen_dir / "env0.jsonl"),
+                  "--m-envs", "0", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "m_envs" in capsys.readouterr().err
+
+    def test_overflowing_features_exit_2_naming_the_term(self, gen_dir,
+                                                         tmp_path, capsys):
+        lines = read(gen_dir / "env0.jsonl").splitlines()
+        row = json.loads(lines[0])
+        row["features"] = [1e300] * len(row["features"])
+        data = tmp_path / "overflow.jsonl"
+        data.write_text("\n".join([json.dumps(row)] + lines[1:]) + "\n")
+        rc = run(["train", "--data", str(data), "--epochs", "2",
+                  "--warmup", "1", "--players", "2", "--seed", "0",
+                  "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "term '" in capsys.readouterr().err
+
     def test_unknown_config_key_exits_1(self, gen_dir, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"learning_rate_typo": 1}))

@@ -105,15 +105,6 @@ class TestRareF1:
                 scores.append(2 * p_ * r_ / (p_ + r_))
         assert rare_f1(preds, y, st, 100) == pytest.approx(np.mean(scores))
 
-    def test_micro_variant_oracle(self):
-        preds = np.array([[0.9, 0.6], [0.9, 0.4]])
-        y = np.array([[1, 0], [0, 1]])
-        st = stats_for([1, 1])
-        # both labels rare at p=100; micro: tp=1, fp=2, fn=1
-        prec, rec = 1 / 3, 1 / 2
-        assert rare_f1(preds, y, st, 100, micro=True) == pytest.approx(
-            2 * prec * rec / (prec + rec))
-
     def test_p_zero_returns_zero(self):
         st = stats_for([3, 1])
         assert rare_f1(np.ones((2, 2)), np.ones((2, 2)), st, 0) == 0.0

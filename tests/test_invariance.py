@@ -5,7 +5,7 @@ import pytest
 
 from ccg.data import PlantedWorld, generate_synthetic
 from ccg.invariance import (contrastive_inv_loss, env_consistency_loss,
-                            make_env_views, make_env_views_batch)
+                            make_env_views_batch)
 
 
 def planted_world():
@@ -15,47 +15,45 @@ def planted_world():
                         env_params=[{"mean_mult": 1.0, "var_mult": 1.0}])
 
 
+def views_for(X, M, planted=None, seed=0):
+    return make_env_views_batch(X, M, planted, np.random.default_rng(seed))
+
+
 class TestMakeEnvViews:
     def test_view_zero_is_input(self, rng):
-        x = rng.normal(size=8)
-        views = make_env_views(x, 3, seed=1)
-        np.testing.assert_array_equal(views.views[0], x)
-        assert views.M == 3
+        X = rng.normal(size=(4, 8))
+        views = views_for(X, 3, seed=1)
+        np.testing.assert_array_equal(views[0], X)
+        assert len(views) == 3
 
     def test_m_one_only_raw(self, rng):
-        x = rng.normal(size=5)
-        views = make_env_views(x, 1, seed=0)
-        assert views.M == 1
+        X = rng.normal(size=(2, 5))
+        assert len(views_for(X, 1)) == 1
 
     def test_m_validation(self):
         with pytest.raises(ValueError):
-            make_env_views(np.ones(3), 0)
+            views_for(np.ones((2, 3)), 0)
 
     def test_planted_world_touches_only_spurious_features(self, rng):
         world = planted_world()
-        x = rng.normal(size=8)
-        views = make_env_views(x, 3, planted=world, seed=4)
-        sp = set(world.spurious_indices())
-        for v in views.views[1:]:
-            for f in range(8):
-                if f not in sp:
-                    assert v[f] == x[f]
+        X = rng.normal(size=(4, 8))
+        views = views_for(X, 3, planted=world, seed=4)
+        sp = sorted(world.spurious_indices())
+        keep = [f for f in range(8) if f not in sp]
+        for v in views[1:]:
+            np.testing.assert_array_equal(v[:, keep], X[:, keep])
         # and the spurious block actually moves
-        assert any(not np.array_equal(v[sorted(sp)], x[sorted(sp)])
-                   for v in views.views[1:])
+        assert any(not np.array_equal(v[:, sp], X[:, sp]) for v in views[1:])
 
     def test_generic_perturbation_zeroes_active_fraction(self):
-        x = np.ones(20)
-        views = make_env_views(x, 2, seed=7)
-        v = views.views[1]
-        n_zeroed = int((v == 0.0).sum())
-        assert n_zeroed == math.ceil(0.1 * 20)
+        X = np.ones((3, 20))
+        v = views_for(X, 2, seed=7)[1]
+        np.testing.assert_array_equal((v == 0.0).sum(axis=1),
+                                      [math.ceil(0.1 * 20)] * 3)
 
     def test_deterministic(self, rng):
-        x = rng.normal(size=10)
-        a = make_env_views(x, 3, seed=5)
-        b = make_env_views(x, 3, seed=5)
-        for va, vb in zip(a.views, b.views):
+        X = rng.normal(size=(3, 10))
+        for va, vb in zip(views_for(X, 3, seed=5), views_for(X, 3, seed=5)):
             np.testing.assert_array_equal(va, vb)
 
     def test_batch_views_shapes(self, rng):
@@ -71,19 +69,25 @@ class TestContrastiveInvLoss:
         enc = rng.normal(size=(3, 4, 5))
         enc[1] = enc[0]
         enc[2] = enc[0]
-        assert contrastive_inv_loss([enc]) == 0.0
+        value, d_enc = contrastive_inv_loss([enc])
+        assert value == 0.0
+        assert not np.any(d_enc)
 
     def test_hand_oracle_two_views(self):
         # one player, two views, batch of 2, encoding dim 2
         enc = np.array([[[1.0, 0.0], [0.0, 0.0]],
                         [[0.0, 0.0], [0.0, 2.0]]])
         # squared distances per sample: 1 and 4, batch mean = 2.5
-        assert contrastive_inv_loss([enc]) == pytest.approx(2.5)
+        value, d_enc = contrastive_inv_loss([enc])
+        assert value == pytest.approx(2.5)
+        # d/d(view 0) of the batch mean is 2 * (view 0 - view 1) / B
+        np.testing.assert_allclose(d_enc[0][0], enc[0] - enc[1])
+        np.testing.assert_allclose(d_enc[0][1], enc[1] - enc[0])
 
     def test_sums_over_players_and_pairs(self, rng):
         enc1 = rng.normal(size=(3, 2, 4))
         enc2 = rng.normal(size=(3, 2, 4))
-        total = contrastive_inv_loss([enc1, enc2])
+        total, _ = contrastive_inv_loss([enc1, enc2])
         oracle = 0.0
         for enc in (enc1, enc2):
             for m in range(3):
@@ -93,43 +97,46 @@ class TestContrastiveInvLoss:
 
     def test_nonnegative(self, rng):
         enc = rng.normal(size=(4, 3, 6))
-        assert contrastive_inv_loss([enc]) >= 0.0
+        assert contrastive_inv_loss([enc])[0] >= 0.0
+
+
+def env_loss(P_views, Y):
+    return env_consistency_loss([np.atleast_2d(P) for P in P_views],
+                                np.atleast_2d(Y))[0]
 
 
 class TestEnvConsistencyLoss:
     def test_hand_oracle_single_env(self):
-        # one env, one player, one sample, two labels
+        # one env, one sample, two labels
         p = np.array([0.8, 0.3])
         y = np.array([1.0, 0.0])
         oracle = -(math.log(0.8) + math.log(0.7))
-        assert env_consistency_loss([[p]], [y]) == pytest.approx(oracle)
+        assert env_loss([p], y) == pytest.approx(oracle)
 
     def test_averages_over_environments(self):
         p1 = np.array([0.9])
         p2 = np.array([0.6])
         y = np.array([1.0])
-        single1 = env_consistency_loss([[p1]], [y])
-        single2 = env_consistency_loss([[p2]], [y])
-        both = env_consistency_loss([[p1], [p2]], [y])
-        assert both == pytest.approx(0.5 * (single1 + single2))
+        both = env_loss([p1, p2], y)
+        assert both == pytest.approx(0.5 * (env_loss([p1], y)
+                                            + env_loss([p2], y)))
 
     def test_sums_over_players(self):
-        pa = np.array([0.7])
-        pb = np.array([0.4])
-        ya = np.array([1.0])
-        yb = np.array([0.0])
-        combined = env_consistency_loss([[pa, pb]], [ya, yb])
-        assert combined == pytest.approx(
-            env_consistency_loss([[pa]], [ya]) + env_consistency_loss([[pb]], [yb]))
+        # labels 0 and 1 belong to different players: the loss over all
+        # labels is the sum of the players' losses on their own labels
+        p = np.array([0.7, 0.4])
+        y = np.array([1.0, 0.0])
+        assert env_loss([p], y) == pytest.approx(
+            env_loss([p[:1]], y[:1]) + env_loss([p[1:]], y[1:]))
 
     def test_requires_one_environment(self):
         with pytest.raises(ValueError):
-            env_consistency_loss([], [])
+            env_consistency_loss([], np.zeros((1, 1)))
 
     def test_perfect_predictions_near_zero(self):
         p = np.array([1.0 - 1e-6, 1e-6])
         y = np.array([1.0, 0.0])
-        assert env_consistency_loss([[p]], [y]) == pytest.approx(0.0, abs=1e-5)
+        assert env_loss([p], y) == pytest.approx(0.0, abs=1e-5)
 
 
 class TestSpuriousFilteringInvariance:

@@ -51,11 +51,6 @@ class TestPartitionLabels:
         p = partition_labels(g, 2, np.ones(3))
         assert p.subsets == [[0, 1], [2]]
 
-    def test_chains_are_internal_edges(self):
-        g = CausalGraph(L=4, edges=[(0, 1, 0.9), (1, 2, 0.8), (2, 3, 0.7)])
-        p = partition_labels(g, 1, np.ones(4))
-        assert p.chains[0] == sorted(g.edges, key=lambda e: (e[0], e[1]))
-
     def test_n_out_of_range(self):
         g = CausalGraph(L=3, edges=[])
         with pytest.raises(ValueError):

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ccg.data import LabelStats
-from ccg.reward import (RewardConfig, anneal, cf_consistency,
+from ccg.reward import (RewardConfig, anneal, curiosity_surrogate,
                         generate_counterfactual, js_bernoulli, js_divergence,
-                        kl_bernoulli, player_reward)
+                        kl_bernoulli)
 
 LN2 = math.log(2.0)
 
@@ -69,17 +68,27 @@ class TestJsDivergence:
             js_divergence(np.array([-0.5, 1.5]), np.array([0.5, 0.5]))
 
 
+def surrogate(P_players, P_cf, Y, subsets, freq=(9, 1, 4, 3)):
+    """curiosity_surrogate on one sample, with beta = gamma_R = 1."""
+    return curiosity_surrogate([np.atleast_2d(P) for P in P_players],
+                               [np.atleast_2d(P) for P in P_cf],
+                               np.atleast_2d(np.asarray(Y, dtype=float)),
+                               subsets, np.asarray(freq, dtype=float),
+                               1.0, 1.0)
+
+
 class TestCfConsistency:
     def test_range(self, rng):
         for _ in range(20):
-            a = rng.uniform(0, 1, 5)
-            b = rng.uniform(0, 1, 5)
-            c = cf_consistency(a, b)
-            assert -LN2 - 1e-9 <= c <= 0.0
+            a = rng.uniform(0, 1, 4)
+            b = rng.uniform(0, 1, 4)
+            cf_js = surrogate([a], [b], np.zeros(4), [[0, 1, 2, 3]])[1]
+            assert 0.0 <= cf_js <= LN2 + 1e-9
 
     def test_identical_predictions_are_perfectly_consistent(self):
-        p = np.array([0.2, 0.8])
-        assert cf_consistency(p, p) == pytest.approx(0.0, abs=1e-12)
+        p = np.array([0.2, 0.8, 0.5, 0.5])
+        cf_js = surrogate([p], [p], np.zeros(4), [[0, 1, 2, 3]])[1]
+        assert cf_js == pytest.approx(0.0, abs=1e-12)
 
 
 class TestGenerateCounterfactual:
@@ -133,40 +142,38 @@ class TestGenerateCounterfactual:
 
 
 class TestPlayerReward:
-    def setup_method(self):
-        self.stats = LabelStats(freq=np.array([9, 1, 4, 3]),
-                                rare_set=frozenset({1}), rare_pct=30.0)
-        self.subsets = [[0, 1], [2, 3]]
+    subsets = [[0, 1], [2, 3]]
 
     def test_hand_computed_breakdown(self):
         preds = [np.array([0.9, 0.2, 0.6, 0.4]),
                  np.array([0.3, 0.7, 0.8, 0.1])]
         y = np.array([1, 0, 1, 0])
-        pi_cf = np.array([0.8, 0.3, 0.5, 0.5])
-        r = player_reward(0, preds, y, self.subsets, pi_cf, self.stats,
-                          coeffs=(0.5, 0.8))
-        # player 0's labels: {0, 1}; preds (0.9, 0.2) -> (1, 0) both correct
-        rare_acc = 0.5 * (1 / (1 + 9) + 1 / (1 + 1))
-        assert r.rare_acc == pytest.approx(rare_acc)
-        diversity = float(np.mean([
-            kl_bernoulli(0.9, 0.3), kl_bernoulli(0.2, 0.7)]))
-        assert r.diversity == pytest.approx(diversity)
-        cfc = -float(np.mean([js_bernoulli(0.9, 0.8), js_bernoulli(0.2, 0.3)]))
-        assert r.cf_consistency == pytest.approx(cfc)
-        assert r.total == pytest.approx(rare_acc + 0.5 * diversity + 0.8 * cfc)
+        pi_cf = [np.array([0.8, 0.3, 0.5, 0.5]),
+                 np.array([0.3, 0.6, 0.8, 0.3])]
+        div, cf_js, rare_acc, _, _ = surrogate(preds, pi_cf, y, self.subsets)
+        # player 0 scores labels {0, 1}: preds (0.9, 0.2) -> (1, 0), both
+        # correct; player 1 scores {2, 3}: preds (0.8, 0.1) -> (1, 0), both
+        # correct; each weighted by 1 / (1 + freq)
+        assert rare_acc == pytest.approx(0.5 * (
+            0.5 * (1 / 10 + 1 / 2) + 0.5 * (1 / 5 + 1 / 4)))
+        assert div == pytest.approx(0.5 * (
+            np.mean([kl_bernoulli(0.9, 0.3), kl_bernoulli(0.2, 0.7)])
+            + np.mean([kl_bernoulli(0.8, 0.6), kl_bernoulli(0.1, 0.4)])))
+        assert cf_js == pytest.approx(0.5 * (
+            np.mean([js_bernoulli(0.9, 0.8), js_bernoulli(0.2, 0.3)])
+            + np.mean([js_bernoulli(0.8, 0.8), js_bernoulli(0.1, 0.3)])))
 
     def test_single_player_has_zero_diversity(self):
-        preds = [np.array([0.6, 0.4, 0.5, 0.5])]
-        r = player_reward(0, preds, np.zeros(4), [[0, 1, 2, 3]],
-                          np.array([0.6, 0.4, 0.5, 0.5]), self.stats, (1.0, 1.0))
-        assert r.diversity == 0.0
+        p = np.array([0.6, 0.4, 0.5, 0.5])
+        div, _, _, dP_pl, _ = surrogate([p], [p], np.zeros(4), [[0, 1, 2, 3]])
+        assert div == 0.0
+        assert not dP_pl[0].any()
 
     def test_wrong_predictions_zero_rare_acc(self):
         preds = [np.array([0.9, 0.9, 0.5, 0.5]),
-                 np.array([0.5, 0.5, 0.5, 0.5])]
-        r = player_reward(0, preds, np.array([0, 0, 0, 0]), self.subsets,
-                          preds[0], self.stats, (1.0, 1.0))
-        assert r.rare_acc == 0.0
+                 np.array([0.5, 0.5, 0.9, 0.9])]
+        rare_acc = surrogate(preds, preds, np.zeros(4), self.subsets)[2]
+        assert rare_acc == 0.0
 
 
 class TestAnneal:

@@ -3,11 +3,11 @@ import pytest
 from scipy.special import expit
 
 from ccg.graph import GraphLossConfig
-from ccg.sem import (PairwiseMlp, full_mask, init_model, loss_and_gradients,
-                     pair_backward, pair_features, param_count, predict,
-                     predict_batch, predict_masked, project_diagonal,
-                     zero_gradients)
-from ccg.training import ObjectiveSpec, counterfactual_batch
+from ccg.sem import (full_mask, init_model, pair_backward, pair_features,
+                     param_count, predict, predict_batch, predict_masked,
+                     project_diagonal, zero_gradients)
+from ccg.training import (ObjectiveSpec, composite_value_and_grads,
+                          counterfactual_batch)
 
 from conftest import fd_probe, toy_setup
 
@@ -26,12 +26,14 @@ class TestPredict:
     def test_hand_evaluated_forward_pass(self):
         m = tiny_model(d=2, L=2, hidden=2, seed=1)
         x = np.array([0.3, -0.7])
-        m.set_pair_mlp(0, 1, PairwiseMlp(
-            w1=np.array([[1.0, 2.0], [-1.0, 0.5]]),
-            b1=np.array([0.1, -0.2]), w2=np.array([0.5, 2.0]), b2=0.3))
-        m.set_pair_mlp(1, 0, PairwiseMlp(
-            w1=np.array([[0.0, 1.0], [1.0, 1.0]]),
-            b1=np.array([0.0, 0.0]), w2=np.array([1.0, -1.0]), b2=0.0))
+        m.w1[0, 1] = [[1.0, 2.0], [-1.0, 0.5]]
+        m.b1[0, 1] = [0.1, -0.2]
+        m.w2[0, 1] = [0.5, 2.0]
+        m.b2[0, 1] = 0.3
+        m.w1[1, 0] = [[0.0, 1.0], [1.0, 1.0]]
+        m.b1[1, 0] = [0.0, 0.0]
+        m.w2[1, 0] = [1.0, -1.0]
+        m.b2[1, 0] = 0.0
         m.W = np.array([[0.0, 0.8], [-0.4, 0.0]])
         m.b = np.array([0.05, -0.1])
         # hand-computed forward
@@ -117,8 +119,8 @@ class TestInit:
             for j in range(L):
                 if i == j:
                     continue
-                mlp = m.pair_mlp(i, j)
-                traversal += mlp.w1.size + mlp.b1.size + mlp.w2.size + 1
+                traversal += (m.w1[i, j].size + m.b1[i, j].size
+                              + m.w2[i, j].size + m.b2[i, j].size)
         traversal += m.W.size + m.b.size
         assert traversal == formula
 
@@ -218,7 +220,7 @@ class TestLossAndGradients:
                   + [e.w for e in encs] + [e.b for e in encs])
 
         def value_fn():
-            loss, grads = loss_and_gradients(model, (ds.X, ds.Y), obj)
+            loss, grads, _ = composite_value_and_grads(model, ds.X, ds.Y, obj)
             return loss, grads.arrays()
 
         worst = fd_probe(value_fn, arrays, n_probes=20,
@@ -228,10 +230,10 @@ class TestLossAndGradients:
     def test_duplicated_batch_mean_invariance(self):
         ds, stats, model, _, part, masks, encs, wt = toy_setup(seed=2)
         obj = ce_objective(stats, lambda_ce=1.0, lambda_rare=0.3)
-        l1, g1 = loss_and_gradients(model, (ds.X, ds.Y), obj)
+        l1, g1, _ = composite_value_and_grads(model, ds.X, ds.Y, obj)
         X2 = np.vstack([ds.X, ds.X])
         Y2 = np.vstack([ds.Y, ds.Y])
-        l2, g2 = loss_and_gradients(model, (X2, Y2), obj)
+        l2, g2, _ = composite_value_and_grads(model, X2, Y2, obj)
         assert l1 == pytest.approx(l2, rel=1e-12)
         for a, b in zip(g1.arrays(), g2.arrays()):
             np.testing.assert_allclose(a, b, atol=1e-12)
@@ -239,7 +241,7 @@ class TestLossAndGradients:
     def test_all_zero_coefficients(self):
         ds, stats, model, _, part, masks, encs, wt = toy_setup(seed=3)
         obj = ce_objective(stats, lambda_ce=0.0)
-        loss, grads = loss_and_gradients(model, (ds.X, ds.Y), obj)
+        loss, grads, _ = composite_value_and_grads(model, ds.X, ds.Y, obj)
         assert loss == 0.0
         for a in grads.arrays():
             assert np.abs(a).sum() == 0.0
