@@ -14,8 +14,7 @@ from .graph import (CausalGraph, GraphLossConfig, export_dot, extract_graph,
 from .invariance import (contrastive_inv_loss, env_consistency_loss,
                          make_env_views_batch)
 from .players import (MaskSet, Partition, PlayerEncoder, build_masks,
-                      init_encoders, partition_labels, player_encode,
-                      player_predict)
+                      init_encoders, partition_labels, player_encode)
 from .reward import (RewardConfig, anneal, curiosity_surrogate,
                      generate_counterfactual, js_divergence)
 from .sem import (GradientBundle, SemModel, init_model, param_count, predict,

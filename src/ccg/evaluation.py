@@ -74,9 +74,14 @@ def per_label_average_precision(probs: np.ndarray, Y: np.ndarray) -> list:
     return out
 
 
+def _map_of(aps: list) -> float:
+    """Mean of the per-label APs that exist; 0 when no label has positives."""
+    present = [a for a in aps if a is not None]
+    return float(np.mean(present)) if present else 0.0
+
+
 def mean_average_precision(probs: np.ndarray, Y: np.ndarray) -> float:
-    aps = [a for a in per_label_average_precision(probs, Y) if a is not None]
-    return float(np.mean(aps)) if aps else 0.0
+    return _map_of(per_label_average_precision(probs, Y))
 
 
 def _f1(tp: int, fp: int, fn: int) -> float:
@@ -133,10 +138,10 @@ def evaluate(model: SemModel, partition, masks, ds_id: Dataset,
              planted: PlantedWorld | None = None) -> MetricsReport:
     union = masks.union() if masks is not None else None
     probs = predict_dataset(model, ds_id, union)
-    id_map = mean_average_precision(probs, ds_id.Y)
+    aps = per_label_average_precision(probs, ds_id.Y)
+    id_map = _map_of(aps)
     id_f1 = {p: rare_f1(probs, ds_id.Y, stats, p) for p in p_list}
-    report = MetricsReport(map=id_map, rare_f1=id_f1,
-                           per_label_ap=per_label_average_precision(probs, ds_id.Y))
+    report = MetricsReport(map=id_map, rare_f1=id_f1, per_label_ap=aps)
     if ds_ood is not None:
         probs_o = predict_dataset(model, ds_ood, union)
         ood_map = mean_average_precision(probs_o, ds_ood.Y)

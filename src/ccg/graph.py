@@ -31,14 +31,11 @@ class CausalGraph:
 
 @dataclass
 class GraphLossConfig:
-    gamma: float = 0.5            # co-occurrence vs semantic blend
     eta: float = 1.5              # rare-edge enhancement factor
     lambda_selfloop: float = 0.1  # l0 self-loop suppression coefficient
     rare_set: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must be in [0, 1]")
         if self.eta < 1.0:
             raise ValueError("eta must be >= 1")
         if self.lambda_selfloop < 0.0:

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import CausalGraph
-from .sem import SemModel, pair_features, head
 
 
 @dataclass
@@ -121,14 +120,3 @@ def build_masks(p: Partition, g: CausalGraph) -> MaskSet:
                 M[i, j] = 1.0
         masks.append(M)
     return MaskSet(masks=masks)
-
-
-def player_predict(model: SemModel, partition: Partition, masks: MaskSet,
-                   x: np.ndarray) -> list[np.ndarray]:
-    """Per-player probability vectors restricted to each player's subset."""
-    H, _ = pair_features(model, np.asarray(x, dtype=np.float64)[None, :])
-    out = []
-    for sub, M in zip(partition.subsets, masks.masks):
-        probs = head(model, H, M)[0]
-        out.append(probs[np.array(sub, dtype=int)])
-    return out

@@ -2,7 +2,11 @@
 (prediction diversity, counterfactual JS consistency, logged rare-label
 accuracy), the Bernoulli divergences and clamped BCE it shares with the
 other loss terms, counterfactual inputs, and the beta/gamma_R annealing
-schedule."""
+schedule.
+
+Diversity is the KL of each player's predictions on its own labels from
+sigmoid(b), which is what every other player's mask leaves on those labels.
+"""
 
 from __future__ import annotations
 
@@ -20,8 +24,6 @@ class RewardConfig:
     betaT: float = 0.2
     gammaR0: float = 0.2      # counterfactual coefficient, annealed up
     gammaRT: float = 1.0
-    perturb_frac: float = 0.12
-    total_steps: int = 1
 
 
 def clamp_probs(p: np.ndarray) -> np.ndarray:
@@ -100,30 +102,31 @@ def generate_counterfactual(x: np.ndarray, salience: np.ndarray, frac: float,
     return out
 
 
-def curiosity_surrogate(P_players: list[np.ndarray], P_cf: list[np.ndarray],
+def curiosity_surrogate(P: np.ndarray, P_cf: np.ndarray, P_rest: np.ndarray,
                         Y: np.ndarray, subsets: list, freq: np.ndarray,
                         beta: float, gamma_r: float):
     """Differentiable curiosity surrogate -beta * diversity + gamma_R * JS_cf
     on one batch.
 
-    P_players[k] and P_cf[k] are player k's (B, L) probabilities on the batch
-    and on its counterfactuals; player k scores only its own labels
-    subsets[k]. diversity is the mean over players of KL(player || mean of
-    the other players), JS_cf the mean over players of the JS divergence
-    between original and counterfactual predictions, each averaged over the
-    batch and the player's labels. rare_acc (1/(1 + freq)-weighted accuracy)
-    is logged only; its indicator has no gradient.
+    Each label's mask row belongs to one player, so on its own labels
+    subsets[k] player k outputs the (B, L) union-mask probabilities, P on
+    the batch and P_cf on its counterfactuals, and on every other label it
+    outputs P_rest, the all-zero-mask head (sigmoid(b)). diversity is the
+    mean over players of KL(player || mean of the other players), i.e. of
+    KL(P || P_rest), on the player's labels (0 for a single player); JS_cf
+    is the mean over players of JS(P || P_cf) there. Both are averaged over
+    the batch and the player's labels. rare_acc (1/(1 + freq)-weighted
+    accuracy) is logged only; its indicator has no gradient.
 
-    Returns (diversity, cf_js, rare_acc, dP_players, dP_cf), where the
+    Returns (diversity, cf_js, rare_acc, dP, dP_cf, dP_rest), where the
     gradients are those of -beta * diversity + gamma_R * JS_cf.
     """
-    N, B = len(P_players), len(Y)
-    dP_pl = [np.zeros_like(P) for P in P_players]
-    dP_cf = [np.zeros_like(P) for P in P_cf]
+    N, B = len(subsets), len(Y)
+    dP, dP_cf, dP_rest = (np.zeros_like(A) for A in (P, P_cf, P_rest))
     div_total, js_total, racc_total = 0.0, 0.0, 0.0
-    for k, sub in enumerate(subsets):
+    for sub in subsets:
         sub = np.asarray(sub, dtype=int)
-        p_raw = P_players[k][:, sub]
+        p_raw = P[:, sub]
         p = clamp_probs(p_raw)
         in_p = (p_raw > PROB_EPS) & (p_raw < 1.0 - PROB_EPS)
 
@@ -131,30 +134,26 @@ def curiosity_surrogate(P_players: list[np.ndarray], P_cf: list[np.ndarray],
         racc_total += float((correct / (1.0 + freq[sub])[None, :]).mean())
 
         if N >= 2:
-            r_raw = np.mean([P_players[j][:, sub] for j in range(N) if j != k],
-                            axis=0)
+            r_raw = P_rest[:, sub]
             r = clamp_probs(r_raw)
             in_r = (r_raw > PROB_EPS) & (r_raw < 1.0 - PROB_EPS)
             div_total += float(kl_bernoulli(p_raw, r_raw).mean())
             sc = -beta / (N * len(sub) * B)
-            dp = (np.log(p / r) - np.log((1.0 - p) / (1.0 - r))) * in_p
-            dP_pl[k][:, sub] += sc * dp
-            dr = (-p / r + (1.0 - p) / (1.0 - r)) * in_r
-            for j in range(N):
-                if j != k:
-                    dP_pl[j][:, sub] += sc * dr / (N - 1)
+            dP[:, sub] += sc * (np.log(p / r)
+                                - np.log((1.0 - p) / (1.0 - r))) * in_p
+            dP_rest[:, sub] += sc * (-p / r + (1.0 - p) / (1.0 - r)) * in_r
 
-        q_raw = P_cf[k][:, sub]
+        q_raw = P_cf[:, sub]
         q = clamp_probs(q_raw)
         in_q = (q_raw > PROB_EPS) & (q_raw < 1.0 - PROB_EPS)
         mmid = 0.5 * (p + q)
         js_total += float(js_bernoulli(p_raw, q_raw).mean())
         sc = gamma_r / (N * len(sub) * B)
-        dP_pl[k][:, sub] += sc * 0.5 * np.log(
+        dP[:, sub] += sc * 0.5 * np.log(
             p * (1.0 - mmid) / (mmid * (1.0 - p))) * in_p
-        dP_cf[k][:, sub] += sc * 0.5 * np.log(
+        dP_cf[:, sub] += sc * 0.5 * np.log(
             q * (1.0 - mmid) / (mmid * (1.0 - q))) * in_q
-    return div_total / N, js_total / N, racc_total / N, dP_pl, dP_cf
+    return div_total / N, js_total / N, racc_total / N, dP, dP_cf, dP_rest
 
 
 def anneal(step: int, total_steps: int, cfg: RewardConfig) -> tuple[float, float]:

@@ -10,12 +10,16 @@ with respect to its direct inputs:
   prediction consistency loss are `invariance.contrastive_inv_loss` and
   `invariance.env_consistency_loss`;
 - the differentiable curiosity surrogate (-beta * diversity +
-  gamma_R * JS_cf) is `reward.curiosity_surrogate`.
+  gamma_R * JS_cf) is `reward.curiosity_surrogate`. Diversity is the KL of
+  each player's predictions on its own labels from sigmoid(b), which is what
+  every other player's mask leaves on those labels.
 
 `composite_value_and_grads` runs the model's forwards, calls each active
 term, adds lambda * value to the total, and chains lambda * gradient back
-through the heads, the pair MLPs and the player encoders. Gradients are
-exact reverse-mode for every term.
+through the heads, the pair MLPs and the player encoders. Each label's mask
+row belongs to one player, so every head it runs is a union-mask head, apart
+from one all-zero-mask head (sigmoid(b)) for what players output on labels
+they do not own. Gradients are exact reverse-mode for every term.
 """
 
 from __future__ import annotations
@@ -81,15 +85,13 @@ class TrainConfig:
     uniform_alpha: bool = False        # w/o RLE sets alpha(l) = 1
 
     def graph_cfg(self, rare_set) -> GraphLossConfig:
-        return GraphLossConfig(gamma=self.gamma, eta=self.eta,
+        return GraphLossConfig(eta=self.eta,
                                lambda_selfloop=self.lambda_selfloop,
                                rare_set=frozenset(rare_set))
 
-    def reward_cfg(self, total_steps: int) -> RewardConfig:
+    def reward_cfg(self) -> RewardConfig:
         return RewardConfig(beta0=self.beta0, betaT=self.beta_t,
-                            gammaR0=self.gamma_r0, gammaRT=self.gamma_r_t,
-                            perturb_frac=self.perturb_frac,
-                            total_steps=total_steps)
+                            gammaR0=self.gamma_r0, gammaRT=self.gamma_r_t)
 
 
 @dataclass
@@ -259,16 +261,17 @@ def composite_value_and_grads(model: SemModel, X: np.ndarray, Y: np.ndarray,
     bd["cf_js"] = 0.0
     bd["rare_acc"] = 0.0
     if obj.lambda_rwd != 0.0 and have_players:
-        P_pl = [head(model, Hs[0], Mk) for Mk in obj.masks]
         if obj.frozen_xcf is not None:
             Xcf = obj.frozen_xcf
         else:
             Xcf = _salience_counterfactuals(model, X, Hs[0], caches[0],
                                             P_union[0], union, obj)
         Hcf, cache_cf = pair_features(model, Xcf)
-        P_cf = [head(model, Hcf, Mk) for Mk in obj.masks]
-        div, js, racc, dP_pl, dP_cf = curiosity_surrogate(
-            P_pl, P_cf, Y, obj.subsets,
+        P_cf = head(model, Hcf, union)
+        zero = np.zeros_like(union)
+        P_rest = head(model, Hs[0], zero)
+        div, js, racc, dP, dP_cf, dP_rest = curiosity_surrogate(
+            P_union[0], P_cf, P_rest, Y, obj.subsets,
             np.asarray(obj.stats.freq, dtype=np.float64), obj.beta,
             obj.gamma_r)
         bd["diversity"] = _check_finite("diversity", div)
@@ -276,12 +279,13 @@ def composite_value_and_grads(model: SemModel, X: np.ndarray, Y: np.ndarray,
         bd["rare_acc"] = racc
         total += obj.lambda_rwd * (-obj.beta * div + obj.gamma_r * js)
 
+        dP_union[0] += obj.lambda_rwd * dP
+        # the zero mask passes nothing to dH; only grads.b moves
+        head_backward(model, Hs[0], zero, P_rest, obj.lambda_rwd * dP_rest,
+                      grads, dHs[0])
         dHcf = np.zeros_like(Hcf)
-        for k, Mk in enumerate(obj.masks):
-            head_backward(model, Hs[0], Mk, P_pl[k], obj.lambda_rwd * dP_pl[k],
-                          grads, dHs[0])
-            head_backward(model, Hcf, Mk, P_cf[k], obj.lambda_rwd * dP_cf[k],
-                          grads, dHcf)
+        head_backward(model, Hcf, union, P_cf, obj.lambda_rwd * dP_cf, grads,
+                      dHcf)
         pair_backward(model, cache_cf, dHcf, grads)
 
     for H, cache, P, dP, dH in zip(Hs, caches, P_union, dP_union, dHs):
@@ -429,7 +433,7 @@ def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
 
     steps_per_epoch = max(1, math.ceil(train_ds.n / cfg.batch_size))
     total_steps = steps_per_epoch * cfg.max_epochs
-    rcfg = cfg.reward_cfg(total_steps)
+    rcfg = cfg.reward_cfg()
     opt = AdamW(model, encoders, cfg)
 
     partition: Partition | None = None

@@ -144,7 +144,7 @@ def test_criterion_03_exact_formulas():
                                  rare_set=frozenset(), rare_pct=30.0)).alpha
     ok &= a[1] / a[0] == pytest.approx(2.0, abs=1e-12)
 
-    cfg = RewardConfig(total_steps=100)
+    cfg = RewardConfig()
     ok &= anneal(0, 100, cfg) == (1.0, 0.2)
     b_end, g_end = anneal(100, 100, cfg)
     ok &= abs(b_end - 0.2) < 1e-12 and abs(g_end - 1.0) < 1e-12

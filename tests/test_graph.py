@@ -91,7 +91,7 @@ class TestGraphLoss:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            GraphLossConfig(gamma=1.5)
+            ideal_weights(toy_dataset(n=10, d=4, L=3, seed=9), 1.5)
         with pytest.raises(ValueError):
             GraphLossConfig(eta=0.5)
         with pytest.raises(ValueError):

@@ -3,11 +3,9 @@ import pytest
 
 from ccg.graph import CausalGraph, extract_graph
 from ccg.players import (build_masks, encode_batch, init_encoders,
-                         partition_labels, player_encode, player_predict,
+                         partition_labels, player_encode,
                          partition_labels as _pl)
 from ccg.sem import init_model, pair_features, head
-
-from conftest import toy_setup
 
 
 def random_graph(L, rng, density=0.3):
@@ -115,17 +113,42 @@ class TestEncoders:
                                        atol=1e-14)
 
 
-class TestPlayerPredict:
-    def test_rows_match_masked_head(self, rng):
-        ds, stats, model, g, part, masks, encs, wt = toy_setup(seed=4)
-        x = ds.X[0]
-        preds = player_predict(model, part, masks, x)
-        H, _ = pair_features(model, x[None, :])
-        for k, sub in enumerate(part.subsets):
-            full = head(model, H, masks.masks[k])[0]
-            np.testing.assert_array_equal(preds[k], full[np.array(sub)])
+class TestPlayerHeads:
+    """Each label's mask row belongs to exactly one player, which is what
+    lets the composite score every player from the union-mask head and the
+    all-zero-mask head."""
 
-    def test_lengths_match_subsets(self):
-        ds, stats, model, g, part, masks, encs, wt = toy_setup(seed=5)
-        preds = player_predict(model, part, masks, ds.X[1])
-        assert [len(p) for p in preds] == [len(s) for s in part.subsets]
+    @staticmethod
+    def cases(rng):
+        """(union head, zero-mask head, [(own-label mask, player head)]) on
+        random graphs, partitions and models; every third case has L
+        singleton players."""
+        for trial in range(30):
+            L = int(rng.integers(2, 9))
+            N = int(rng.integers(1, L + 1)) if trial % 3 else L
+            g = random_graph(L, rng, density=0.6)
+            part = partition_labels(g, N, rng.integers(1, 50, L))
+            assert len(part.subsets) == N
+            masks = build_masks(part, g)
+            model = init_model(3, L, 4, seed=trial)
+            model.W = rng.normal(0.0, 1.0, (L, L))
+            np.fill_diagonal(model.W, 0.0)
+            model.b = rng.normal(0.0, 1.0, L)
+            H, _ = pair_features(model, rng.normal(size=(6, 3)))
+            players = []
+            for sub, M in zip(part.subsets, masks.masks):
+                own = np.zeros(L, dtype=bool)
+                own[sub] = True
+                players.append((own, head(model, H, M)))
+            yield (head(model, H, masks.union()),
+                   head(model, H, np.zeros((L, L))), players)
+
+    def test_own_labels_equal_union_head(self, rng):
+        for union, _, players in self.cases(rng):
+            for own, P_k in players:
+                np.testing.assert_array_equal(P_k[:, own], union[:, own])
+
+    def test_other_labels_equal_zero_mask_head(self, rng):
+        for _, rest, players in self.cases(rng):
+            for own, P_k in players:
+                np.testing.assert_array_equal(P_k[:, ~own], rest[:, ~own])

@@ -68,13 +68,18 @@ class TestJsDivergence:
             js_divergence(np.array([-0.5, 1.5]), np.array([0.5, 0.5]))
 
 
-def surrogate(P_players, P_cf, Y, subsets, freq=(9, 1, 4, 3)):
-    """curiosity_surrogate on one sample, with beta = gamma_R = 1."""
-    return curiosity_surrogate([np.atleast_2d(P) for P in P_players],
-                               [np.atleast_2d(P) for P in P_cf],
+def surrogate(P, P_cf, P_rest, Y, subsets, freq=(9, 1, 4, 3)):
+    """curiosity_surrogate on one sample, with beta = gamma_R = 1. P_rest
+    is what the other players output, so on each label it is the mean of
+    the players that do not own it."""
+    return curiosity_surrogate(np.atleast_2d(P), np.atleast_2d(P_cf),
+                               np.atleast_2d(P_rest),
                                np.atleast_2d(np.asarray(Y, dtype=float)),
                                subsets, np.asarray(freq, dtype=float),
                                1.0, 1.0)
+
+
+REST = np.full(4, 0.5)
 
 
 class TestCfConsistency:
@@ -82,12 +87,12 @@ class TestCfConsistency:
         for _ in range(20):
             a = rng.uniform(0, 1, 4)
             b = rng.uniform(0, 1, 4)
-            cf_js = surrogate([a], [b], np.zeros(4), [[0, 1, 2, 3]])[1]
+            cf_js = surrogate(a, b, REST, np.zeros(4), [[0, 1, 2, 3]])[1]
             assert 0.0 <= cf_js <= LN2 + 1e-9
 
     def test_identical_predictions_are_perfectly_consistent(self):
         p = np.array([0.2, 0.8, 0.5, 0.5])
-        cf_js = surrogate([p], [p], np.zeros(4), [[0, 1, 2, 3]])[1]
+        cf_js = surrogate(p, p, REST, np.zeros(4), [[0, 1, 2, 3]])[1]
         assert cf_js == pytest.approx(0.0, abs=1e-12)
 
 
@@ -145,12 +150,14 @@ class TestPlayerReward:
     subsets = [[0, 1], [2, 3]]
 
     def test_hand_computed_breakdown(self):
-        preds = [np.array([0.9, 0.2, 0.6, 0.4]),
-                 np.array([0.3, 0.7, 0.8, 0.1])]
+        # on the labels it does not own each player outputs P_rest: player 1
+        # gives (0.3, 0.7) on {0, 1}, player 0 gives (0.6, 0.4) on {2, 3}
+        preds = np.array([0.9, 0.2, 0.8, 0.1])
+        rest = np.array([0.3, 0.7, 0.6, 0.4])
         y = np.array([1, 0, 1, 0])
-        pi_cf = [np.array([0.8, 0.3, 0.5, 0.5]),
-                 np.array([0.3, 0.6, 0.8, 0.3])]
-        div, cf_js, rare_acc, _, _ = surrogate(preds, pi_cf, y, self.subsets)
+        pi_cf = np.array([0.8, 0.3, 0.8, 0.3])
+        div, cf_js, rare_acc, _, _, _ = surrogate(preds, pi_cf, rest, y,
+                                                  self.subsets)
         # player 0 scores labels {0, 1}: preds (0.9, 0.2) -> (1, 0), both
         # correct; player 1 scores {2, 3}: preds (0.8, 0.1) -> (1, 0), both
         # correct; each weighted by 1 / (1 + freq)
@@ -165,38 +172,38 @@ class TestPlayerReward:
 
     def test_single_player_has_zero_diversity(self):
         p = np.array([0.6, 0.4, 0.5, 0.5])
-        div, _, _, dP_pl, _ = surrogate([p], [p], np.zeros(4), [[0, 1, 2, 3]])
+        div, _, _, dP, _, dP_rest = surrogate(p, p, np.full(4, 0.3),
+                                              np.zeros(4), [[0, 1, 2, 3]])
         assert div == 0.0
-        assert not dP_pl[0].any()
+        assert not dP.any() and not dP_rest.any()
 
     def test_wrong_predictions_zero_rare_acc(self):
-        preds = [np.array([0.9, 0.9, 0.5, 0.5]),
-                 np.array([0.5, 0.5, 0.9, 0.9])]
-        rare_acc = surrogate(preds, preds, np.zeros(4), self.subsets)[2]
+        preds = np.full(4, 0.9)
+        rare_acc = surrogate(preds, preds, REST, np.zeros(4), self.subsets)[2]
         assert rare_acc == 0.0
 
 
 class TestAnneal:
     def test_endpoints(self):
-        cfg = RewardConfig(total_steps=100)
+        cfg = RewardConfig()
         assert anneal(0, 100, cfg) == (1.0, 0.2)
         assert anneal(100, 100, cfg) == pytest.approx((0.2, 1.0))
 
     def test_midpoint(self):
-        cfg = RewardConfig(total_steps=100)
+        cfg = RewardConfig()
         beta, gamma_r = anneal(50, 100, cfg)
         assert beta == pytest.approx(0.6)
         assert gamma_r == pytest.approx(0.6)
 
     def test_monotone(self):
-        cfg = RewardConfig(total_steps=10)
+        cfg = RewardConfig()
         betas = [anneal(s, 10, cfg)[0] for s in range(11)]
         gammas = [anneal(s, 10, cfg)[1] for s in range(11)]
         assert betas == sorted(betas, reverse=True)
         assert gammas == sorted(gammas)
 
     def test_step_out_of_range(self):
-        cfg = RewardConfig(total_steps=10)
+        cfg = RewardConfig()
         with pytest.raises(ValueError):
             anneal(11, 10, cfg)
         with pytest.raises(ValueError):

@@ -100,16 +100,15 @@ def _term_case(name, rng):
             value, d_enc = contrastive_inv_loss(encs)
             return value, [d for dk in d_enc for d in dk]
         return value_fn, [e for ek in encs for e in ek]
-    P_pl = [_probs(rng, (B, L)) for _ in range(2)]
-    P_cf = [_probs(rng, (B, L)) for _ in range(2)]
+    P, P_cf, P_rest = (_probs(rng, (B, L)) for _ in range(3))
     freq = rng.integers(0, 9, L).astype(np.float64)
     beta, gamma_r = 0.7, 0.9
 
     def value_fn():
-        div, js, _, dP_pl, dP_cf = curiosity_surrogate(
-            P_pl, P_cf, Y, [[0, 2], [1, 3]], freq, beta, gamma_r)
-        return -beta * div + gamma_r * js, dP_pl + dP_cf
-    return value_fn, P_pl + P_cf
+        div, js, _, dP, dP_cf, dP_rest = curiosity_surrogate(
+            P, P_cf, P_rest, Y, [[0, 2], [1, 3]], freq, beta, gamma_r)
+        return -beta * div + gamma_r * js, [dP, dP_cf, dP_rest]
+    return value_fn, [P, P_cf, P_rest]
 
 
 @pytest.mark.parametrize("name", ["weighted_ce", "rare_reg", "env_consistency",
