@@ -92,7 +92,11 @@ def load_dataset(path) -> Dataset:
                 obj = json.loads(line)
                 f = obj["features"]
                 y = obj["labels"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                if not (isinstance(f, list) and isinstance(y, list)):
+                    raise TypeError("features and labels must be lists")
+                row = [float(v) for v in f]
+            except (KeyError, TypeError, ValueError) as exc:
+                # ValueError covers json.JSONDecodeError and float("abc")
                 raise DatasetError(f"line {lineno}: parse error ({exc})") from exc
             if any(v not in (0, 1) for v in y):
                 raise DatasetError(f"line {lineno}: label not binary")
@@ -101,7 +105,7 @@ def load_dataset(path) -> Dataset:
                     raise DatasetError(f"line {lineno}: inconsistent feature dimension")
                 if len(y) != len(labs[0]):
                     raise DatasetError(f"line {lineno}: inconsistent label dimension")
-            feats.append([float(v) for v in f])
+            feats.append(row)
             labs.append([int(v) for v in y])
     if not feats:
         raise DatasetError("empty dataset")

@@ -30,14 +30,18 @@ def clamp_probs(p: np.ndarray) -> np.ndarray:
     return np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
 
 
+def _in_range(probs: np.ndarray) -> np.ndarray:
+    """Where clamp_probs leaves probs unchanged (its derivative is 1)."""
+    return (probs > PROB_EPS) & (probs < 1.0 - PROB_EPS)
+
+
 def bce_terms(probs: np.ndarray, Y: np.ndarray):
     """Elementwise binary cross-entropy of clamped probabilities and its
     derivative in the probabilities (zero where the clamp is active)."""
     p = clamp_probs(probs)
     y = np.asarray(Y, dtype=np.float64)
     loss = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
-    in_range = (probs > PROB_EPS) & (probs < 1.0 - PROB_EPS)
-    dprobs = -(y / p - (1.0 - y) / (1.0 - p)) * in_range
+    dprobs = -(y / p - (1.0 - y) / (1.0 - p)) * _in_range(probs)
     return loss, dprobs
 
 
@@ -122,38 +126,32 @@ def curiosity_surrogate(P: np.ndarray, P_cf: np.ndarray, P_rest: np.ndarray,
     gradients are those of -beta * diversity + gamma_R * JS_cf.
     """
     N, B = len(subsets), len(Y)
-    dP, dP_cf, dP_rest = (np.zeros_like(A) for A in (P, P_cf, P_rest))
-    div_total, js_total, racc_total = 0.0, 0.0, 0.0
+    # player k's batch-and-label mean, averaged over the N players, weights
+    # each of its labels by 1 / (N * |subsets[k]|)
+    w = np.zeros(P.shape[1])
     for sub in subsets:
-        sub = np.asarray(sub, dtype=int)
-        p_raw = P[:, sub]
-        p = clamp_probs(p_raw)
-        in_p = (p_raw > PROB_EPS) & (p_raw < 1.0 - PROB_EPS)
+        w[sub] = 1.0 / (N * len(sub))
+    wB = w / B
+    p, q = clamp_probs(P), clamp_probs(P_cf)
+    in_p = _in_range(P)
+    correct = ((P >= 0.5) == (np.asarray(Y) >= 0.5)) / (1.0 + freq)
+    rare_acc = float((correct * wB).sum())
 
-        correct = ((p_raw >= 0.5) == (Y[:, sub] >= 0.5)).astype(np.float64)
-        racc_total += float((correct / (1.0 + freq[sub])[None, :]).mean())
+    diversity, dP, dP_rest = 0.0, 0.0, np.zeros_like(P_rest)
+    if N >= 2:
+        r = clamp_probs(P_rest)
+        diversity = float((kl_bernoulli(P, P_rest) * wB).sum())
+        sc = -beta * wB
+        dP = sc * (np.log(p / r) - np.log((1.0 - p) / (1.0 - r))) * in_p
+        dP_rest = sc * (-p / r + (1.0 - p) / (1.0 - r)) * _in_range(P_rest)
 
-        if N >= 2:
-            r_raw = P_rest[:, sub]
-            r = clamp_probs(r_raw)
-            in_r = (r_raw > PROB_EPS) & (r_raw < 1.0 - PROB_EPS)
-            div_total += float(kl_bernoulli(p_raw, r_raw).mean())
-            sc = -beta / (N * len(sub) * B)
-            dP[:, sub] += sc * (np.log(p / r)
-                                - np.log((1.0 - p) / (1.0 - r))) * in_p
-            dP_rest[:, sub] += sc * (-p / r + (1.0 - p) / (1.0 - r)) * in_r
-
-        q_raw = P_cf[:, sub]
-        q = clamp_probs(q_raw)
-        in_q = (q_raw > PROB_EPS) & (q_raw < 1.0 - PROB_EPS)
-        mmid = 0.5 * (p + q)
-        js_total += float(js_bernoulli(p_raw, q_raw).mean())
-        sc = gamma_r / (N * len(sub) * B)
-        dP[:, sub] += sc * 0.5 * np.log(
-            p * (1.0 - mmid) / (mmid * (1.0 - p))) * in_p
-        dP_cf[:, sub] += sc * 0.5 * np.log(
-            q * (1.0 - mmid) / (mmid * (1.0 - q))) * in_q
-    return div_total / N, js_total / N, racc_total / N, dP, dP_cf, dP_rest
+    mmid = 0.5 * (p + q)
+    cf_js = float((js_bernoulli(P, P_cf) * wB).sum())
+    sc = gamma_r * wB
+    dP = dP + sc * 0.5 * np.log(p * (1.0 - mmid) / (mmid * (1.0 - p))) * in_p
+    dP_cf = sc * 0.5 * np.log(
+        q * (1.0 - mmid) / (mmid * (1.0 - q))) * _in_range(P_cf)
+    return diversity, cf_js, rare_acc, dP, dP_cf, dP_rest
 
 
 def anneal(step: int, total_steps: int, cfg: RewardConfig) -> tuple[float, float]:

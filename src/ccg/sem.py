@@ -139,12 +139,14 @@ def pair_backward(model: SemModel, cache, dH: np.ndarray,
                   grads: GradientBundle | None = None):
     """Backprop accumulated dH through the stacked pair MLPs.
 
-    With a gradient bundle, accumulates the pair-MLP parameter gradients
-    into it and returns None. With grads=None, computes only the input
-    gradient dLoss/dX of shape (B, d) and returns it.
+    dH covers the leading B = len(dH) rows of the cache's batch; the rows
+    after them are ignored, so one stacked forward serves a backward pass
+    over any leading slice of it. With a gradient bundle, accumulates the
+    pair-MLP parameter gradients into it and returns None. With grads=None,
+    computes only the input gradient dLoss/dX of shape (B, d) and returns it.
     """
-    X, a = cache
-    B, L, h, d = len(X), model.L, model.hidden, model.d
+    B, L, h, d = len(dH), model.L, model.hidden, model.d
+    X, a = cache[0][:B], cache[1][:B]
     dz = dH[:, :, :, None] * model.w2[None] * (a > 0.0)
     dz_flat = dz.reshape(B, L * L * h)
     if grads is None:

@@ -16,10 +16,14 @@ with respect to its direct inputs:
 
 `composite_value_and_grads` runs the model's forwards, calls each active
 term, adds lambda * value to the total, and chains lambda * gradient back
-through the heads, the pair MLPs and the player encoders. Each label's mask
-row belongs to one player, so every head it runs is a union-mask head, apart
-from one all-zero-mask head (sigmoid(b)) for what players output on labels
-they do not own. Gradients are exact reverse-mode for every term.
+through the heads, the pair MLPs and the player encoders. The M environment
+views are stacked as the rows of one batch, so the pair MLPs, the union head
+and each player encoder run once over all of them, and one backward pass
+carries every term's gradient; the terms that read only the raw batch use
+its leading rows. Each label's mask row belongs to one player, so every head
+it runs is a union-mask head, apart from one all-zero-mask head (sigmoid(b))
+for what players output on labels they do not own. Gradients are exact
+reverse-mode for every term.
 """
 
 from __future__ import annotations
@@ -209,34 +213,36 @@ def composite_value_and_grads(model: SemModel, X: np.ndarray, Y: np.ndarray,
     bd: dict[str, float] = {}
     total = 0.0
 
-    # environment views (view 0 is the raw batch) and their union forwards
+    # the M environment views (view 0 is the raw batch) stacked as the M*B
+    # rows of one batch; CE, rare, curiosity and salience read rows [:B]
     M = obj.m_envs if (obj.lambda_env != 0.0 or obj.lambda_inv != 0.0) else 1
+    B = len(X)
     rng_views = np.random.default_rng(list(obj.rng_seed) + [1])
     views = make_env_views_batch(X, M, obj.planted, rng_views)
-    Hs, caches = zip(*(pair_features(model, V) for V in views))
-    dHs = [np.zeros_like(H) for H in Hs]
-    P_union = [head(model, H, union) for H in Hs]
-    dP_union = [np.zeros_like(P) for P in P_union]
+    Xs = views.reshape(M * B, model.d)
+    H, cache = pair_features(model, Xs)
+    dH = np.zeros_like(H)
+    P = head(model, H, union)
+    dP = np.zeros_like(P)
 
-    ce, d_ce = weighted_ce(P_union[0], Y, obj.alpha)
+    ce, d_ce = weighted_ce(P[:B], Y, obj.alpha)
     bd["ce"] = _check_finite("weighted_ce", ce)
     total += obj.lambda_ce * ce
-    dP_union[0] += obj.lambda_ce * d_ce
+    dP[:B] += obj.lambda_ce * d_ce
 
     bd["rare"] = 0.0
     if obj.lambda_rare != 0.0:
-        rr, d_rr = rare_reg_loss(P_union[0], Y, sorted(obj.stats.rare_set))
+        rr, d_rr = rare_reg_loss(P[:B], Y, sorted(obj.stats.rare_set))
         bd["rare"] = _check_finite("rare_reg", rr)
         total += obj.lambda_rare * rr
-        dP_union[0] += obj.lambda_rare * d_rr
+        dP[:B] += obj.lambda_rare * d_rr
 
     bd["env"] = 0.0
     if obj.lambda_env != 0.0:
-        env, d_env = env_consistency_loss(P_union, Y)
+        env, d_env = env_consistency_loss(P.reshape(M, B, model.L), Y)
         bd["env"] = _check_finite("env_consistency", env)
         total += obj.lambda_env * env
-        for dP, d in zip(dP_union, d_env):
-            dP += obj.lambda_env * d
+        dP += obj.lambda_env * d_env.reshape(M * B, model.L)
 
     bd["graph"] = 0.0
     if obj.lambda_graph != 0.0 and obj.wtilde is not None:
@@ -247,15 +253,14 @@ def composite_value_and_grads(model: SemModel, X: np.ndarray, Y: np.ndarray,
 
     bd["inv"] = 0.0
     if obj.lambda_inv != 0.0 and obj.encoders is not None and M >= 2:
-        inv, d_enc = contrastive_inv_loss(
-            [[encode_batch(enc, V) for V in views] for enc in obj.encoders])
+        inv, dE = contrastive_inv_loss(
+            [encode_batch(enc, Xs).reshape(M, B, -1) for enc in obj.encoders])
         bd["inv"] = _check_finite("contrastive_inv", inv)
         total += obj.lambda_inv * inv
-        for k, dk in enumerate(d_enc):
-            for V, dh in zip(views, dk):
-                dh *= obj.lambda_inv
-                grads.enc_w[k] += dh.T @ V
-                grads.enc_b[k] += dh.sum(axis=0)
+        dE = obj.lambda_inv * dE.reshape(n_enc, M * B, -1)
+        for k, dh in enumerate(dE):
+            grads.enc_w[k] += dh.T @ Xs
+            grads.enc_b[k] += dh.sum(axis=0)
 
     bd["diversity"] = 0.0
     bd["cf_js"] = 0.0
@@ -264,14 +269,14 @@ def composite_value_and_grads(model: SemModel, X: np.ndarray, Y: np.ndarray,
         if obj.frozen_xcf is not None:
             Xcf = obj.frozen_xcf
         else:
-            Xcf = _salience_counterfactuals(model, X, Hs[0], caches[0],
-                                            P_union[0], union, obj)
+            Xcf = _salience_counterfactuals(model, X, H[:B], cache, P[:B],
+                                            union, obj)
         Hcf, cache_cf = pair_features(model, Xcf)
         P_cf = head(model, Hcf, union)
         zero = np.zeros_like(union)
-        P_rest = head(model, Hs[0], zero)
-        div, js, racc, dP, dP_cf, dP_rest = curiosity_surrogate(
-            P_union[0], P_cf, P_rest, Y, obj.subsets,
+        P_rest = head(model, H[:B], zero)
+        div, js, racc, d_cur, dP_cf, dP_rest = curiosity_surrogate(
+            P[:B], P_cf, P_rest, Y, obj.subsets,
             np.asarray(obj.stats.freq, dtype=np.float64), obj.beta,
             obj.gamma_r)
         bd["diversity"] = _check_finite("diversity", div)
@@ -279,18 +284,17 @@ def composite_value_and_grads(model: SemModel, X: np.ndarray, Y: np.ndarray,
         bd["rare_acc"] = racc
         total += obj.lambda_rwd * (-obj.beta * div + obj.gamma_r * js)
 
-        dP_union[0] += obj.lambda_rwd * dP
+        dP[:B] += obj.lambda_rwd * d_cur
         # the zero mask passes nothing to dH; only grads.b moves
-        head_backward(model, Hs[0], zero, P_rest, obj.lambda_rwd * dP_rest,
-                      grads, dHs[0])
+        head_backward(model, H[:B], zero, P_rest, obj.lambda_rwd * dP_rest,
+                      grads, dH[:B])
         dHcf = np.zeros_like(Hcf)
         head_backward(model, Hcf, union, P_cf, obj.lambda_rwd * dP_cf, grads,
                       dHcf)
         pair_backward(model, cache_cf, dHcf, grads)
 
-    for H, cache, P, dP, dH in zip(Hs, caches, P_union, dP_union, dHs):
-        head_backward(model, H, union, P, dP, grads, dH)
-        pair_backward(model, cache, dH, grads)
+    head_backward(model, H, union, P, dP, grads, dH)
+    pair_backward(model, cache, dH, grads)
 
     bd["total"] = _check_finite("total", total)
     return total, grads, bd
@@ -406,8 +410,9 @@ def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
     full-composite epochs with early stopping on validation mAP."""
     if ds.n == 0:
         raise ValueError("dataset is empty")
-    if cfg.m_envs < 1:
-        raise ValueError("m_envs must be >= 1")
+    for name in ("batch_size", "n_players", "k_topk", "m_envs"):
+        if getattr(cfg, name) < 1:
+            raise ValueError(f"{name} must be >= 1")
     n = ds.n
     perm = np.random.default_rng([cfg.seed, 11]).permutation(n)
     n_val = int(round(cfg.val_frac * n))

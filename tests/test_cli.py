@@ -87,10 +87,18 @@ class TestTrainCommand:
         assert rc == 1
 
     def test_m_envs_zero_exits_1(self, gen_dir, tmp_path, capsys):
-        rc = run(["train", "--data", str(gen_dir / "env0.jsonl"),
-                  "--m-envs", "0", "--out", str(tmp_path / "o")])
-        assert rc == 1
-        assert "m_envs" in capsys.readouterr().err
+        # each bad size is rejected before any epoch trains
+        bad_batch = tmp_path / "batch0.json"
+        bad_batch.write_text(json.dumps({"batch_size": 0}))
+        for flags, name in ((["--m-envs", "0"], "m_envs"),
+                            (["--config", str(bad_batch)], "batch_size"),
+                            (["--players", "0"], "n_players"),
+                            (["--topk", "0"], "k_topk")):
+            rc = run(["train", "--data", str(gen_dir / "env0.jsonl"), *flags,
+                      "--out", str(tmp_path / "o")])
+            assert rc == 1
+            assert name in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
 
     def test_overflowing_features_exit_2_naming_the_term(self, gen_dir,
                                                          tmp_path, capsys):

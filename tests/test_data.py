@@ -39,9 +39,17 @@ class TestLoadDataset:
 
     def test_malformed_line_reports_lineno(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"features": [1.0], "labels": [0]}\nnot json\n')
-        with pytest.raises(DatasetError, match="line 2"):
-            load_dataset(path)
+        for bad in ('not json',
+                    '{"features": null, "labels": [0]}',
+                    '{"features": [1.0], "labels": null}',
+                    '{"features": ["abc"], "labels": [0]}',
+                    '{"features": "abc", "labels": [0]}',
+                    '{"features": 1.0, "labels": [0]}',
+                    '{"features": [1.0], "labels": 0}'):
+            path.write_text('{"features": [1.0], "labels": [0]}\n' + bad
+                            + "\n")
+            with pytest.raises(DatasetError, match="line 2"):
+                load_dataset(path)
 
     def test_inconsistent_dims(self, tmp_path):
         path = write_lines(tmp_path, [

@@ -178,6 +178,25 @@ class TestPairKernels:
         np.testing.assert_allclose(pair_backward(m, cache, dH), dx_ref,
                                    rtol=1e-12, atol=1e-12)
 
+    def test_backward_reads_leading_rows_of_stacked_cache(self, L, hidden, d,
+                                                          B):
+        # one forward over stacked views serves a backward over view 0 only
+        m = random_model(L, hidden, d, seed=L + 3)
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(B, d))
+        dH = rng.normal(size=(B, L, L))
+        _, cache = pair_features(m, X)
+        others = rng.normal(size=(2 * B, d))
+        _, stacked = pair_features(m, np.vstack([X, others]))
+        g_own, g_stacked = zero_gradients(m), zero_gradients(m)
+        pair_backward(m, cache, dH, g_own)
+        pair_backward(m, stacked, dH, g_stacked)
+        for a, b in zip(g_own.arrays(), g_stacked.arrays()):
+            np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(pair_backward(m, stacked, dH),
+                                   pair_backward(m, cache, dH),
+                                   rtol=1e-12, atol=1e-12)
+
     def test_input_gradient_matches_finite_differences(self, L, hidden, d, B):
         m = random_model(L, hidden, d, seed=L + 2)
         rng = np.random.default_rng(3)

@@ -9,6 +9,7 @@ from ccg.graph import GraphLossConfig
 from ccg.invariance import contrastive_inv_loss, env_consistency_loss
 from ccg.players import init_encoders
 from ccg.reward import curiosity_surrogate
+from ccg import training
 from ccg.sem import init_model, param_count, zero_gradients
 from ccg.training import (AdamW, ObjectiveSpec, TrainConfig, alpha_weights,
                           composite_value_and_grads, counterfactual_batch,
@@ -178,6 +179,27 @@ class TestCompositeObjective:
         assert t1 == t2
         for a, b in zip(g1.arrays(), g2.arrays()):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("M", [3, 5])
+    def test_full_step_kernel_calls_do_not_grow_with_views(self, M,
+                                                           monkeypatch):
+        # the M views run as one stacked batch: one forward and one backward
+        # for all of them, and one encoder call per player
+        ds, stats, model, _, part, masks, encs, wt = toy_setup(L=6, N=5,
+                                                               seed=11)
+        calls = dict.fromkeys(("pair_features", "pair_backward", "head",
+                               "head_backward", "encode_batch"), 0)
+        for name in calls:
+            def counted(*args, _fn=getattr(training, name), _name=name, **kw):
+                calls[_name] += 1
+                return _fn(*args, **kw)
+            monkeypatch.setattr(training, name, counted)
+        obj = self.make_obj(ds, stats, part, masks, encs, wt,
+                            lambda_rare=0.5, lambda_graph=0.4, lambda_inv=0.3,
+                            lambda_env=0.6, lambda_rwd=0.8, m_envs=M)
+        composite_value_and_grads(model, ds.X, ds.Y, obj)
+        assert calls == {"pair_features": 2, "pair_backward": 3, "head": 3,
+                         "head_backward": 4, "encode_batch": 5}
 
     def test_nonfinite_probability_raises_numerical_error(self):
         ds, stats, model, _, part, masks, encs, wt = toy_setup(seed=9)
