@@ -10,15 +10,14 @@ from .data import (Dataset, LabelStats, PlantedWorld, co_occurrence,
 from .evaluation import (MetricsReport, average_precision, evaluate,
                          mean_average_precision, rare_f1, structure_score)
 from .graph import (CausalGraph, GraphLossConfig, export_dot, extract_graph,
-                    graph_loss, ideal_weights, psi, rare_indicator)
+                    graph_loss, ideal_weights)
 from .invariance import (contrastive_inv_loss, env_consistency_loss,
                          make_env_views_batch)
 from .players import (MaskSet, Partition, PlayerEncoder, build_masks,
-                      init_encoders, partition_labels, player_encode)
+                      init_encoders, partition_labels)
 from .reward import (RewardConfig, anneal, curiosity_surrogate,
-                     generate_counterfactual, js_divergence)
-from .sem import (GradientBundle, SemModel, init_model, param_count, predict,
-                  predict_masked)
+                     generate_counterfactual)
+from .sem import GradientBundle, SemModel, init_model, predict_batch
 from .training import (AlphaWeights, ObjectiveSpec, TrainConfig, TrainResult,
                        alpha_weights, composite_value_and_grads, rare_reg_loss,
                        train, weighted_ce)

@@ -132,45 +132,41 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _eval_after_train(result, test_path, rare_pct):
-    """mAP / rare-F1 for a finished run, on a test file when given."""
-    if test_path:
-        ds = load_dataset(test_path)
-        union = result.masks.union() if result.masks else None
-        probs = evaluation.predict_dataset(result.model, ds, union)
-        return (evaluation.mean_average_precision(probs, ds.Y),
-                evaluation.rare_f1(probs, ds.Y, result.stats, rare_pct))
-    last = result.log[-1] if result.log else {"val_map": 0.0, "val_rare_f1": 0.0}
-    return last["val_map"], last["val_rare_f1"]
+def _sweep(args, header: str, runs, what: str) -> int:
+    """Train each (row label, config) of runs on --data and write one CSV
+    row of mAP and rare-F1 per run: on --test when given, else the last
+    epoch's validation figures."""
+    test = load_dataset(args.test) if args.test else None
+    rows = [header]
+    for label, cfg in runs:
+        result, _ = _train_one(args.data, cfg, args.world)
+        if test is not None:
+            m, f1 = evaluation.map_and_rare_f1(result.model, result.masks,
+                                               test, result.stats,
+                                               cfg.rare_pct)
+        elif result.log:
+            m, f1 = result.log[-1]["val_map"], result.log[-1]["val_rare_f1"]
+        else:
+            m = f1 = 0.0
+        rows.append(f"{label},{m},{f1}")
+    _write(args.out, "\n".join(rows) + "\n")
+    print(f"{what} written to {args.out}")
+    return 0
 
 
 def cmd_sweep_players(args) -> int:
     cfg0 = build_config(args)
-    rows = ["n_players,map,rare_f1"]
-    for N in [int(x) for x in args.ns.split(",")]:
-        cfg = replace(cfg0, n_players=N)
-        result, _ = _train_one(args.data, cfg, args.world)
-        m, f1 = _eval_after_train(result, args.test, cfg.rare_pct)
-        rows.append(f"{N},{m},{f1}")
-    _write(args.out, "\n".join(rows) + "\n")
-    print(f"sweep written to {args.out}")
-    return 0
+    runs = [(N, replace(cfg0, n_players=N))
+            for N in [int(x) for x in args.ns.split(",")]]
+    return _sweep(args, "n_players,map,rare_f1", runs, "sweep")
 
 
 def cmd_ablate(args) -> int:
     cfg0 = build_config(args)
-    variants = [("full", None)]
     only = args.only.split(",") if args.only else list(ABLATION_FLAGS)
-    variants += [(f"w/o {f.upper()}", f) for f in only]
-    rows = ["variant,map,rare_f1"]
-    for name, flag in variants:
-        cfg = apply_ablations(cfg0, [flag] if flag else None)
-        result, _ = _train_one(args.data, cfg, args.world)
-        m, f1 = _eval_after_train(result, args.test, cfg.rare_pct)
-        rows.append(f"{name},{m},{f1}")
-    _write(args.out, "\n".join(rows) + "\n")
-    print(f"ablation table written to {args.out}")
-    return 0
+    runs = [("full", cfg0)] + [(f"w/o {f.upper()}", apply_ablations(cfg0, [f]))
+                               for f in only]
+    return _sweep(args, "variant,map,rare_f1", runs, "ablation table")
 
 
 SENSITIVITY_GRID = {
@@ -187,20 +183,11 @@ def cmd_sensitivity(args) -> int:
         raise DatasetError(f"unknown sensitivity parameter '{args.param}'")
     values = ([float(v) for v in args.values.split(",")] if args.values
               else SENSITIVITY_GRID[args.param])
-    rows = [f"{args.param},map,rare_f1"]
-    for v in values:
-        if args.param == "m_envs":
-            cfg = replace(cfg0, m_envs=int(v))
-        elif args.param == "gamma_r":
-            cfg = replace(cfg0, gamma_r_t=v)
-        else:
-            cfg = replace(cfg0, **{args.param: v})
-        result, _ = _train_one(args.data, cfg, args.world)
-        m, f1 = _eval_after_train(result, args.test, cfg.rare_pct)
-        rows.append(f"{v},{m},{f1}")
-    _write(args.out, "\n".join(rows) + "\n")
-    print(f"sensitivity sweep written to {args.out}")
-    return 0
+    name = {"gamma_r": "gamma_r_t"}.get(args.param, args.param)
+    runs = [(v, replace(cfg0, **{name: int(v) if name == "m_envs" else v}))
+            for v in values]
+    return _sweep(args, f"{args.param},map,rare_f1", runs,
+                  "sensitivity sweep")
 
 
 def cmd_export_graph(args) -> int:

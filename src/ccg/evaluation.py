@@ -53,14 +53,9 @@ def average_precision(scores: np.ndarray, y: np.ndarray) -> float:
     y = np.asarray(y)
     if y.sum() == 0:
         raise ValueError("average_precision needs at least one positive")
-    order = np.argsort(-scores, kind="stable")
-    hits = 0
-    precisions = []
-    for rank, idx in enumerate(order, start=1):
-        if y[idx] == 1:
-            hits += 1
-            precisions.append(hits / rank)
-    return float(np.mean(precisions))
+    hit = y[np.argsort(-scores, kind="stable")] == 1
+    # hits so far over rank, at each positive's rank
+    return float(np.mean(np.cumsum(hit)[hit] / (np.flatnonzero(hit) + 1)))
 
 
 def per_label_average_precision(probs: np.ndarray, Y: np.ndarray) -> list:
@@ -130,6 +125,16 @@ def predict_dataset(model: SemModel, ds: Dataset,
     chunks = [predict_batch(model, ds.X[i:i + batch], union_mask)
               for i in range(0, ds.n, batch)]
     return np.concatenate(chunks, axis=0)
+
+
+def map_and_rare_f1(model: SemModel, masks, ds: Dataset, stats: LabelStats,
+                    rare_pct: float) -> tuple[float, float]:
+    """mAP and rare-F1 at rare_pct of the union-mask predictions on ds
+    (unmasked when masks is None)."""
+    union = masks.union() if masks is not None else None
+    probs = predict_dataset(model, ds, union)
+    return (mean_average_precision(probs, ds.Y),
+            rare_f1(probs, ds.Y, stats, rare_pct))
 
 
 def evaluate(model: SemModel, partition, masks, ds_id: Dataset,

@@ -1,4 +1,9 @@
-"""Causal graph extraction, rare-edge prior, and the graph-learning loss."""
+"""Causal graph extraction, rare-edge prior, and the graph-learning loss.
+
+W has no self-loops: its diagonal is zero by construction (`init_model`
+sets it to 0, neither `head_backward` nor `graph_loss` gives it a gradient,
+and W has no weight decay), so the paper's l0 self-loop penalty is always
+0 and has no loss term here."""
 
 from __future__ import annotations
 
@@ -32,28 +37,15 @@ class CausalGraph:
 @dataclass
 class GraphLossConfig:
     eta: float = 1.5              # rare-edge enhancement factor
-    lambda_selfloop: float = 0.1  # l0 self-loop suppression coefficient
     rare_set: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
         if self.eta < 1.0:
             raise ValueError("eta must be >= 1")
-        if self.lambda_selfloop < 0.0:
-            raise ValueError("lambda_selfloop must be >= 0")
-
-
-def rare_indicator(i: int, j: int, rare_set) -> int:
-    return 1 if (i in rare_set or j in rare_set) else 0
-
-
-def psi(eta: float, indicator: int) -> float:
-    """Rare-edge enhancement multiplier eta**indicator."""
-    if eta < 1.0:
-        raise ValueError("eta must be >= 1")
-    return float(eta) if indicator else 1.0
 
 
 def rare_indicator_matrix(L: int, rare_set) -> np.ndarray:
+    """I[i, j] = 1 where label i or label j is rare, else 0."""
     ind = np.zeros((L, L))
     rare = np.zeros(L, dtype=bool)
     for r in rare_set:
@@ -74,9 +66,11 @@ def ideal_weights(ds: Dataset, gamma: float) -> np.ndarray:
 
 def graph_loss(W: np.ndarray, Wtilde: np.ndarray,
                cfg: GraphLossConfig) -> tuple[float, np.ndarray]:
-    """Rare-enhanced squared deviation from the ideal weights, plus an l0
-    count of diagonal entries. The l0 term is reported but contributes zero
-    gradient; self-loops are instead removed by diagonal projection."""
+    """Rare-enhanced squared deviation from the ideal weights over the
+    off-diagonal entries: sum of psi(eta, I_ij) * (W_ij - Wtilde_ij)^2 with
+    psi = eta on edges that touch a rare label and 1 elsewhere. Returns
+    (value, dW). The diagonal gets neither loss nor gradient; it is zero by
+    construction, so there is no self-loop term."""
     W = np.asarray(W, dtype=np.float64)
     if W.shape != Wtilde.shape:
         raise ValueError("shape mismatch between W and Wtilde")
@@ -85,9 +79,7 @@ def graph_loss(W: np.ndarray, Wtilde: np.ndarray,
     psi_mat = np.where(ind > 0, cfg.eta, 1.0)
     off = 1.0 - np.eye(L)
     diff = (W - Wtilde) * off
-    quad = float((psi_mat * diff ** 2 * off).sum())
-    l0 = float(np.count_nonzero(np.diag(W)))
-    loss = quad + cfg.lambda_selfloop * l0
+    loss = float((psi_mat * diff ** 2 * off).sum())
     grad = 2.0 * psi_mat * diff * off
     return loss, grad
 

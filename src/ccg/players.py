@@ -39,10 +39,6 @@ def init_encoders(d: int, e: int, N: int, seed: int) -> list[PlayerEncoder]:
             for _ in range(N)]
 
 
-def player_encode(enc: PlayerEncoder, x: np.ndarray) -> np.ndarray:
-    return enc.w @ np.asarray(x, dtype=np.float64) + enc.b
-
-
 def encode_batch(enc: PlayerEncoder, X: np.ndarray) -> np.ndarray:
     return X @ enc.w.T + enc.b
 

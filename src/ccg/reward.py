@@ -60,24 +60,6 @@ def js_bernoulli(p, q):
     return 0.5 * kl_bernoulli(p, m) + 0.5 * kl_bernoulli(q, m)
 
 
-def js_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    """JS(p || q) with natural log for general distributions; in [0, ln 2]."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape:
-        raise ValueError("distribution shape mismatch")
-    for v in (p, q):
-        if (v < 0).any() or abs(v.sum() - 1.0) > 1e-9:
-            raise ValueError("invalid distribution")
-
-    def kl(a, m):
-        nz = a > 0
-        return float(np.sum(a[nz] * np.log(a[nz] / m[nz])))
-
-    m = 0.5 * (p + q)
-    return 0.5 * kl(p, m) + 0.5 * kl(q, m)
-
-
 def generate_counterfactual(x: np.ndarray, salience: np.ndarray, frac: float,
                             seed, batch: np.ndarray | None = None) -> np.ndarray:
     """Perturb ceil(frac * nnz) nonzero features, preferring lowest

@@ -31,7 +31,9 @@ class SemModel:
     b1: np.ndarray  # (L, L, hidden)
     w2: np.ndarray  # (L, L, hidden)
     b2: np.ndarray  # (L, L)
-    W: np.ndarray   # (L, L) causal weights, diagonal kept at exactly 0
+    # (L, L) causal weights. The diagonal is zero by construction: init sets
+    # it to 0, no loss term gives it a gradient and W has no weight decay
+    W: np.ndarray
     b: np.ndarray   # (L,)
 
     def copy(self) -> "SemModel":
@@ -89,12 +91,6 @@ def init_model(d: int, L: int, hidden: int, seed: int) -> SemModel:
     return SemModel(d=d, L=L, hidden=hidden,
                     w1=w1, b1=np.zeros((L, L, hidden)), w2=w2,
                     b2=np.zeros((L, L)), W=W, b=np.zeros(L))
-
-
-def param_count(model: SemModel) -> int:
-    """Off-diagonal pair MLPs + W + b (diagonal MLP slots are unused)."""
-    per_pair = model.hidden * model.d + model.hidden + model.hidden + 1
-    return model.L * (model.L - 1) * per_pair + model.L ** 2 + model.L
 
 
 def full_mask(L: int) -> np.ndarray:
@@ -163,24 +159,9 @@ def pair_backward(model: SemModel, cache, dH: np.ndarray,
     return None
 
 
-def predict(model: SemModel, x: np.ndarray) -> np.ndarray:
-    """Probability vector for one sample using all off-diagonal interactions."""
-    return predict_masked(model, x, full_mask(model.L))
-
-
-def predict_masked(model: SemModel, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    H, _ = pair_features(model, x[None, :])
-    return head(model, H, np.asarray(mask, dtype=np.float64))[0]
-
-
 def predict_batch(model: SemModel, X: np.ndarray,
                   mask: np.ndarray | None = None) -> np.ndarray:
     if mask is None:
         mask = full_mask(model.L)
     H, _ = pair_features(model, np.asarray(X, dtype=np.float64))
     return head(model, H, mask)
-
-
-def project_diagonal(model: SemModel) -> None:
-    np.fill_diagonal(model.W, 0.0)

@@ -48,8 +48,7 @@ from .players import (MaskSet, Partition, PlayerEncoder, build_masks,
 from .reward import (RewardConfig, anneal, bce_terms, curiosity_surrogate,
                      generate_counterfactual)
 from .sem import (GradientBundle, SemModel, full_mask, head, head_backward,
-                  init_model, pair_backward, pair_features, project_diagonal,
-                  zero_gradients)
+                  init_model, pair_backward, pair_features, zero_gradients)
 
 
 @dataclass
@@ -75,7 +74,6 @@ class TrainConfig:
     m_envs: int = 3
     gamma: float = 0.5
     eta: float = 1.5
-    lambda_selfloop: float = 0.1
     beta0: float = 1.0
     beta_t: float = 0.2
     gamma_r0: float = 0.2
@@ -89,9 +87,7 @@ class TrainConfig:
     uniform_alpha: bool = False        # w/o RLE sets alpha(l) = 1
 
     def graph_cfg(self, rare_set) -> GraphLossConfig:
-        return GraphLossConfig(eta=self.eta,
-                               lambda_selfloop=self.lambda_selfloop,
-                               rare_set=frozenset(rare_set))
+        return GraphLossConfig(eta=self.eta, rare_set=frozenset(rare_set))
 
     def reward_cfg(self) -> RewardConfig:
         return RewardConfig(beta0=self.beta0, betaT=self.beta_t,
@@ -395,14 +391,6 @@ class TrainResult:
     aborted: str | None = None  # the NumericalError message when it aborted
 
 
-def _val_metrics(model, masks, val_ds, stats, rare_pct):
-    union = masks.union() if masks is not None else None
-    probs = evaluation.predict_dataset(model, val_ds, union)
-    vmap = evaluation.mean_average_precision(probs, val_ds.Y)
-    vf1 = evaluation.rare_f1(probs, val_ds.Y, stats, rare_pct)
-    return vmap, vf1
-
-
 def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
           extra_envs: list[Dataset] | None = None) -> TrainResult:
     """Algorithm-1 training loop: ideal-weight estimation, warm-up of W,
@@ -413,6 +401,8 @@ def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
     for name in ("batch_size", "n_players", "k_topk", "m_envs"):
         if getattr(cfg, name) < 1:
             raise ValueError(f"{name} must be >= 1")
+    if not 0.0 <= cfg.val_frac < 1.0:
+        raise ValueError("val_frac must be in [0, 1)")
     n = ds.n
     perm = np.random.default_rng([cfg.seed, 11]).permutation(n)
     n_val = int(round(cfg.val_frac * n))
@@ -483,13 +473,13 @@ def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
                 total, grads, bd = composite_value_and_grads(
                     model, train_ds.X[idx], train_ds.Y[idx], obj)
                 opt.step(grads)
-                project_diagonal(model)
                 global_step += 1
                 nb += 1
                 for key, val in bd.items():
                     ep_terms[key] = ep_terms.get(key, 0.0) + val
 
-            vmap, vf1 = _val_metrics(model, masks, val_ds, stats, cfg.rare_pct)
+            vmap, vf1 = evaluation.map_and_rare_f1(model, masks, val_ds,
+                                                   stats, cfg.rare_pct)
             entry = {"epoch": epoch,
                      "beta": beta, "gamma_r": gamma_r,
                      "val_map": vmap, "val_rare_f1": vf1,
@@ -497,7 +487,8 @@ def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
             for key, val in sorted(ep_terms.items()):
                 entry[key] = val / max(1, nb)
             if extra_envs:
-                omap, _ = _val_metrics(model, masks, extra_envs[0], stats, cfg.rare_pct)
+                omap, _ = evaluation.map_and_rare_f1(
+                    model, masks, extra_envs[0], stats, cfg.rare_pct)
                 entry["ood_map"] = omap
             result.log.append(entry)
 
@@ -559,6 +550,8 @@ def load_run(run_dir: str):
     model = SemModel(d=obj["d"], L=obj["L"], hidden=obj["hidden"], **params)
     encoders = [PlayerEncoder(w=np.array(e["w"]), b=np.array(e["b"]))
                 for e in obj["encoders"]]
+    # runs saved while W's self-loop penalty was a setting carry its key
+    obj["config"].pop("lambda_selfloop", None)
     cfg = TrainConfig(**obj["config"])
     with open(os.path.join(run_dir, "stats.json")) as fh:
         st = json.load(fh)

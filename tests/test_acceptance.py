@@ -13,10 +13,12 @@ from ccg.data import (compute_label_stats, generate_from_world,
 from ccg.evaluation import (average_precision, mean_average_precision,
                             per_label_average_precision, predict_dataset,
                             rare_f1, structure_score)
-from ccg.graph import GraphLossConfig, extract_graph, graph_loss, psi
+from ccg.graph import (GraphLossConfig, extract_graph, graph_loss,
+                       rare_indicator_matrix)
 from ccg.players import build_masks, init_encoders, partition_labels
-from ccg.reward import (RewardConfig, anneal, js_divergence, kl_bernoulli)
-from ccg.sem import head, init_model, pair_features, predict_masked
+from ccg.reward import (RewardConfig, anneal, clamp_probs, js_bernoulli,
+                        kl_bernoulli)
+from ccg.sem import head, init_model, pair_features, predict_batch
 from ccg.training import (ObjectiveSpec, TrainConfig, alpha_weights,
                           composite_value_and_grads, counterfactual_batch,
                           train)
@@ -109,16 +111,17 @@ def test_criterion_02_divergence_suite():
     ln2 = math.log(2.0)
     ok = True
     for _ in range(1000):
+        # k Bernoulli parameters per side, some at the clamped extremes
         k = int(rng.integers(2, 8))
         p = rng.random(k)
-        p /= p.sum()
         q = rng.random(k)
-        q /= q.sum()
-        js_pq = js_divergence(p, q)
-        ok &= abs(js_pq - js_divergence(q, p)) < 1e-12
-        ok &= -1e-12 <= js_pq <= ln2 + 1e-12
-        ok &= js_divergence(p, p) < 1e-12
-        ok &= (js_pq > 1e-12) == (not np.allclose(p, q))
+        p[rng.random(k) < 0.1] = 0.0
+        q[rng.random(k) < 0.1] = 1.0
+        js_pq = js_bernoulli(p, q)
+        ok &= bool((np.abs(js_pq - js_bernoulli(q, p)) < 1e-12).all())
+        ok &= bool(((-1e-12 <= js_pq) & (js_pq <= ln2 + 1e-12)).all())
+        ok &= bool((js_bernoulli(p, p) == 0.0).all())
+        ok &= bool(((js_pq > 0.0) == (clamp_probs(p) != clamp_probs(q))).all())
         ok &= float(kl_bernoulli(rng.random(), rng.random())) >= 0.0
         ok &= float(kl_bernoulli(0.0, 1.0)) >= 0.0  # clamped extremes finite
     elapsed = time.perf_counter() - t0
@@ -129,7 +132,13 @@ def test_criterion_02_divergence_suite():
 # 3. exact formulas
 
 def test_criterion_03_exact_formulas():
-    ok = psi(1.5, 0) == 1.0 and psi(1.5, 1) == 1.5
+    # psi(eta, I) = eta**I, with I = 1 on edges that touch a rare label
+    ind = rare_indicator_matrix(3, {2})
+    ok = ind[0, 1] == 0 and ind[2, 0] == 1 and ind[0, 2] == 1
+    unit = np.array([[0.0, 1.0], [0.0, 0.0]])
+    ok &= graph_loss(unit, np.zeros((2, 2)), GraphLossConfig(eta=1.5))[0] == 1.0
+    ok &= graph_loss(unit, np.zeros((2, 2)),
+                     GraphLossConfig(eta=1.5, rare_set=frozenset({0})))[0] == 1.5
 
     # rare-edge loss ratio is exactly eta for equal deviations
     W = np.array([[0.0, 0.4], [0.0, 0.0]])
@@ -189,11 +198,11 @@ def test_criterion_04_partition_mask_suite():
         if trial % 10 == 0 and N >= 2:
             model = init_model(5, L, 3, seed=trial)
             x = rng.normal(size=5)
-            before = [predict_masked(model, x, M) for M in masks.masks]
+            before = [predict_batch(model, x[None], M) for M in masks.masks]
             i = part.subsets[0][0]
             j = part.subsets[1][0]
             model.W[i, j] += 100.0
-            after = [predict_masked(model, x, M) for M in masks.masks]
+            after = [predict_batch(model, x[None], M) for M in masks.masks]
             ok &= all(np.array_equal(a, b) for a, b in zip(before, after))
     elapsed = time.perf_counter() - t0
     _report(4, "partition/mask suite", ok and elapsed < 10, f"{elapsed:.1f}s")

@@ -87,13 +87,17 @@ class TestTrainCommand:
         assert rc == 1
 
     def test_m_envs_zero_exits_1(self, gen_dir, tmp_path, capsys):
-        # each bad size is rejected before any epoch trains
-        bad_batch = tmp_path / "batch0.json"
-        bad_batch.write_text(json.dumps({"batch_size": 0}))
-        for flags, name in ((["--m-envs", "0"], "m_envs"),
-                            (["--config", str(bad_batch)], "batch_size"),
-                            (["--players", "0"], "n_players"),
-                            (["--topk", "0"], "k_topk")):
+        # each bad size or validation fraction is rejected before any
+        # epoch trains
+        cases = [(["--m-envs", "0"], "m_envs"),
+                 (["--players", "0"], "n_players"),
+                 (["--topk", "0"], "k_topk")]
+        for key, val in (("batch_size", 0), ("val_frac", 1.0),
+                         ("val_frac", 1.5), ("val_frac", -0.5)):
+            bad = tmp_path / f"{key}{val}.json"
+            bad.write_text(json.dumps({key: val}))
+            cases.append((["--config", str(bad)], key))
+        for flags, name in cases:
             rc = run(["train", "--data", str(gen_dir / "env0.jsonl"), *flags,
                       "--out", str(tmp_path / "o")])
             assert rc == 1
@@ -166,6 +170,14 @@ class TestHarnessCommands:
         assert lines[0] == "n_players,map,rare_f1"
         assert len(lines) == 3
         assert lines[1].startswith("1,") and lines[2].startswith("2,")
+        # without --test a row holds the last epoch's validation figures
+        rc = run(["train", "--data", str(gen_dir / "env0.jsonl"),
+                  "--players", "2", "--epochs", "2", "--warmup", "1",
+                  "--config", str(_tiny_config(tmp_path_factory)),
+                  "--out", str(tmp_path / "run")])
+        assert rc == 0
+        last = json.loads(read(tmp_path / "run" / "log.jsonl").splitlines()[-1])
+        assert lines[2] == f"2,{last['val_map']},{last['val_rare_f1']}"
 
     def test_ablate_only_rle(self, gen_dir, tmp_path, tmp_path_factory):
         out = tmp_path / "ablate.csv"

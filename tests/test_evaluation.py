@@ -57,6 +57,20 @@ class TestAveragePrecision:
             assert average_precision(scores, y) == pytest.approx(
                 np.mean(precs), abs=1e-12)
 
+    def test_equals_rank_loop_exactly_with_ties(self, rng):
+        # scores on a coarse grid, so most ranks are decided by index
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            scores = np.round(rng.random(n), 1)
+            y = (rng.random(n) < 0.4).astype(int)
+            y[int(rng.integers(n))] = 1
+            hits, precs = 0, []
+            for rank, i in enumerate(np.argsort(-scores, kind="stable"), 1):
+                if y[i]:
+                    hits += 1
+                    precs.append(hits / rank)
+            assert average_precision(scores, y) == float(np.mean(precs))
+
 
 class TestMeanAveragePrecision:
     def test_skips_labels_without_positives(self):

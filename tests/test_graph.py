@@ -3,37 +3,48 @@ import pytest
 
 from ccg.data import Dataset, co_occurrence, default_label_names, semantic_similarity
 from ccg.graph import (CausalGraph, GraphLossConfig, export_dot, extract_graph,
-                       graph_loss, ideal_weights, load_graph, psi,
-                       rare_indicator, rare_indicator_matrix, save_graph)
+                       graph_loss, ideal_weights, load_graph,
+                       rare_indicator_matrix, save_graph)
 
 from conftest import toy_dataset
 
 
+def one_edge_loss(eta, rare_set):
+    """graph_loss of a unit deviation on the single edge W[0, 1]."""
+    W = np.array([[0.0, 1.0], [0.0, 0.0]])
+    cfg = GraphLossConfig(eta=eta, rare_set=frozenset(rare_set))
+    return graph_loss(W, np.zeros((2, 2)), cfg)[0]
+
+
 class TestPsi:
+    """psi(eta, I) = eta**I: the factor graph_loss puts on an edge that
+    touches a rare label."""
+
     def test_values(self):
-        assert psi(1.5, 0) == 1.0
-        assert psi(1.5, 1) == 1.5
+        assert one_edge_loss(1.5, ()) == 1.0
+        assert one_edge_loss(1.5, {1}) == 1.5
 
     def test_ratio_is_eta(self):
         for eta in (1.0, 1.5, 2.0, 3.7):
-            assert psi(eta, 1) / psi(eta, 0) == pytest.approx(eta)
+            assert (one_edge_loss(eta, {0}) / one_edge_loss(eta, ())
+                    == pytest.approx(eta))
 
     def test_rejects_eta_below_one(self):
         with pytest.raises(ValueError):
-            psi(0.9, 1)
+            GraphLossConfig(eta=0.9)
 
     def test_indicator(self):
-        rare = {2}
-        assert rare_indicator(2, 0, rare) == 1
-        assert rare_indicator(0, 2, rare) == 1
-        assert rare_indicator(0, 1, rare) == 0
+        M = rare_indicator_matrix(3, {2})
+        assert M[2, 0] == 1
+        assert M[0, 2] == 1
+        assert M[0, 1] == 0
 
     def test_indicator_matrix_matches_scalar(self):
         rare = {1, 3}
         M = rare_indicator_matrix(5, rare)
         for i in range(5):
             for j in range(5):
-                assert M[i, j] == rare_indicator(i, j, rare)
+                assert M[i, j] == (1 if (i in rare or j in rare) else 0)
 
 
 class TestGraphLoss:
@@ -43,22 +54,24 @@ class TestGraphLoss:
         np.fill_diagonal(W, 0.0)
         Wt = rng.uniform(0, 1, (L, L))
         np.fill_diagonal(Wt, 0.0)
-        cfg = GraphLossConfig(eta=2.0, lambda_selfloop=0.3, rare_set=frozenset({3}))
+        cfg = GraphLossConfig(eta=2.0, rare_set=frozenset({3}))
         loss, _ = graph_loss(W, Wt, cfg)
         oracle = 0.0
         for i in range(L):
             for j in range(L):
                 if i == j:
                     continue
-                oracle += psi(2.0, rare_indicator(i, j, {3})) * (W[i, j] - Wt[i, j]) ** 2
+                psi = 2.0 if 3 in (i, j) else 1.0
+                oracle += psi * (W[i, j] - Wt[i, j]) ** 2
         assert loss == pytest.approx(oracle, rel=1e-12)
 
-    def test_selfloop_count_term(self):
+    def test_diagonal_gets_no_loss_or_gradient(self):
+        # W's diagonal is zero by construction; were it not, graph_loss
+        # would neither count it nor push on it
         W = np.diag([0.5, 0.0, -0.2])
         Wt = np.zeros((3, 3))
-        cfg = GraphLossConfig(lambda_selfloop=0.1)
-        loss, grad = graph_loss(W, Wt, cfg)
-        assert loss == pytest.approx(0.1 * 2)  # two nonzero diagonal entries
+        loss, grad = graph_loss(W, Wt, GraphLossConfig())
+        assert loss == 0.0
         assert np.abs(np.diag(grad)).sum() == 0.0
 
     def test_gradient_matches_finite_differences(self, rng):
@@ -94,8 +107,6 @@ class TestGraphLoss:
             ideal_weights(toy_dataset(n=10, d=4, L=3, seed=9), 1.5)
         with pytest.raises(ValueError):
             GraphLossConfig(eta=0.5)
-        with pytest.raises(ValueError):
-            GraphLossConfig(lambda_selfloop=-0.1)
 
 
 class TestIdealWeights:

@@ -3,8 +3,7 @@ import pytest
 
 from ccg.graph import CausalGraph, extract_graph
 from ccg.players import (build_masks, encode_batch, init_encoders,
-                         partition_labels, player_encode,
-                         partition_labels as _pl)
+                         partition_labels)
 from ccg.sem import init_model, pair_features, head
 
 
@@ -106,10 +105,11 @@ class TestEncoders:
 
     def test_encode_batch_matches_single(self, rng):
         enc = init_encoders(5, 3, 1, seed=2)[0]
+        enc.b = rng.normal(size=3)
         X = rng.normal(size=(4, 5))
         batch = encode_batch(enc, X)
         for i in range(4):
-            np.testing.assert_allclose(batch[i], player_encode(enc, X[i]),
+            np.testing.assert_allclose(batch[i], enc.w @ X[i] + enc.b,
                                        atol=1e-14)
 
 

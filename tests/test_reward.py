@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from ccg.reward import (RewardConfig, anneal, curiosity_surrogate,
-                        generate_counterfactual, js_bernoulli, js_divergence,
-                        kl_bernoulli)
+                        generate_counterfactual, js_bernoulli, kl_bernoulli)
 
 LN2 = math.log(2.0)
 
@@ -43,29 +42,22 @@ class TestBernoulliDivergences:
 
 
 class TestJsDivergence:
+    """js_bernoulli, the divergence the counterfactual term scores."""
+
     def test_identical_distributions(self):
         p = np.array([0.2, 0.3, 0.5])
-        assert js_divergence(p, p) == 0.0
+        assert (js_bernoulli(p, p) == 0.0).all()
 
     def test_disjoint_support_is_ln2(self):
-        p = np.array([1.0, 0.0])
-        q = np.array([0.0, 1.0])
-        assert js_divergence(p, q) == pytest.approx(LN2, rel=1e-12)
+        # up to the PROB_EPS clamp
+        assert js_bernoulli(1.0, 0.0) == pytest.approx(LN2, abs=1e-4)
+        assert js_bernoulli(0.0, 1.0) == pytest.approx(LN2, abs=1e-4)
 
     def test_symmetry(self, rng):
         p = rng.random(6)
-        p /= p.sum()
         q = rng.random(6)
-        q /= q.sum()
-        assert js_divergence(p, q) == pytest.approx(js_divergence(q, p))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            js_divergence(np.array([0.5, 0.5]), np.array([1 / 3] * 3))
-        with pytest.raises(ValueError):
-            js_divergence(np.array([0.7, 0.7]), np.array([0.5, 0.5]))
-        with pytest.raises(ValueError):
-            js_divergence(np.array([-0.5, 1.5]), np.array([0.5, 0.5]))
+        np.testing.assert_allclose(js_bernoulli(p, q), js_bernoulli(q, p),
+                                   rtol=1e-12)
 
 
 def surrogate(P, P_cf, P_rest, Y, subsets, freq=(9, 1, 4, 3)):

@@ -4,8 +4,7 @@ from scipy.special import expit
 
 from ccg.graph import GraphLossConfig
 from ccg.sem import (full_mask, init_model, pair_backward, pair_features,
-                     param_count, predict, predict_batch, predict_masked,
-                     project_diagonal, zero_gradients)
+                     predict_batch, zero_gradients)
 from ccg.training import (ObjectiveSpec, composite_value_and_grads,
                           counterfactual_batch)
 
@@ -16,12 +15,17 @@ def tiny_model(d=3, L=2, hidden=2, seed=0):
     return init_model(d, L, hidden, seed)
 
 
+def predict_one(m, x, mask=None):
+    """predict_batch on the one-sample batch x."""
+    return predict_batch(m, np.asarray(x)[None, :], mask)[0]
+
+
 class TestPredict:
     def test_all_zero_parameters_give_half(self):
         m = tiny_model()
         for arr in m.param_arrays().values():
             arr[...] = 0.0
-        np.testing.assert_allclose(predict(m, np.ones(3)), 0.5)
+        np.testing.assert_allclose(predict_one(m, np.ones(3)), 0.5)
 
     def test_hand_evaluated_forward_pass(self):
         m = tiny_model(d=2, L=2, hidden=2, seed=1)
@@ -40,57 +44,58 @@ class TestPredict:
         h01 = 0.5 * max(1.0 * 0.3 + 2.0 * -0.7 + 0.1, 0) + 2.0 * max(-0.3 - 0.35 - 0.2, 0) + 0.3
         h10 = 1.0 * max(-0.7, 0) - 1.0 * max(0.3 - 0.7, 0)
         expected = expit(np.array([0.8 * h01 + 0.05, -0.4 * h10 - 0.1]))
-        np.testing.assert_allclose(predict(m, x), expected, atol=1e-12)
+        np.testing.assert_allclose(predict_one(m, x), expected, atol=1e-12)
 
     def test_bias_only_when_weights_zero(self):
         m = tiny_model(seed=4)
         m.W[...] = 0.0
         m.b = np.array([1.3, -0.4])
-        np.testing.assert_allclose(predict(m, np.array([1.0, 2.0, 3.0])),
+        np.testing.assert_allclose(predict_one(m, np.array([1.0, 2.0, 3.0])),
                                    expit(m.b), atol=1e-14)
 
     def test_outputs_in_open_interval(self, rng):
         m = tiny_model(d=4, L=3, hidden=4, seed=7)
         for _ in range(10):
-            p = predict(m, rng.normal(size=4))
+            p = predict_one(m, rng.normal(size=4))
             assert ((p > 0) & (p < 1)).all()
 
 
 class TestPredictMasked:
     def test_identity_mask_equals_predict(self, rng):
+        # the full off-diagonal mask is predict_batch's default
         m = tiny_model(d=4, L=3, hidden=3, seed=2)
         m.W += rng.normal(0, 0.5, (3, 3))
-        project_diagonal(m)
-        x = rng.normal(size=4)
-        np.testing.assert_array_equal(predict_masked(m, x, full_mask(3)),
-                                      predict(m, x))
+        np.fill_diagonal(m.W, 0.0)
+        X = rng.normal(size=(5, 4))
+        np.testing.assert_array_equal(predict_batch(m, X, full_mask(3)),
+                                      predict_batch(m, X))
 
     def test_zero_mask_gives_bias_sigmoid(self, rng):
         m = tiny_model(d=4, L=3, hidden=3, seed=3)
         m.b = rng.normal(size=3)
-        x = rng.normal(size=4)
-        np.testing.assert_allclose(predict_masked(m, x, np.zeros((3, 3))),
-                                   expit(m.b), atol=1e-14)
+        X = rng.normal(size=(5, 4))
+        np.testing.assert_allclose(predict_batch(m, X, np.zeros((3, 3))),
+                                   np.tile(expit(m.b), (5, 1)), atol=1e-14)
 
     def test_equivalence_with_premultiplied_weights(self, rng):
         m = tiny_model(d=4, L=3, hidden=3, seed=5)
         m.W += rng.normal(0, 0.5, (3, 3))
-        project_diagonal(m)
+        np.fill_diagonal(m.W, 0.0)
         mask = (rng.random((3, 3)) < 0.5).astype(float)
         m2 = m.copy()
         m2.W = m.W * mask
-        x = rng.normal(size=4)
-        np.testing.assert_array_equal(predict_masked(m, x, mask),
-                                      predict(m2, x))
+        X = rng.normal(size=(5, 4))
+        np.testing.assert_array_equal(predict_batch(m, X, mask),
+                                      predict_batch(m2, X))
 
     def test_invariant_to_cross_mask_entries(self, rng):
         m = tiny_model(d=4, L=3, hidden=3, seed=6)
         mask = np.zeros((3, 3))
         mask[1, 0] = 1.0
-        x = rng.normal(size=4)
-        before = predict_masked(m, x, mask)
+        X = rng.normal(size=(5, 4))
+        before = predict_batch(m, X, mask)
         m.W[2, 0] = 99.0  # outside the mask
-        np.testing.assert_array_equal(predict_masked(m, x, mask), before)
+        np.testing.assert_array_equal(predict_batch(m, X, mask), before)
 
 
 class TestInit:
@@ -102,27 +107,12 @@ class TestInit:
 
     def test_predictions_finite(self, rng):
         m = init_model(8, 4, 16, seed=0)
-        p = predict(m, rng.normal(size=8))
+        p = predict_one(m, rng.normal(size=8))
         assert np.isfinite(p).all() and ((p > 0) & (p < 1)).all()
 
     def test_diagonal_zero(self):
         m = init_model(6, 5, 3, seed=1)
         assert np.diag(m.W).sum() == 0.0
-
-    def test_param_count_formula_and_traversal(self):
-        d, L, hidden = 8, 4, 16
-        m = init_model(d, L, hidden, seed=0)
-        formula = L * (L - 1) * (hidden * d + hidden + hidden + 1) + L ** 2 + L
-        assert param_count(m) == formula
-        traversal = 0
-        for i in range(L):
-            for j in range(L):
-                if i == j:
-                    continue
-                traversal += (m.w1[i, j].size + m.b1[i, j].size
-                              + m.w2[i, j].size + m.b2[i, j].size)
-        traversal += m.W.size + m.b.size
-        assert traversal == formula
 
 
 def random_model(L, hidden, d, seed):

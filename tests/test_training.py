@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from ccg.invariance import contrastive_inv_loss, env_consistency_loss
 from ccg.players import init_encoders
 from ccg.reward import curiosity_surrogate
 from ccg import training
-from ccg.sem import init_model, param_count, zero_gradients
+from ccg.sem import init_model, zero_gradients
 from ccg.training import (AdamW, ObjectiveSpec, TrainConfig, alpha_weights,
                           composite_value_and_grads, counterfactual_batch,
                           load_run, rare_reg_loss, save_run, train,
@@ -349,6 +350,26 @@ class TestTrain:
         assert r.log[2]["n_players"] == 2       # players active
         assert r.partition.N == 2
 
+    def test_w_diagonal_stays_exactly_zero(self, monkeypatch):
+        # no loss term, weight decay or projection touches W's diagonal, so
+        # the zero it starts at survives every warm-up and full step
+        ds, world = self.small_ds(seed=3)
+        diag = []
+        step = AdamW.step
+
+        def checked_step(opt, grads):
+            step(opt, grads)
+            W = opt.params[[name for name, _, _ in opt.plan].index("W")]
+            diag.append(np.abs(np.diag(W)).max())
+
+        monkeypatch.setattr(AdamW, "step", checked_step)
+        r = train(ds, self.small_cfg(warmup_epochs=2, max_epochs=4,
+                                     patience=4), planted=world)
+        assert [e["n_players"] for e in r.log] == [0, 0, 2, 2]
+        assert len(diag) == 4 * 4  # 64 training samples in batches of 16
+        assert max(diag) == 0.0
+        assert (np.diag(r.model.W) == 0.0).all()
+
     def test_log_length_bounded_by_max_epochs(self):
         ds, _ = self.small_ds(seed=4)
         r = train(ds, self.small_cfg(max_epochs=5, patience=1))
@@ -392,7 +413,18 @@ class TestPersistence:
         assert graph.edges == r.graph.edges
         assert stats.rare_set == r.stats.rare_set
         assert cfg2 == r.config
-        assert param_count(model) == param_count(r.model)
+
+    def test_load_run_ignores_removed_selfloop_key(self, tmp_path):
+        # runs saved while the self-loop penalty was a setting still load
+        dss, _ = generate_synthetic(L=3, d=12, n=40, n_envs=1, seed=8)
+        r = train(dss[0], TrainConfig(max_epochs=2, warmup_epochs=1,
+                                      n_players=2, hidden=3, enc_dim=3))
+        save_run(tmp_path, r)
+        path = tmp_path / "model.json"
+        obj = json.loads(path.read_text())
+        obj["config"]["lambda_selfloop"] = 0.1
+        path.write_text(json.dumps(obj))
+        assert load_run(tmp_path)[6] == r.config
 
     def test_log_file_deterministic(self, tmp_path):
         dss, _ = generate_synthetic(L=3, d=12, n=40, n_envs=1, seed=8)
