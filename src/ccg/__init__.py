@@ -15,8 +15,7 @@ from .invariance import (contrastive_inv_loss, env_consistency_loss,
                          make_env_views_batch)
 from .players import (MaskSet, Partition, PlayerEncoder, build_masks,
                       init_encoders, partition_labels)
-from .reward import (RewardConfig, anneal, curiosity_surrogate,
-                     generate_counterfactual)
+from .reward import anneal, curiosity_surrogate, generate_counterfactual
 from .sem import GradientBundle, SemModel, init_model, predict_batch
 from .training import (AlphaWeights, ObjectiveSpec, TrainConfig, TrainResult,
                        alpha_weights, composite_value_and_grads, rare_reg_loss,

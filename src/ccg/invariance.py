@@ -8,40 +8,35 @@ the view axis."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .data import PlantedWorld
 from .reward import bce_terms
 
 
-def _perturb(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    out = x.copy()
-    active = np.flatnonzero(x != 0.0)
-    k = math.ceil(0.1 * len(active)) if len(active) else 0
-    zero_idx = rng.choice(active, size=k, replace=False) if k else np.array([], dtype=int)
-    out += rng.normal(0.0, 0.05, size=len(out))
-    out[zero_idx] = 0.0
-    return out
-
-
 def make_env_views_batch(X: np.ndarray, M: int, planted: PlantedWorld | None,
                          rng: np.random.Generator) -> np.ndarray:
     """M views of a (B, d) batch as one (M, B, d) array; view 0 is X itself.
     With a planted world, later views rescale each sample's spurious-block
-    features by a random U(-1, 1) factor; without one, they zero a random
-    10% of each sample's active features and jitter the rest. One rng
-    stream, fixed view order."""
+    features by a random U(-1, 1) factor. Without one, each later view adds
+    N(0, 0.05^2) jitter to every feature and then zeroes ceil(0.1 * nnz) of
+    each sample's nonzero features, the ones with the smallest of a (B, d)
+    array of uniform keys. One rng stream, fixed view order."""
     if M < 1:
         raise ValueError("M must be >= 1")
     X = np.asarray(X, dtype=np.float64)
     views = np.repeat(X[None], M, axis=0)
     sp = planted.spurious_indices() if planted is not None else None
+    active = X != 0.0
+    n_zero = np.ceil(0.1 * active.sum(axis=1))[:, None]
     for V in views[1:]:
         if planted is None:
-            for i in range(len(X)):
-                V[i] = _perturb(X[i], rng)
+            # inactive features get key inf, so they rank after every
+            # active one and are never picked
+            keys = np.where(active, rng.random(X.shape), np.inf)
+            drop = np.argsort(np.argsort(keys, axis=1), axis=1) < n_zero
+            V += rng.normal(0.0, 0.05, size=X.shape)
+            V[drop] = 0.0
         elif len(sp):
             # the same family as the generator's environment shifts, which
             # move the spurious-feature mean toward (or past) zero

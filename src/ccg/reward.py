@@ -1,8 +1,8 @@
 """Counterfactual curiosity reward: the differentiable curiosity surrogate
 (prediction diversity, counterfactual JS consistency, logged rare-label
 accuracy), the Bernoulli divergences and clamped BCE it shares with the
-other loss terms, counterfactual inputs, and the beta/gamma_R annealing
-schedule.
+other loss terms, the salience-ranked counterfactual inputs of a whole
+batch, and the beta/gamma_R annealing schedule.
 
 Diversity is the KL of each player's predictions on its own labels from
 sigmoid(b), which is what every other player's mask leaves on those labels.
@@ -10,20 +10,9 @@ sigmoid(b), which is what every other player's mask leaves on those labels.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 PROB_EPS = 1e-6
-
-
-@dataclass
-class RewardConfig:
-    beta0: float = 1.0        # diversity coefficient, annealed down
-    betaT: float = 0.2
-    gammaR0: float = 0.2      # counterfactual coefficient, annealed up
-    gammaRT: float = 1.0
 
 
 def clamp_probs(p: np.ndarray) -> np.ndarray:
@@ -60,31 +49,29 @@ def js_bernoulli(p, q):
     return 0.5 * kl_bernoulli(p, m) + 0.5 * kl_bernoulli(q, m)
 
 
-def generate_counterfactual(x: np.ndarray, salience: np.ndarray, frac: float,
-                            seed, batch: np.ndarray | None = None) -> np.ndarray:
-    """Perturb ceil(frac * nnz) nonzero features, preferring lowest
-    |salience| (ties by index). Half are zeroed; the rest are resampled from
-    the batch's empirical marginal for that feature (standard normal when no
-    batch is supplied). The rounding extra goes to masking."""
+def generate_counterfactual(X: np.ndarray, salience: np.ndarray, frac: float,
+                            rng: np.random.Generator) -> np.ndarray:
+    """Counterfactual inputs for a (B, d) batch. In each row, ceil(frac *
+    nnz) nonzero features are perturbed, lowest |salience| first (ties by
+    index). The first ceil(count / 2) of them are zeroed, so the rounding
+    extra goes to masking; the rest are resampled from the batch's own
+    column, one rng.integers draw each, rows in order and each row's
+    features in salience order."""
     if not 0.0 < frac <= 1.0:
         raise ValueError("frac must be in (0, 1]")
-    x = np.asarray(x, dtype=np.float64)
-    nz = np.flatnonzero(x != 0.0)
-    if len(nz) == 0:
-        return x.copy()
-    rng = np.random.default_rng(seed)
-    sal = np.abs(np.asarray(salience, dtype=np.float64))[nz]
-    order = nz[np.lexsort((nz, sal))]
-    count = math.ceil(frac * len(nz))
-    chosen = order[:count]
-    n_mask = math.ceil(count / 2)
-    out = x.copy()
-    out[chosen[:n_mask]] = 0.0
-    for f in chosen[n_mask:]:
-        if batch is not None and len(batch) > 0:
-            out[f] = batch[rng.integers(0, len(batch)), f]
-        else:
-            out[f] = rng.standard_normal()
+    X = np.asarray(X, dtype=np.float64)
+    nz = X != 0.0
+    # each row's nonzero features first, by |salience|; the sort is stable
+    order = np.lexsort((np.abs(salience), ~nz), axis=-1)
+    count = np.ceil(frac * nz.sum(axis=1))[:, None]
+    n_mask = np.ceil(count / 2)
+    rank = np.arange(X.shape[1])
+    out = X.copy()
+    rows, pos = np.nonzero(rank < n_mask)
+    out[rows, order[rows, pos]] = 0.0
+    rows, pos = np.nonzero((rank >= n_mask) & (rank < count))
+    feats = order[rows, pos]
+    out[rows, feats] = X[rng.integers(0, len(X), size=len(rows)), feats]
     return out
 
 
@@ -136,11 +123,12 @@ def curiosity_surrogate(P: np.ndarray, P_cf: np.ndarray, P_rest: np.ndarray,
     return diversity, cf_js, rare_acc, dP, dP_cf, dP_rest
 
 
-def anneal(step: int, total_steps: int, cfg: RewardConfig) -> tuple[float, float]:
-    """Linear schedules: beta 1.0 -> 0.2 and gamma_R 0.2 -> 1.0 by default."""
+def anneal(step: int, total_steps: int, cfg) -> tuple[float, float]:
+    """Linear schedules from a TrainConfig's beta0 -> beta_t and gamma_r0 ->
+    gamma_r_t: beta 1.0 -> 0.2 and gamma_R 0.2 -> 1.0 by default."""
     if not 0 <= step <= total_steps:
         raise ValueError("step out of range")
     t = step / total_steps if total_steps > 0 else 1.0
-    beta = cfg.beta0 + t * (cfg.betaT - cfg.beta0)
-    gamma_r = cfg.gammaR0 + t * (cfg.gammaRT - cfg.gammaR0)
+    beta = cfg.beta0 + t * (cfg.beta_t - cfg.beta0)
+    gamma_r = cfg.gamma_r0 + t * (cfg.gamma_r_t - cfg.gamma_r0)
     return beta, gamma_r

@@ -22,8 +22,11 @@ and each player encoder run once over all of them, and one backward pass
 carries every term's gradient; the terms that read only the raw batch use
 its leading rows. Each label's mask row belongs to one player, so every head
 it runs is a union-mask head, apart from one all-zero-mask head (sigmoid(b))
-for what players output on labels they do not own. Gradients are exact
-reverse-mode for every term.
+for what players output on labels they do not own. The environment views
+(`invariance.make_env_views_batch`) and the counterfactual inputs
+(`reward.generate_counterfactual`, ranked by the salience of the raw rows)
+are each built in one whole-batch pass and enter as constants. Gradients are
+exact reverse-mode for every term.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .invariance import (contrastive_inv_loss, env_consistency_loss,
                          make_env_views_batch)
 from .players import (MaskSet, Partition, PlayerEncoder, build_masks,
                       encode_batch, init_encoders, partition_labels)
-from .reward import (RewardConfig, anneal, bce_terms, curiosity_surrogate,
+from .reward import (anneal, bce_terms, curiosity_surrogate,
                      generate_counterfactual)
 from .sem import (GradientBundle, SemModel, full_mask, head, head_backward,
                   init_model, pair_backward, pair_features, zero_gradients)
@@ -88,10 +91,6 @@ class TrainConfig:
 
     def graph_cfg(self, rare_set) -> GraphLossConfig:
         return GraphLossConfig(eta=self.eta, rare_set=frozenset(rare_set))
-
-    def reward_cfg(self) -> RewardConfig:
-        return RewardConfig(beta0=self.beta0, betaT=self.beta_t,
-                            gammaR0=self.gamma_r0, gammaRT=self.gamma_r_t)
 
 
 @dataclass
@@ -151,48 +150,12 @@ class ObjectiveSpec:
     planted: PlantedWorld | None = None
     perturb_frac: float = 0.12
     rng_seed: tuple = (0,)
-    # optional precomputed counterfactual batch; when set, the salience-based
-    # selection is skipped and these inputs are used directly. The surrogate
-    # treats counterfactual inputs as constants either way (the feature
-    # selection is a non-differentiable argsort), so finite-difference checks
-    # should freeze them here.
-    frozen_xcf: np.ndarray | None = None
 
 
 def _check_finite(name: str, value: float) -> float:
     if not np.isfinite(value):
         raise NumericalError(name)
     return value
-
-
-def _salience_counterfactuals(model: SemModel, X: np.ndarray, H: np.ndarray,
-                              cache, P_union: np.ndarray, union: np.ndarray,
-                              obj: ObjectiveSpec) -> np.ndarray:
-    """Counterfactual inputs for a batch from its union-mask forward (H, the
-    pair cache and the union probabilities): salience is
-    |d(mean union prediction)/dx|, and the least salient features are
-    perturbed."""
-    dH = np.zeros_like(H)
-    head_backward(model, H, union, P_union,
-                  np.full_like(P_union, 1.0 / model.L), None, dH)
-    dX = pair_backward(model, cache, dH)
-    rng_cf = np.random.default_rng(list(obj.rng_seed) + [2])
-    return np.stack([generate_counterfactual(X[i], dX[i], obj.perturb_frac,
-                                             rng_cf, batch=X)
-                     for i in range(len(X))])
-
-
-def counterfactual_batch(model: SemModel, X: np.ndarray,
-                         obj: ObjectiveSpec) -> np.ndarray:
-    """Salience-ranked counterfactual inputs for one batch, exactly as the
-    curiosity surrogate builds them. Useful for freezing the counterfactuals
-    (ObjectiveSpec.frozen_xcf) in gradient checks."""
-    X = np.asarray(X, dtype=np.float64)
-    union = (np.sum(obj.masks, axis=0) if obj.masks is not None
-             else full_mask(model.L))
-    H, cache = pair_features(model, X)
-    return _salience_counterfactuals(model, X, H, cache, head(model, H, union),
-                                     union, obj)
 
 
 def composite_value_and_grads(model: SemModel, X: np.ndarray, Y: np.ndarray,
@@ -262,11 +225,15 @@ def composite_value_and_grads(model: SemModel, X: np.ndarray, Y: np.ndarray,
     bd["cf_js"] = 0.0
     bd["rare_acc"] = 0.0
     if obj.lambda_rwd != 0.0 and have_players:
-        if obj.frozen_xcf is not None:
-            Xcf = obj.frozen_xcf
-        else:
-            Xcf = _salience_counterfactuals(model, X, H[:B], cache, P[:B],
-                                            union, obj)
+        # salience is |d(mean union prediction)/dx| of the raw batch; the
+        # counterfactuals perturb its least salient features and count as
+        # constants, since the ranking that picks them has no derivative
+        dHs = np.zeros_like(H[:B])
+        head_backward(model, H[:B], union, P[:B],
+                      np.full_like(P[:B], 1.0 / model.L), None, dHs)
+        Xcf = generate_counterfactual(
+            X, pair_backward(model, cache, dHs), obj.perturb_frac,
+            np.random.default_rng(list(obj.rng_seed) + [2]))
         Hcf, cache_cf = pair_features(model, Xcf)
         P_cf = head(model, Hcf, union)
         zero = np.zeros_like(union)
@@ -428,7 +395,6 @@ def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
 
     steps_per_epoch = max(1, math.ceil(train_ds.n / cfg.batch_size))
     total_steps = steps_per_epoch * cfg.max_epochs
-    rcfg = cfg.reward_cfg()
     opt = AdamW(model, encoders, cfg)
 
     partition: Partition | None = None
@@ -456,7 +422,7 @@ def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
                 idx = order[bi * cfg.batch_size:(bi + 1) * cfg.batch_size]
                 if len(idx) == 0:
                     continue
-                beta, gamma_r = anneal(min(global_step, total_steps), total_steps, rcfg)
+                beta, gamma_r = anneal(min(global_step, total_steps), total_steps, cfg)
                 obj = ObjectiveSpec(
                     alpha=alpha, stats=stats, graph_cfg=gcfg, wtilde=wtilde,
                     subsets=None if warm else partition.subsets,
@@ -483,6 +449,8 @@ def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
             entry = {"epoch": epoch,
                      "beta": beta, "gamma_r": gamma_r,
                      "val_map": vmap, "val_rare_f1": vf1,
+                     # no held-out split when round(val_frac * n) is 0 or n
+                     "val_on_train": val_ds is train_ds,
                      "n_players": partition.N if partition else 0}
             for key, val in sorted(ep_terms.items()):
                 entry[key] = val / max(1, nb)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ccg import training
 from ccg.data import Dataset, compute_label_stats, default_label_names
 from ccg.graph import extract_graph
 from ccg.players import build_masks, init_encoders, partition_labels
@@ -63,6 +64,25 @@ def fd_probe(value_fn, arrays, n_probes=20, step=1e-5, seed=0,
             worst = max(worst, diff / max(abs(fd), abs(an)))
         probes += 1
     return worst
+
+
+def freeze_counterfactuals(monkeypatch):
+    """Make training reuse the first counterfactual batch it builds.
+
+    The salience ranking that picks counterfactual features is a step
+    function of the parameters, so finite differences must see the same
+    counterfactual inputs on every call. Clear the returned list to freeze
+    the next batch built instead."""
+    frozen = []
+    build = training.generate_counterfactual
+
+    def first(*args, **kwargs):
+        if not frozen:
+            frozen.append(build(*args, **kwargs))
+        return frozen[0]
+
+    monkeypatch.setattr(training, "generate_counterfactual", first)
+    return frozen
 
 
 @pytest.fixture

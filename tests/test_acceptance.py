@@ -16,14 +16,12 @@ from ccg.evaluation import (average_precision, mean_average_precision,
 from ccg.graph import (GraphLossConfig, extract_graph, graph_loss,
                        rare_indicator_matrix)
 from ccg.players import build_masks, init_encoders, partition_labels
-from ccg.reward import (RewardConfig, anneal, clamp_probs, js_bernoulli,
-                        kl_bernoulli)
+from ccg.reward import anneal, clamp_probs, js_bernoulli, kl_bernoulli
 from ccg.sem import head, init_model, pair_features, predict_batch
 from ccg.training import (ObjectiveSpec, TrainConfig, alpha_weights,
-                          composite_value_and_grads, counterfactual_batch,
-                          train)
+                          composite_value_and_grads, train)
 
-from conftest import fd_probe, toy_dataset
+from conftest import fd_probe, freeze_counterfactuals, toy_dataset
 
 
 def _report(num, name, ok, detail=""):
@@ -56,7 +54,10 @@ def _gradient_setup(seed):
     return ds, stats, model, part, masks, encs, wt, alpha
 
 
-def test_criterion_01_gradient_suite():
+def test_criterion_01_gradient_suite(monkeypatch):
+    # each term's finite differences see the counterfactuals of its first
+    # evaluation; their salience ranking has no derivative
+    frozen = freeze_counterfactuals(monkeypatch)
     t0 = time.perf_counter()
     worst_overall = 0.0
     for seed in range(20):
@@ -85,8 +86,7 @@ def test_criterion_01_gradient_suite():
                   + [e.w for e in encs] + [e.b for e in encs])
         for name, kw in term_configs:
             obj = ObjectiveSpec(**{**base, **kw})
-            if kw.get("lambda_rwd"):
-                obj.frozen_xcf = counterfactual_batch(model, ds.X, obj)
+            frozen.clear()
 
             def value_fn():
                 total, grads, _ = composite_value_and_grads(
@@ -153,7 +153,7 @@ def test_criterion_03_exact_formulas():
                                  rare_set=frozenset(), rare_pct=30.0)).alpha
     ok &= a[1] / a[0] == pytest.approx(2.0, abs=1e-12)
 
-    cfg = RewardConfig()
+    cfg = TrainConfig()
     ok &= anneal(0, 100, cfg) == (1.0, 0.2)
     b_end, g_end = anneal(100, 100, cfg)
     ok &= abs(b_end - 0.2) < 1e-12 and abs(g_end - 1.0) < 1e-12

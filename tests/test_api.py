@@ -16,11 +16,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 # Public with no caller outside tests, on purpose:
-ALLOWED = {
-    # gradient checks freeze the counterfactual inputs through it, because
-    # the salience argsort that picks them has no derivative
-    "counterfactual_batch",
-}
+ALLOWED = set()
 
 
 def parse(path):

@@ -50,6 +50,17 @@ class TestMakeEnvViews:
         v = views_for(X, 2, seed=7)[1]
         np.testing.assert_array_equal((v == 0.0).sum(axis=1),
                                       [math.ceil(0.1 * 20)] * 3)
+        # rows with 20, 15, 11, 9, 1 and 0 active features; every view
+        # jitters all features, so only the picked ones read exactly zero
+        X = np.ones((6, 20))
+        for row, nnz in enumerate([20, 15, 11, 9, 1, 0]):
+            X[row, np.random.default_rng(row).permutation(20)[nnz:]] = 0.0
+        want = [math.ceil(0.1 * n) for n in (X != 0.0).sum(axis=1)]
+        assert want == [2, 2, 2, 1, 1, 0]
+        for seed in range(20):
+            for v in views_for(X, 3, seed=seed)[1:]:
+                np.testing.assert_array_equal((v == 0.0).sum(axis=1), want)
+                assert (v[X == 0.0] != 0.0).all()
 
     def test_deterministic(self, rng):
         X = rng.normal(size=(3, 10))

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ccg.reward import (RewardConfig, anneal, curiosity_surrogate,
-                        generate_counterfactual, js_bernoulli, kl_bernoulli)
+from ccg.reward import (anneal, curiosity_surrogate, generate_counterfactual,
+                        js_bernoulli, kl_bernoulli)
+from ccg.training import TrainConfig
 
 LN2 = math.log(2.0)
 
@@ -88,54 +89,107 @@ class TestCfConsistency:
         assert cf_js == pytest.approx(0.0, abs=1e-12)
 
 
+def per_row_counterfactual(X, salience, frac, rng):
+    """Oracle: one sample at a time. Sort each row's nonzero features by
+    |salience| (ties by index), zero the first ceil(count / 2) of the
+    ceil(frac * nnz) chosen, and resample the rest from the batch column,
+    one draw each."""
+    out = X.copy()
+    for i, x in enumerate(X):
+        nz = [f for f in range(len(x)) if x[f] != 0.0]
+        order = sorted(nz, key=lambda f: (abs(salience[i, f]), f))
+        count = math.ceil(frac * len(nz))
+        n_mask = math.ceil(count / 2)
+        for f in order[:n_mask]:
+            out[i, f] = 0.0
+        for f in order[n_mask:count]:
+            out[i, f] = X[rng.integers(0, len(X)), f]
+    return out
+
+
+def counterfactual(X, salience, frac, seed=0):
+    return generate_counterfactual(np.atleast_2d(X), np.atleast_2d(salience),
+                                   frac, np.random.default_rng(seed))
+
+
 class TestGenerateCounterfactual:
-    def test_perturbation_count(self):
-        x = np.arange(1.0, 11.0)  # 10 nonzero features
-        sal = np.arange(10.0)
-        out = generate_counterfactual(x, sal, 0.3, seed=0)
-        changed = np.flatnonzero(out != x)
-        assert len(changed) <= math.ceil(0.3 * 10) == 3
+    def test_perturbation_count(self, rng):
+        # rows with 10, 7 and 3 nonzero features
+        X = rng.uniform(1.0, 2.0, (3, 10))
+        X[1, 7:] = 0.0
+        X[2, 3:] = 0.0
+        out = counterfactual(X, rng.normal(size=(3, 10)), 0.3, seed=0)
+        changed = (out != X).sum(axis=1)
+        assert (changed <= [3, 3, 1]).all()  # ceil(0.3 * nnz)
+        # ceil(count / 2) of the chosen features are zeroed in each row; a
+        # resampled one can also draw a zero from another row
+        zeroed = ((out == 0.0) & (X != 0.0)).sum(axis=1)
+        assert (zeroed >= [2, 2, 1]).all() and (zeroed <= changed).all()
 
     def test_lowest_salience_features_chosen_and_masked(self):
-        x = np.ones(10)
-        sal = np.arange(10.0)  # features 0,1,2 have lowest salience
-        out = generate_counterfactual(x, sal, 0.3, seed=1)
+        X = np.ones((2, 10))
+        # row 0 ranks features 0, 1, 2 lowest; row 1 ranks 9, 8, 7 lowest
+        sal = np.stack([np.arange(10.0), -np.arange(10.0)[::-1]])
+        out = counterfactual(X, sal, 0.3, seed=1)
         # ceil(3/2) = 2 masked (lowest salience first), 1 resampled
-        assert out[0] == 0.0 and out[1] == 0.0
-        assert (out[3:] == 1.0).all()
+        assert out[0, 0] == 0.0 and out[0, 1] == 0.0
+        assert (out[0, 3:] == 1.0).all()
+        assert out[1, 9] == 0.0 and out[1, 8] == 0.0
+        assert (out[1, :7] == 1.0).all()
 
     def test_resampled_values_come_from_batch_column(self):
-        x = np.ones(4)
-        sal = np.array([0.0, 1.0, 2.0, 3.0])
-        batch = np.full((5, 4), 7.0)
-        out = generate_counterfactual(x, sal, 1.0, seed=2, batch=batch)
+        X = np.tile(np.arange(1.0, 5.0), (5, 1))
+        X[:, 3] *= 7.0
+        out = counterfactual(X, np.tile([0.0, 1.0, 2.0, 3.0], (5, 1)), 1.0,
+                             seed=2)
         n_mask = math.ceil(4 / 2)
-        assert (out == 0.0).sum() == n_mask
-        assert all(v in (0.0, 7.0) for v in out)
+        assert ((out == 0.0).sum(axis=1) == n_mask).all()
+        # features 2 and 3 are resampled, each from its own column
+        np.testing.assert_array_equal(out[:, :2], 0.0)
+        np.testing.assert_array_equal(out[:, 2:], X[:, 2:])
 
     def test_zero_features_untouched(self):
-        x = np.array([0.0, 5.0, 0.0, 5.0])
-        out = generate_counterfactual(x, np.ones(4), 1.0, seed=3)
-        assert out[0] == 0.0 and out[2] == 0.0
+        X = np.array([[0.0, 5.0, 0.0, 5.0], [0.0, 0.0, 3.0, 0.0]])
+        out = counterfactual(X, np.ones((2, 4)), 1.0, seed=3)
+        assert (out[X == 0.0] == 0.0).all()
 
     def test_all_zero_input_returned_unchanged(self):
-        x = np.zeros(6)
-        out = generate_counterfactual(x, np.zeros(6), 0.5, seed=0)
-        np.testing.assert_array_equal(out, x)
-        assert out is not x
+        X = np.zeros((3, 6))
+        rng = np.random.default_rng(0)
+        out = generate_counterfactual(X, np.zeros((3, 6)), 0.5, rng)
+        np.testing.assert_array_equal(out, X)
+        assert out is not X
+        # nothing was resampled, so no draw was taken
+        assert rng.integers(1 << 30) == np.random.default_rng(0).integers(
+            1 << 30)
 
     def test_deterministic_given_seed(self, rng):
-        x = rng.normal(size=20)
-        sal = rng.normal(size=20)
-        a = generate_counterfactual(x, sal, 0.4, seed=9)
-        b = generate_counterfactual(x, sal, 0.4, seed=9)
-        np.testing.assert_array_equal(a, b)
+        X = rng.normal(size=(4, 20))
+        sal = rng.normal(size=(4, 20))
+        np.testing.assert_array_equal(counterfactual(X, sal, 0.4, seed=9),
+                                      counterfactual(X, sal, 0.4, seed=9))
 
     def test_frac_validation(self):
         with pytest.raises(ValueError):
-            generate_counterfactual(np.ones(3), np.ones(3), 0.0, seed=0)
+            counterfactual(np.ones(3), np.ones(3), 0.0)
         with pytest.raises(ValueError):
-            generate_counterfactual(np.ones(3), np.ones(3), 1.5, seed=0)
+            counterfactual(np.ones(3), np.ones(3), 1.5)
+
+    def test_equals_per_row_oracle_bitwise(self):
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            B, d = int(rng.integers(1, 12)), int(rng.integers(1, 30))
+            X = rng.normal(size=(B, d)) * (rng.random((B, d)) < rng.random())
+            X[rng.random(B) < 0.2] = 0.0  # whole zero rows
+            # integer salience with both signs gives ties in |salience|
+            sal = rng.integers(-3, 4, size=(B, d)).astype(np.float64)
+            frac = float(rng.choice([0.12, 0.3, 0.5, 1.0]))
+            seed = int(rng.integers(1 << 30))
+            want = per_row_counterfactual(X, sal, frac,
+                                          np.random.default_rng(seed))
+            got = generate_counterfactual(X, sal, frac,
+                                          np.random.default_rng(seed))
+            assert got.tobytes() == want.tobytes()
 
 
 class TestPlayerReward:
@@ -177,25 +231,29 @@ class TestPlayerReward:
 
 class TestAnneal:
     def test_endpoints(self):
-        cfg = RewardConfig()
+        cfg = TrainConfig()
         assert anneal(0, 100, cfg) == (1.0, 0.2)
         assert anneal(100, 100, cfg) == pytest.approx((0.2, 1.0))
 
     def test_midpoint(self):
-        cfg = RewardConfig()
+        cfg = TrainConfig()
         beta, gamma_r = anneal(50, 100, cfg)
         assert beta == pytest.approx(0.6)
         assert gamma_r == pytest.approx(0.6)
 
     def test_monotone(self):
-        cfg = RewardConfig()
+        cfg = TrainConfig()
         betas = [anneal(s, 10, cfg)[0] for s in range(11)]
         gammas = [anneal(s, 10, cfg)[1] for s in range(11)]
         assert betas == sorted(betas, reverse=True)
         assert gammas == sorted(gammas)
 
+    def test_reads_the_train_config_schedule(self):
+        cfg = TrainConfig(beta0=2.0, beta_t=0.0, gamma_r0=0.0, gamma_r_t=4.0)
+        assert anneal(1, 4, cfg) == (1.5, 1.0)
+
     def test_step_out_of_range(self):
-        cfg = RewardConfig()
+        cfg = TrainConfig()
         with pytest.raises(ValueError):
             anneal(11, 10, cfg)
         with pytest.raises(ValueError):

@@ -5,10 +5,9 @@ from scipy.special import expit
 from ccg.graph import GraphLossConfig
 from ccg.sem import (full_mask, init_model, pair_backward, pair_features,
                      predict_batch, zero_gradients)
-from ccg.training import (ObjectiveSpec, composite_value_and_grads,
-                          counterfactual_batch)
+from ccg.training import ObjectiveSpec, composite_value_and_grads
 
-from conftest import fd_probe, toy_setup
+from conftest import fd_probe, freeze_counterfactuals, toy_setup
 
 
 def tiny_model(d=3, L=2, hidden=2, seed=0):
@@ -212,7 +211,7 @@ def ce_objective(stats, **kw):
 
 
 class TestLossAndGradients:
-    def test_gradients_match_finite_differences(self):
+    def test_gradients_match_finite_differences(self, monkeypatch):
         ds, stats, model, _, part, masks, encs, wt = toy_setup(seed=1)
         obj = ObjectiveSpec(alpha=np.ones(ds.L), stats=stats,
                             graph_cfg=GraphLossConfig(rare_set=stats.rare_set),
@@ -221,10 +220,9 @@ class TestLossAndGradients:
                             lambda_graph=0.4, lambda_inv=0.3, lambda_env=0.6,
                             lambda_rwd=0.8, beta=0.7, gamma_r=0.9, m_envs=3,
                             perturb_frac=0.3, rng_seed=(5,))
-        # the salience argsort that selects counterfactual features is a
-        # step function of the parameters; freeze the counterfactual inputs
-        # so finite differences probe the smooth surrogate
-        obj.frozen_xcf = counterfactual_batch(model, ds.X, obj)
+        # finite differences probe the smooth surrogate on frozen
+        # counterfactual inputs
+        freeze_counterfactuals(monkeypatch)
         arrays = ([model.w1, model.b1, model.w2, model.b2, model.W, model.b]
                   + [e.w for e in encs] + [e.b for e in encs])
 

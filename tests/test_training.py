@@ -13,9 +13,8 @@ from ccg.reward import curiosity_surrogate
 from ccg import training
 from ccg.sem import init_model, zero_gradients
 from ccg.training import (AdamW, ObjectiveSpec, TrainConfig, alpha_weights,
-                          composite_value_and_grads, counterfactual_batch,
-                          load_run, rare_reg_loss, save_run, train,
-                          weighted_ce)
+                          composite_value_and_grads, load_run, rare_reg_loss,
+                          save_run, train, weighted_ce)
 
 from conftest import fd_probe, toy_setup
 
@@ -160,22 +159,6 @@ class TestCompositeObjective:
                             lambda_rwd=1.0, lambda_inv=1.0, lambda_env=1.0,
                             m_envs=3, beta=0.5, gamma_r=0.5)
         t1, g1, _ = composite_value_and_grads(model, ds.X, ds.Y, obj)
-        t2, g2, _ = composite_value_and_grads(model, ds.X, ds.Y, obj)
-        assert t1 == t2
-        for a, b in zip(g1.arrays(), g2.arrays()):
-            np.testing.assert_array_equal(a, b)
-
-    def test_frozen_counterfactuals_reproduce_the_composite(self):
-        # gradient checks freeze counterfactual_batch's output; it must be
-        # exactly the batch the composite builds for itself
-        ds, stats, model, _, part, masks, encs, wt = toy_setup(seed=10)
-        obj = self.make_obj(ds, stats, part, masks, encs, wt,
-                            lambda_ce=1.0, lambda_rare=0.5, lambda_graph=0.4,
-                            lambda_inv=0.3, lambda_env=0.6, lambda_rwd=0.8,
-                            beta=0.7, gamma_r=0.9, m_envs=3, perturb_frac=0.3)
-        t1, g1, _ = composite_value_and_grads(model, ds.X, ds.Y, obj)
-        obj.frozen_xcf = counterfactual_batch(model, ds.X, obj)
-        assert not np.array_equal(obj.frozen_xcf, ds.X)
         t2, g2, _ = composite_value_and_grads(model, ds.X, ds.Y, obj)
         assert t1 == t2
         for a, b in zip(g1.arrays(), g2.arrays()):
@@ -387,6 +370,20 @@ class TestTrain:
         r = train(ds, self.small_cfg(partition_source="cooccur",
                                      lambda_graph=0.0))
         assert r.partition is not None and r.partition.N == 2
+
+    @pytest.mark.parametrize("n,val_frac,on_train", [
+        (2, 0.2, True),     # round(0.4) = 0 validation samples
+        (80, 0.0, True),
+        (200, 0.2, False),
+    ])
+    def test_log_says_when_validation_reads_the_training_set(self, n, val_frac,
+                                                             on_train):
+        dss, _ = generate_synthetic(L=4, d=20, n=200, n_envs=1, seed=0,
+                                    edge_density=0.3)
+        r = train(dss[0].subset(np.arange(n)),
+                  self.small_cfg(max_epochs=2, warmup_epochs=1,
+                                 val_frac=val_frac))
+        assert [e["val_on_train"] for e in r.log] == [on_train] * 2
 
     def test_empty_dataset_rejected(self):
         ds, _ = self.small_ds()
