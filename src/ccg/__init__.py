@@ -9,8 +9,8 @@ from .data import (Dataset, LabelStats, PlantedWorld, co_occurrence,
                    save_dataset, semantic_similarity)
 from .evaluation import (MetricsReport, average_precision, evaluate,
                          mean_average_precision, rare_f1, structure_score)
-from .graph import (CausalGraph, GraphLossConfig, export_dot, extract_graph,
-                    graph_loss, ideal_weights)
+from .graph import (CausalGraph, export_dot, extract_graph, graph_loss,
+                    ideal_weights)
 from .invariance import (contrastive_inv_loss, env_consistency_loss,
                          make_env_views_batch)
 from .players import (MaskSet, Partition, PlayerEncoder, build_masks,

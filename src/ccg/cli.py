@@ -10,9 +10,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, fields, replace
-
-import numpy as np
+from dataclasses import fields, replace
 
 from . import evaluation, training
 from .data import PlantedWorld, generate_synthetic, load_dataset, save_dataset
@@ -39,24 +37,30 @@ def _write(path, text):
 
 
 def build_config(args) -> training.TrainConfig:
+    """The TrainConfig defaults, then the --config file's keys, then the
+    training flags, whose argparse dest is the field they set."""
     cfg = training.TrainConfig()
+    names = [f.name for f in fields(training.TrainConfig)]
     if getattr(args, "config", None):
         with open(args.config) as fh:
             raw = json.load(fh)
-        known = {f.name for f in fields(training.TrainConfig)}
-        bad = set(raw) - known
+        if not isinstance(raw, dict):
+            raise DatasetError("--config must hold a JSON object")
+        bad = set(raw) - set(names)
         if bad:
             raise DatasetError(f"unknown config keys: {sorted(bad)}")
+        for key, val in raw.items():
+            # each value has its field's JSON type; an int will do for a
+            # float, a bool never does for a number
+            kind = type(getattr(cfg, key))
+            accepted = (int, float) if kind is float else kind
+            if (isinstance(val, bool) != (kind is bool)
+                    or not isinstance(val, accepted)):
+                raise DatasetError(
+                    f"config key '{key}' must be of type {kind.__name__}")
         cfg = replace(cfg, **raw)
-    overrides = {}
-    for flag, name in (("seed", "seed"), ("epochs", "max_epochs"),
-                       ("players", "n_players"), ("topk", "k_topk"),
-                       ("warmup", "warmup_epochs"), ("m_envs", "m_envs"),
-                       ("gamma", "gamma"), ("eta", "eta"),
-                       ("gamma_r_peak", "gamma_r_t")):
-        val = getattr(args, flag, None)
-        if val is not None:
-            overrides[name] = val
+    overrides = {name: getattr(args, name) for name in names
+                 if getattr(args, name, None) is not None}
     if overrides:
         cfg = replace(cfg, **overrides)
     return apply_ablations(cfg, getattr(args, "ablate", None))
@@ -82,11 +86,11 @@ def apply_ablations(cfg: training.TrainConfig, flags) -> training.TrainConfig:
     return cfg
 
 
-def _train_one(data_path, cfg, world_path=None, extra_env_paths=None):
+def _train_one(data_path, cfg, world_path=None, ood_path=None):
     ds = load_dataset(data_path)
     planted = _load_world(world_path) if world_path else None
-    extra = [load_dataset(p) for p in extra_env_paths] if extra_env_paths else None
-    return training.train(ds, cfg, planted=planted, extra_envs=extra), ds
+    ood = load_dataset(ood_path) if ood_path else None
+    return training.train(ds, cfg, planted=planted, ood=ood), ds
 
 
 def cmd_gen(args) -> int:
@@ -204,15 +208,16 @@ def cmd_export_graph(args) -> int:
 
 def _add_train_opts(p, with_ablate=True):
     p.add_argument("--config", help="flat JSON config (TrainConfig fields)")
+    # each flag's dest is the TrainConfig field it sets
     p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--players", type=int)
-    p.add_argument("--topk", type=int)
-    p.add_argument("--warmup", type=int)
+    p.add_argument("--epochs", dest="max_epochs", type=int)
+    p.add_argument("--players", dest="n_players", type=int)
+    p.add_argument("--topk", dest="k_topk", type=int)
+    p.add_argument("--warmup", dest="warmup_epochs", type=int)
     p.add_argument("--m-envs", dest="m_envs", type=int)
     p.add_argument("--gamma", type=float)
     p.add_argument("--eta", type=float)
-    p.add_argument("--gamma-r-peak", dest="gamma_r_peak", type=float)
+    p.add_argument("--gamma-r-peak", dest="gamma_r_t", type=float)
     p.add_argument("--world", help="planted-world JSON for env-view generation")
     if with_ablate:
         p.add_argument("--ablate", action="append",
@@ -235,7 +240,9 @@ def make_parser() -> _Parser:
 
     p = sub.add_parser("train", help="train a model")
     p.add_argument("--data", required=True)
-    p.add_argument("--extra-envs", dest="extra_envs", nargs="*")
+    p.add_argument("--extra-envs", dest="extra_envs",
+                   help="a dataset from another environment; each epoch "
+                        "logs its mAP as ood_map")
     p.add_argument("--out", required=True)
     _add_train_opts(p)
     p.set_defaults(func=cmd_train)

@@ -22,7 +22,6 @@ from .errors import CapacityError, DatasetError
 class Dataset:
     X: np.ndarray  # (n, d) float64
     Y: np.ndarray  # (n, L) int8
-    label_names: list[str]
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
@@ -33,8 +32,6 @@ class Dataset:
             raise DatasetError("label not binary")
         if not np.isfinite(self.X).all():
             raise DatasetError("non-finite feature value")
-        if len(self.label_names) != self.L or len(set(self.label_names)) != self.L:
-            raise DatasetError("label_names must be L unique strings")
 
     @property
     def n(self) -> int:
@@ -49,11 +46,7 @@ class Dataset:
         return self.Y.shape[1]
 
     def subset(self, idx) -> "Dataset":
-        return Dataset(self.X[idx], self.Y[idx], list(self.label_names))
-
-
-def default_label_names(L: int) -> list[str]:
-    return [f"L{i}" for i in range(L)]
+        return Dataset(self.X[idx], self.Y[idx])
 
 
 @dataclass
@@ -111,7 +104,7 @@ def load_dataset(path) -> Dataset:
         raise DatasetError("empty dataset")
     X = np.array(feats, dtype=np.float64)
     Y = np.array(labs, dtype=np.int8)
-    return Dataset(X, Y, default_label_names(Y.shape[1]))
+    return Dataset(X, Y)
 
 
 def save_dataset(ds: Dataset, path) -> None:
@@ -265,13 +258,12 @@ def default_env_params(n_envs: int) -> list[dict]:
 
 def generate_from_world(world: PlantedWorld, n: int, seed: int) -> list[Dataset]:
     """Sample one dataset per environment described by world.env_params."""
-    names = default_label_names(world.L)
     out = []
     for env in range(len(world.env_params)):
         rng = np.random.default_rng([seed, 1, env])
         Y = sample_labels(world, n, rng)
         X = sample_features(world, Y, env, rng)
-        out.append(Dataset(X, Y, names))
+        out.append(Dataset(X, Y))
     return out
 
 

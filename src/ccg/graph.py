@@ -8,7 +8,7 @@ and W has no weight decay), so the paper's l0 self-loop penalty is always
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,16 +34,6 @@ class CausalGraph:
                           for e in obj["edges"]])
 
 
-@dataclass
-class GraphLossConfig:
-    eta: float = 1.5              # rare-edge enhancement factor
-    rare_set: frozenset = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        if self.eta < 1.0:
-            raise ValueError("eta must be >= 1")
-
-
 def rare_indicator_matrix(L: int, rare_set) -> np.ndarray:
     """I[i, j] = 1 where label i or label j is rare, else 0."""
     ind = np.zeros((L, L))
@@ -64,19 +54,22 @@ def ideal_weights(ds: Dataset, gamma: float) -> np.ndarray:
     return M
 
 
-def graph_loss(W: np.ndarray, Wtilde: np.ndarray,
-               cfg: GraphLossConfig) -> tuple[float, np.ndarray]:
+def graph_loss(W: np.ndarray, Wtilde: np.ndarray, eta: float,
+               rare_set) -> tuple[float, np.ndarray]:
     """Rare-enhanced squared deviation from the ideal weights over the
     off-diagonal entries: sum of psi(eta, I_ij) * (W_ij - Wtilde_ij)^2 with
-    psi = eta on edges that touch a rare label and 1 elsewhere. Returns
-    (value, dW). The diagonal gets neither loss nor gradient; it is zero by
-    construction, so there is no self-loop term."""
+    psi = eta (the rare-edge enhancement factor, >= 1) on edges that touch a
+    label of rare_set and 1 elsewhere. Returns (value, dW). The diagonal gets
+    neither loss nor gradient; it is zero by construction, so there is no
+    self-loop term."""
+    if eta < 1.0:
+        raise ValueError("eta must be >= 1")
     W = np.asarray(W, dtype=np.float64)
     if W.shape != Wtilde.shape:
         raise ValueError("shape mismatch between W and Wtilde")
     L = W.shape[0]
-    ind = rare_indicator_matrix(L, cfg.rare_set)
-    psi_mat = np.where(ind > 0, cfg.eta, 1.0)
+    ind = rare_indicator_matrix(L, rare_set)
+    psi_mat = np.where(ind > 0, eta, 1.0)
     off = 1.0 - np.eye(L)
     diff = (W - Wtilde) * off
     loss = float((psi_mat * diff ** 2 * off).sum())

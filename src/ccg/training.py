@@ -21,8 +21,11 @@ views are stacked as the rows of one batch, so the pair MLPs, the union head
 and each player encoder run once over all of them, and one backward pass
 carries every term's gradient; the terms that read only the raw batch use
 its leading rows. Each label's mask row belongs to one player, so every head
-it runs is a union-mask head, apart from one all-zero-mask head (sigmoid(b))
-for what players output on labels they do not own. The environment views
+it runs is a union-mask head; what players output on labels they do not own
+is sigmoid(b), which needs no head. The coefficients and view settings are
+read from the run's `TrainConfig`; `ObjectiveSpec` holds the rest of a
+step's context. A step without masks is a warm-up step, which runs only the
+CE, rare and graph terms. The environment views
 (`invariance.make_env_views_batch`) and the counterfactual inputs
 (`reward.generate_counterfactual`, ranked by the salience of the raw rows)
 are each built in one whole-batch pass and enter as constants. Gradients are
@@ -34,15 +37,16 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
+from scipy.special import expit
 
 from . import evaluation
 from .data import Dataset, LabelStats, PlantedWorld, compute_label_stats
 from .errors import NumericalError
-from .graph import (CausalGraph, GraphLossConfig, extract_graph, graph_loss,
-                    ideal_weights, save_graph, load_graph)
+from .graph import (CausalGraph, extract_graph, graph_loss, ideal_weights,
+                    save_graph, load_graph)
 from .data import co_occurrence
 from .invariance import (contrastive_inv_loss, env_consistency_loss,
                          make_env_views_batch)
@@ -89,9 +93,6 @@ class TrainConfig:
     partition_source: str = "learned"  # "learned" | "cooccur" (w/o CGM)
     uniform_alpha: bool = False        # w/o RLE sets alpha(l) = 1
 
-    def graph_cfg(self, rare_set) -> GraphLossConfig:
-        return GraphLossConfig(eta=self.eta, rare_set=frozenset(rare_set))
-
 
 @dataclass
 class AlphaWeights:
@@ -129,26 +130,20 @@ def rare_reg_loss(P: np.ndarray, Y: np.ndarray, rare_cols: list[int]):
 
 @dataclass
 class ObjectiveSpec:
-    """Names the active loss terms, their coefficients, and the context
-    (masks, targets, schedules) needed to evaluate them."""
+    """One step's context for the composite objective. The coefficients
+    (lambda_*), view settings (m_envs, perturb_frac) and eta come from cfg;
+    masks=None marks a warm-up step, which runs only the CE, rare and graph
+    terms."""
+    cfg: TrainConfig
     alpha: np.ndarray
     stats: LabelStats
-    graph_cfg: GraphLossConfig
-    wtilde: np.ndarray | None = None
+    wtilde: np.ndarray
     subsets: list | None = None
     masks: list | None = None
     encoders: list | None = None
-    lambda_ce: float = 1.0
-    lambda_rare: float = 0.0
-    lambda_graph: float = 0.0
-    lambda_inv: float = 0.0
-    lambda_env: float = 0.0
-    lambda_rwd: float = 0.0
+    planted: PlantedWorld | None = None
     beta: float = 1.0
     gamma_r: float = 0.2
-    m_envs: int = 1
-    planted: PlantedWorld | None = None
-    perturb_frac: float = 0.12
     rng_seed: tuple = (0,)
 
 
@@ -164,8 +159,10 @@ def composite_value_and_grads(model: SemModel, X: np.ndarray, Y: np.ndarray,
     (total, GradientBundle, per-term breakdown). Pure given obj.rng_seed."""
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
-    have_players = obj.masks is not None and obj.subsets is not None
-    union = np.sum(obj.masks, axis=0) if have_players else full_mask(model.L)
+    cfg = obj.cfg
+    # the invariance, env and curiosity terms need the players
+    full = obj.masks is not None
+    union = np.sum(obj.masks, axis=0) if full else full_mask(model.L)
     n_enc = len(obj.encoders) if obj.encoders is not None else 0
     grads = zero_gradients(model, n_encoders=n_enc,
                            enc_dim=obj.encoders[0].w.shape[0] if n_enc else 0)
@@ -174,7 +171,8 @@ def composite_value_and_grads(model: SemModel, X: np.ndarray, Y: np.ndarray,
 
     # the M environment views (view 0 is the raw batch) stacked as the M*B
     # rows of one batch; CE, rare, curiosity and salience read rows [:B]
-    M = obj.m_envs if (obj.lambda_env != 0.0 or obj.lambda_inv != 0.0) else 1
+    M = cfg.m_envs if full and (cfg.lambda_env != 0.0
+                                or cfg.lambda_inv != 0.0) else 1
     B = len(X)
     rng_views = np.random.default_rng(list(obj.rng_seed) + [1])
     views = make_env_views_batch(X, M, obj.planted, rng_views)
@@ -186,37 +184,37 @@ def composite_value_and_grads(model: SemModel, X: np.ndarray, Y: np.ndarray,
 
     ce, d_ce = weighted_ce(P[:B], Y, obj.alpha)
     bd["ce"] = _check_finite("weighted_ce", ce)
-    total += obj.lambda_ce * ce
-    dP[:B] += obj.lambda_ce * d_ce
+    total += ce
+    dP[:B] += d_ce
 
     bd["rare"] = 0.0
-    if obj.lambda_rare != 0.0:
+    if cfg.lambda_rare != 0.0:
         rr, d_rr = rare_reg_loss(P[:B], Y, sorted(obj.stats.rare_set))
         bd["rare"] = _check_finite("rare_reg", rr)
-        total += obj.lambda_rare * rr
-        dP[:B] += obj.lambda_rare * d_rr
+        total += cfg.lambda_rare * rr
+        dP[:B] += cfg.lambda_rare * d_rr
 
     bd["env"] = 0.0
-    if obj.lambda_env != 0.0:
+    if full and cfg.lambda_env != 0.0:
         env, d_env = env_consistency_loss(P.reshape(M, B, model.L), Y)
         bd["env"] = _check_finite("env_consistency", env)
-        total += obj.lambda_env * env
-        dP += obj.lambda_env * d_env.reshape(M * B, model.L)
+        total += cfg.lambda_env * env
+        dP += cfg.lambda_env * d_env.reshape(M * B, model.L)
 
     bd["graph"] = 0.0
-    if obj.lambda_graph != 0.0 and obj.wtilde is not None:
-        gl, gW = graph_loss(model.W, obj.wtilde, obj.graph_cfg)
+    if cfg.lambda_graph != 0.0:
+        gl, gW = graph_loss(model.W, obj.wtilde, cfg.eta, obj.stats.rare_set)
         bd["graph"] = _check_finite("graph_loss", gl)
-        total += obj.lambda_graph * gl
-        grads.W += obj.lambda_graph * gW
+        total += cfg.lambda_graph * gl
+        grads.W += cfg.lambda_graph * gW
 
     bd["inv"] = 0.0
-    if obj.lambda_inv != 0.0 and obj.encoders is not None and M >= 2:
+    if full and cfg.lambda_inv != 0.0 and n_enc and M >= 2:
         inv, dE = contrastive_inv_loss(
             [encode_batch(enc, Xs).reshape(M, B, -1) for enc in obj.encoders])
         bd["inv"] = _check_finite("contrastive_inv", inv)
-        total += obj.lambda_inv * inv
-        dE = obj.lambda_inv * dE.reshape(n_enc, M * B, -1)
+        total += cfg.lambda_inv * inv
+        dE = cfg.lambda_inv * dE.reshape(n_enc, M * B, -1)
         for k, dh in enumerate(dE):
             grads.enc_w[k] += dh.T @ Xs
             grads.enc_b[k] += dh.sum(axis=0)
@@ -224,7 +222,7 @@ def composite_value_and_grads(model: SemModel, X: np.ndarray, Y: np.ndarray,
     bd["diversity"] = 0.0
     bd["cf_js"] = 0.0
     bd["rare_acc"] = 0.0
-    if obj.lambda_rwd != 0.0 and have_players:
+    if full and cfg.lambda_rwd != 0.0:
         # salience is |d(mean union prediction)/dx| of the raw batch; the
         # counterfactuals perturb its least salient features and count as
         # constants, since the ranking that picks them has no derivative
@@ -232,12 +230,13 @@ def composite_value_and_grads(model: SemModel, X: np.ndarray, Y: np.ndarray,
         head_backward(model, H[:B], union, P[:B],
                       np.full_like(P[:B], 1.0 / model.L), None, dHs)
         Xcf = generate_counterfactual(
-            X, pair_backward(model, cache, dHs), obj.perturb_frac,
+            X, pair_backward(model, cache, dHs), cfg.perturb_frac,
             np.random.default_rng(list(obj.rng_seed) + [2]))
         Hcf, cache_cf = pair_features(model, Xcf)
         P_cf = head(model, Hcf, union)
-        zero = np.zeros_like(union)
-        P_rest = head(model, H[:B], zero)
+        # what a player outputs on labels it does not own: its mask row is
+        # all zero there, which leaves sigmoid(b), so only b has a gradient
+        P_rest = np.broadcast_to(expit(model.b), P_cf.shape)
         div, js, racc, d_cur, dP_cf, dP_rest = curiosity_surrogate(
             P[:B], P_cf, P_rest, Y, obj.subsets,
             np.asarray(obj.stats.freq, dtype=np.float64), obj.beta,
@@ -245,14 +244,13 @@ def composite_value_and_grads(model: SemModel, X: np.ndarray, Y: np.ndarray,
         bd["diversity"] = _check_finite("diversity", div)
         bd["cf_js"] = _check_finite("cf_js", js)
         bd["rare_acc"] = racc
-        total += obj.lambda_rwd * (-obj.beta * div + obj.gamma_r * js)
+        total += cfg.lambda_rwd * (-obj.beta * div + obj.gamma_r * js)
 
-        dP[:B] += obj.lambda_rwd * d_cur
-        # the zero mask passes nothing to dH; only grads.b moves
-        head_backward(model, H[:B], zero, P_rest, obj.lambda_rwd * dP_rest,
-                      grads, dH[:B])
+        dP[:B] += cfg.lambda_rwd * d_cur
+        grads.b += (cfg.lambda_rwd * dP_rest * P_rest
+                    * (1.0 - P_rest)).sum(axis=0)
         dHcf = np.zeros_like(Hcf)
-        head_backward(model, Hcf, union, P_cf, obj.lambda_rwd * dP_cf, grads,
+        head_backward(model, Hcf, union, P_cf, cfg.lambda_rwd * dP_cf, grads,
                       dHcf)
         pair_backward(model, cache_cf, dHcf, grads)
 
@@ -359,17 +357,25 @@ class TrainResult:
 
 
 def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
-          extra_envs: list[Dataset] | None = None) -> TrainResult:
+          ood: Dataset | None = None) -> TrainResult:
     """Algorithm-1 training loop: ideal-weight estimation, warm-up of W,
     graph extraction and player partitioning (frozen thereafter), then
-    full-composite epochs with early stopping on validation mAP."""
+    full-composite epochs with early stopping on validation mAP. With an
+    ood dataset, each epoch also logs the mAP on it as ood_map."""
     if ds.n == 0:
         raise ValueError("dataset is empty")
     for name in ("batch_size", "n_players", "k_topk", "m_envs"):
         if getattr(cfg, name) < 1:
             raise ValueError(f"{name} must be >= 1")
+    for name in ("max_epochs", "warmup_epochs", "patience"):
+        if getattr(cfg, name) < 0:
+            raise ValueError(f"{name} must be >= 0")
     if not 0.0 <= cfg.val_frac < 1.0:
         raise ValueError("val_frac must be in [0, 1)")
+    if cfg.eta < 1.0:
+        raise ValueError("eta must be >= 1")
+    if cfg.partition_source not in ("learned", "cooccur"):
+        raise ValueError("partition_source must be 'learned' or 'cooccur'")
     n = ds.n
     perm = np.random.default_rng([cfg.seed, 11]).permutation(n)
     n_val = int(round(cfg.val_frac * n))
@@ -383,7 +389,6 @@ def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
     alpha = (np.ones(ds.L) if cfg.uniform_alpha
              else alpha_weights(stats).alpha)
     wtilde = ideal_weights(train_ds, cfg.gamma)
-    gcfg = cfg.graph_cfg(stats.rare_set)
     model = init_model(ds.d, ds.L, cfg.hidden, cfg.seed)
     encoders = init_encoders(ds.d, cfg.enc_dim, cfg.n_players, cfg.seed + 1)
 
@@ -402,6 +407,8 @@ def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
     graph: CausalGraph | None = None
     best = {"map": -1.0, "epoch": -1, "model": None, "enc": None}
     global_step = 0
+    obj = ObjectiveSpec(cfg=cfg, alpha=alpha, stats=stats, wtilde=wtilde,
+                        encoders=encoders, planted=planted)
 
     def build_partition():
         src = co_occurrence(train_ds) if cfg.partition_source == "cooccur" else model.W
@@ -413,7 +420,8 @@ def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
         for epoch in range(cfg.max_epochs):
             if epoch == cfg.warmup_epochs and partition is None:
                 graph, partition, masks = build_partition()
-            warm = partition is None
+                obj = replace(obj, subsets=partition.subsets,
+                              masks=masks.masks)
             order = np.random.default_rng([cfg.seed, 12, epoch]).permutation(train_ds.n)
             ep_terms: dict[str, float] = {}
             nb = 0
@@ -423,21 +431,10 @@ def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
                 if len(idx) == 0:
                     continue
                 beta, gamma_r = anneal(min(global_step, total_steps), total_steps, cfg)
-                obj = ObjectiveSpec(
-                    alpha=alpha, stats=stats, graph_cfg=gcfg, wtilde=wtilde,
-                    subsets=None if warm else partition.subsets,
-                    masks=None if warm else masks.masks,
-                    encoders=encoders,
-                    lambda_rare=cfg.lambda_rare,
-                    lambda_graph=cfg.lambda_graph,
-                    lambda_inv=0.0 if warm else cfg.lambda_inv,
-                    lambda_env=0.0 if warm else cfg.lambda_env,
-                    lambda_rwd=0.0 if warm else cfg.lambda_rwd,
-                    beta=beta, gamma_r=gamma_r, m_envs=cfg.m_envs,
-                    planted=planted, perturb_frac=cfg.perturb_frac,
-                    rng_seed=(cfg.seed, 13, epoch, bi))
-                total, grads, bd = composite_value_and_grads(
-                    model, train_ds.X[idx], train_ds.Y[idx], obj)
+                _, grads, bd = composite_value_and_grads(
+                    model, train_ds.X[idx], train_ds.Y[idx],
+                    replace(obj, beta=beta, gamma_r=gamma_r,
+                            rng_seed=(cfg.seed, 13, epoch, bi)))
                 opt.step(grads)
                 global_step += 1
                 nb += 1
@@ -454,10 +451,9 @@ def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
                      "n_players": partition.N if partition else 0}
             for key, val in sorted(ep_terms.items()):
                 entry[key] = val / max(1, nb)
-            if extra_envs:
-                omap, _ = evaluation.map_and_rare_f1(
-                    model, masks, extra_envs[0], stats, cfg.rare_pct)
-                entry["ood_map"] = omap
+            if ood is not None:
+                entry["ood_map"], _ = evaluation.map_and_rare_f1(
+                    model, masks, ood, stats, cfg.rare_pct)
             result.log.append(entry)
 
             # warmup epochs are evaluated unmasked and aren't comparable to
@@ -493,7 +489,6 @@ def save_run(run_dir: str, result: TrainResult) -> None:
         "encoders": [{"w": e.w.tolist(), "b": e.b.tolist()}
                      for e in result.encoders],
         "players": result.partition.subsets if result.partition else None,
-        "config": asdict(result.config),
     }
     with open(os.path.join(run_dir, "model.json"), "w") as fh:
         json.dump(model_obj, fh, sort_keys=True)
@@ -518,9 +513,11 @@ def load_run(run_dir: str):
     model = SemModel(d=obj["d"], L=obj["L"], hidden=obj["hidden"], **params)
     encoders = [PlayerEncoder(w=np.array(e["w"]), b=np.array(e["b"]))
                 for e in obj["encoders"]]
+    with open(os.path.join(run_dir, "config.json")) as fh:
+        raw = json.load(fh)
     # runs saved while W's self-loop penalty was a setting carry its key
-    obj["config"].pop("lambda_selfloop", None)
-    cfg = TrainConfig(**obj["config"])
+    raw.pop("lambda_selfloop", None)
+    cfg = TrainConfig(**raw)
     with open(os.path.join(run_dir, "stats.json")) as fh:
         st = json.load(fh)
     stats = LabelStats(freq=np.array(st["freq"], dtype=np.int64),

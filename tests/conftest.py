@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ccg import training
-from ccg.data import Dataset, compute_label_stats, default_label_names
+from ccg.data import Dataset, compute_label_stats
 from ccg.graph import extract_graph
 from ccg.players import build_masks, init_encoders, partition_labels
 from ccg.sem import init_model
@@ -13,7 +13,7 @@ def toy_dataset(n=12, d=6, L=4, seed=0, pos_rate=0.5):
     X = rng.normal(size=(n, d))
     Y = (rng.random((n, L)) < pos_rate).astype(np.int8)
     Y[0] = 1  # ensure every label has at least one positive
-    return Dataset(X, Y, default_label_names(L))
+    return Dataset(X, Y)
 
 
 def toy_setup(L=4, d=6, hidden=5, B=5, N=2, seed=0):
@@ -31,6 +31,14 @@ def toy_setup(L=4, d=6, hidden=5, B=5, N=2, seed=0):
     wt = np.clip(rng.normal(0.3, 0.2, (L, L)), 0.0, 1.0)
     np.fill_diagonal(wt, 0.0)
     return ds, stats, model, g, part, masks, encs, wt
+
+
+def objective_config(**kw):
+    """A TrainConfig for composite-objective tests: every term but the
+    alpha-weighted CE is off unless kw sets its lambda."""
+    off = dict(lambda_rare=0.0, lambda_graph=0.0, lambda_inv=0.0,
+               lambda_env=0.0, lambda_rwd=0.0)
+    return training.TrainConfig(**{**off, **kw})
 
 
 def fd_probe(value_fn, arrays, n_probes=20, step=1e-5, seed=0,

@@ -13,15 +13,15 @@ from ccg.data import (compute_label_stats, generate_from_world,
 from ccg.evaluation import (average_precision, mean_average_precision,
                             per_label_average_precision, predict_dataset,
                             rare_f1, structure_score)
-from ccg.graph import (GraphLossConfig, extract_graph, graph_loss,
-                       rare_indicator_matrix)
+from ccg.graph import extract_graph, graph_loss, rare_indicator_matrix
 from ccg.players import build_masks, init_encoders, partition_labels
 from ccg.reward import anneal, clamp_probs, js_bernoulli, kl_bernoulli
 from ccg.sem import head, init_model, pair_features, predict_batch
 from ccg.training import (ObjectiveSpec, TrainConfig, alpha_weights,
                           composite_value_and_grads, train)
 
-from conftest import fd_probe, freeze_counterfactuals, toy_dataset
+from conftest import (fd_probe, freeze_counterfactuals, objective_config,
+                      toy_dataset)
 
 
 def _report(num, name, ok, detail=""):
@@ -62,30 +62,28 @@ def test_criterion_01_gradient_suite(monkeypatch):
     worst_overall = 0.0
     for seed in range(20):
         ds, stats, model, part, masks, encs, wt, alpha = _gradient_setup(seed)
-        base = dict(alpha=alpha, stats=stats,
-                    graph_cfg=GraphLossConfig(rare_set=stats.rare_set),
-                    wtilde=wt, subsets=part.subsets, masks=masks.masks,
-                    encoders=encs, m_envs=3, perturb_frac=0.3,
-                    rng_seed=(seed, 17))
+        # (term, CE on, lambdas, beta, gamma_r); alpha = 0 turns CE off
         term_configs = [
-            ("weighted_ce", dict(lambda_ce=1.0)),
-            ("rare_reg", dict(lambda_ce=0.0, lambda_rare=1.0)),
-            ("graph_quadratic", dict(lambda_ce=0.0, lambda_graph=1.0)),
-            ("contrastive_inv", dict(lambda_ce=0.0, lambda_inv=1.0)),
-            ("env_consistency", dict(lambda_ce=0.0, lambda_env=1.0)),
-            ("diversity", dict(lambda_ce=0.0, lambda_rwd=1.0,
-                               beta=1.0, gamma_r=0.0)),
-            ("js_cf", dict(lambda_ce=0.0, lambda_rwd=1.0,
-                           beta=0.0, gamma_r=1.0)),
-            ("composite", dict(lambda_ce=1.0, lambda_rare=0.5,
-                               lambda_graph=0.4, lambda_inv=0.3,
-                               lambda_env=0.6, lambda_rwd=0.8,
-                               beta=0.7, gamma_r=0.9)),
+            ("weighted_ce", True, {}, 1.0, 0.2),
+            ("rare_reg", False, dict(lambda_rare=1.0), 1.0, 0.2),
+            ("graph_quadratic", False, dict(lambda_graph=1.0), 1.0, 0.2),
+            ("contrastive_inv", False, dict(lambda_inv=1.0), 1.0, 0.2),
+            ("env_consistency", False, dict(lambda_env=1.0), 1.0, 0.2),
+            ("diversity", False, dict(lambda_rwd=1.0), 1.0, 0.0),
+            ("js_cf", False, dict(lambda_rwd=1.0), 0.0, 1.0),
+            ("composite", True, dict(lambda_rare=0.5, lambda_graph=0.4,
+                                     lambda_inv=0.3, lambda_env=0.6,
+                                     lambda_rwd=0.8), 0.7, 0.9),
         ]
         arrays = ([model.w1, model.b1, model.w2, model.b2, model.W, model.b]
                   + [e.w for e in encs] + [e.b for e in encs])
-        for name, kw in term_configs:
-            obj = ObjectiveSpec(**{**base, **kw})
+        for name, with_ce, lambdas, beta, gamma_r in term_configs:
+            obj = ObjectiveSpec(
+                cfg=objective_config(m_envs=3, perturb_frac=0.3, **lambdas),
+                alpha=alpha if with_ce else 0.0 * alpha, stats=stats,
+                wtilde=wt, subsets=part.subsets, masks=masks.masks,
+                encoders=encs, beta=beta, gamma_r=gamma_r,
+                rng_seed=(seed, 17))
             frozen.clear()
 
             def value_fn():
@@ -136,16 +134,14 @@ def test_criterion_03_exact_formulas():
     ind = rare_indicator_matrix(3, {2})
     ok = ind[0, 1] == 0 and ind[2, 0] == 1 and ind[0, 2] == 1
     unit = np.array([[0.0, 1.0], [0.0, 0.0]])
-    ok &= graph_loss(unit, np.zeros((2, 2)), GraphLossConfig(eta=1.5))[0] == 1.0
-    ok &= graph_loss(unit, np.zeros((2, 2)),
-                     GraphLossConfig(eta=1.5, rare_set=frozenset({0})))[0] == 1.5
+    ok &= graph_loss(unit, np.zeros((2, 2)), 1.5, ())[0] == 1.0
+    ok &= graph_loss(unit, np.zeros((2, 2)), 1.5, {0})[0] == 1.5
 
     # rare-edge loss ratio is exactly eta for equal deviations
     W = np.array([[0.0, 0.4], [0.0, 0.0]])
     Wt = np.zeros((2, 2))
-    plain = graph_loss(W, Wt, GraphLossConfig(eta=1.5))[0]
-    rare = graph_loss(W, Wt, GraphLossConfig(eta=1.5,
-                                             rare_set=frozenset({1})))[0]
+    plain = graph_loss(W, Wt, 1.5, ())[0]
+    rare = graph_loss(W, Wt, 1.5, {1})[0]
     ok &= rare / plain == 1.5
 
     from ccg.data import LabelStats

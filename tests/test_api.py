@@ -1,11 +1,16 @@
-"""Dead-API guard: every public module-level function or class in src/ccg
-has a caller in the package or the benchmark, not only in tests.
+"""Dead-code guards on src/ccg.
+
+Every public module-level function or class has a caller in the package or
+the benchmark, not only in tests.
 
 A name counts as used when another src/ccg module (not __init__), its own
 module outside its own definition, or a bench/*.py script refers to it by a
 bare name, an attribute or an import. Strings and comments do not count.
 Names are matched without their module, so a use of one module's name
 covers another module's function of the same name.
+
+Every name a module imports is used in that module; the re-exports of
+__init__ are exempt.
 """
 
 import ast
@@ -93,3 +98,35 @@ def test_guard_counts_only_code_references(tmp_path, source, expected):
     (pkg / "__init__.py").write_text("from .m import f\nf\n")
     (tmp_path / "bench").mkdir()
     assert unused_public_names(tmp_path) == expected
+
+
+def unused_imports(tree):
+    """Names the module imports but never refers to as a bare name."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0]
+                            for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_every_import_is_used():
+    unused = [f"{p.stem}.{name}"
+              for p in sorted((ROOT / "src" / "ccg").glob("*.py"))
+              if p.stem != "__init__"
+              for name in unused_imports(parse(p))]
+    assert unused == [], f"imported but never used: {unused}"
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("import os\nimport numpy as np\nnp.zeros(1)\n", ["os"]),
+    ("from __future__ import annotations\nfrom m import a, b as c\n"
+     "x: a = 1\n", ["c"]),
+    ("import os.path\nos.path.join('a')\n", []),
+    ("from m import f\ny = 'f'  # f\n", ["f"]),
+])
+def test_import_guard_counts_only_code_references(source, expected):
+    assert unused_imports(ast.parse(source)) == expected

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -87,22 +88,54 @@ class TestTrainCommand:
         assert rc == 1
 
     def test_m_envs_zero_exits_1(self, gen_dir, tmp_path, capsys):
-        # each bad size or validation fraction is rejected before any
-        # epoch trains
+        # each bad size, count, fraction, choice or JSON type is rejected,
+        # naming its key, before any epoch trains
         cases = [(["--m-envs", "0"], "m_envs"),
                  (["--players", "0"], "n_players"),
                  (["--topk", "0"], "k_topk")]
-        for key, val in (("batch_size", 0), ("val_frac", 1.0),
-                         ("val_frac", 1.5), ("val_frac", -0.5)):
-            bad = tmp_path / f"{key}{val}.json"
+        for i, (key, val) in enumerate((
+                ("batch_size", 0), ("val_frac", 1.0), ("val_frac", 1.5),
+                ("val_frac", -0.5), ("batch_size", "16"), ("lr_main", True),
+                ("uniform_alpha", 1), ("partition_source", 3),
+                ("max_epochs", -1), ("warmup_epochs", -1), ("patience", -1),
+                ("partition_source", "learnd"))):
+            bad = tmp_path / f"bad{i}.json"
             bad.write_text(json.dumps({key: val}))
             cases.append((["--config", str(bad)], key))
+        not_object = tmp_path / "five.json"
+        not_object.write_text("5")
+        cases.append((["--config", str(not_object)], "--config"))
         for flags, name in cases:
             rc = run(["train", "--data", str(gen_dir / "env0.jsonl"), *flags,
                       "--out", str(tmp_path / "o")])
             assert rc == 1
-            assert name in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert name in err and "Traceback" not in err
             assert not (tmp_path / "o").exists()
+
+    def test_extra_envs_logs_ood_map_every_epoch(self, gen_dir, run_dir,
+                                                 tmp_path, tmp_path_factory):
+        out = tmp_path / "ood"
+        rc = run(["train", "--data", str(gen_dir / "env0.jsonl"),
+                  "--extra-envs", str(gen_dir / "env1.jsonl"),
+                  "--epochs", "2", "--warmup", "1", "--players", "2",
+                  "--config", str(_tiny_config(tmp_path_factory)),
+                  "--out", str(out)])
+        assert rc == 0
+        log = [json.loads(line)
+               for line in read(out / "log.jsonl").splitlines()]
+        assert len(log) == 2
+        assert all(math.isfinite(e["ood_map"]) for e in log)
+        # run_dir trained without the flag
+        assert not any("ood_map" in json.loads(line)
+                       for line in read(run_dir / "log.jsonl").splitlines())
+
+    def test_extra_envs_takes_one_path(self, gen_dir, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(["train", "--data", str(gen_dir / "env0.jsonl"),
+                 "--extra-envs", str(gen_dir / "env1.jsonl"),
+                 str(gen_dir / "env0.jsonl"), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 1
 
     def test_overflowing_features_exit_2_naming_the_term(self, gen_dir,
                                                          tmp_path, capsys):
@@ -219,14 +252,16 @@ class TestHarnessCommands:
 class TestConfigAndAblations:
     def test_cli_overrides_beat_config_file(self, tmp_path):
         cfg_file = tmp_path / "c.json"
-        cfg_file.write_text(json.dumps({"seed": 5, "max_epochs": 9}))
+        # an int is a valid value for a float field
+        cfg_file.write_text(json.dumps({"seed": 5, "max_epochs": 9,
+                                        "eta": 2}))
 
         class Args:
             config = str(cfg_file)
             seed = 7
             ablate = None
         cfg = build_config(Args())
-        assert cfg.seed == 7 and cfg.max_epochs == 9
+        assert cfg.seed == 7 and cfg.max_epochs == 9 and cfg.eta == 2
 
     def test_ablation_semantics(self):
         base = TrainConfig()

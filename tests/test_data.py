@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from ccg.data import (Dataset, PlantedWorld, co_occurrence, compute_label_stats,
-                      default_label_names, generate_from_world,
-                      generate_synthetic, load_dataset, save_dataset,
-                      semantic_similarity, topological_order)
+                      generate_from_world, generate_synthetic, load_dataset,
+                      save_dataset, semantic_similarity, topological_order)
 from ccg.errors import CapacityError, DatasetError
 
 
@@ -61,8 +60,7 @@ class TestLoadDataset:
 
     def test_roundtrip(self, tmp_path):
         ds = Dataset(np.array([[1.5, -0.5], [0.0, 2.0]]),
-                     np.array([[1, 0, 1], [0, 0, 1]]),
-                     default_label_names(3))
+                     np.array([[1, 0, 1], [0, 0, 1]]))
         path = tmp_path / "rt.jsonl"
         save_dataset(ds, path)
         ds2 = load_dataset(path)
@@ -73,14 +71,13 @@ class TestLoadDataset:
 class TestLabelStats:
     def test_counting(self):
         Y = np.array([[1, 0], [1, 0], [1, 1], [0, 0]])
-        ds = Dataset(np.zeros((4, 2)), Y, default_label_names(2))
+        ds = Dataset(np.zeros((4, 2)), Y)
         stats = compute_label_stats(ds, 50)
         np.testing.assert_array_equal(stats.freq, [3, 1])
         assert stats.rare_set == {1}
 
     def test_p_zero(self):
-        ds = Dataset(np.zeros((2, 3)), np.ones((2, 3), dtype=int),
-                     default_label_names(3))
+        ds = Dataset(np.zeros((2, 3)), np.ones((2, 3), dtype=int))
         assert compute_label_stats(ds, 0).rare_set == frozenset()
 
     def test_bottom_30_pct_matches_sort_oracle(self):
@@ -92,7 +89,7 @@ class TestLabelStats:
                 row[lab] = 1
                 rows.append(row)
         Y = np.array(rows)
-        ds = Dataset(np.zeros((len(Y), 2)), Y, default_label_names(10))
+        ds = Dataset(np.zeros((len(Y), 2)), Y)
         stats = compute_label_stats(ds, 30)
         oracle = set(sorted(range(10), key=lambda i: (stats.freq[i], i))[:3])
         assert stats.rare_set == oracle == {7, 8, 9}
@@ -165,22 +162,21 @@ class TestGenerateSynthetic:
 
 class TestCoOccurrence:
     def test_always_coactive(self):
-        ds = Dataset(np.zeros((3, 2)), np.ones((3, 2), dtype=int),
-                     default_label_names(2))
+        ds = Dataset(np.zeros((3, 2)), np.ones((3, 2), dtype=int))
         M = co_occurrence(ds)
         assert M[0, 1] == M[1, 0] == 1.0
         assert M[0, 0] == M[1, 1] == 0.0
 
     def test_inactive_column_is_zero(self):
         Y = np.array([[1, 0], [1, 0]])
-        ds = Dataset(np.zeros((2, 2)), Y, default_label_names(2))
+        ds = Dataset(np.zeros((2, 2)), Y)
         M = co_occurrence(ds)
         assert M[0, 1] == 0.0 and M[1, 0] == 0.0
 
     def test_hand_computed_conditionals(self):
         # 3 samples: {0,1}, {0}, {1,2}
         Y = np.array([[1, 1, 0], [1, 0, 0], [0, 1, 1]])
-        ds = Dataset(np.zeros((3, 3)), Y, default_label_names(3))
+        ds = Dataset(np.zeros((3, 3)), Y)
         M = co_occurrence(ds)
         assert M[0, 1] == pytest.approx(1 / 2)   # P(l0 | l1)
         assert M[1, 0] == pytest.approx(1 / 2)   # P(l1 | l0)
@@ -199,21 +195,21 @@ class TestSemanticSimilarity:
     def test_identical_sample_sets(self):
         X = np.array([[1.0, 2.0], [3.0, 1.0]])
         Y = np.array([[1, 1], [1, 1]])
-        ds = Dataset(X, Y, default_label_names(2))
+        ds = Dataset(X, Y)
         M = semantic_similarity(ds)
         assert M[0, 1] == pytest.approx(1.0)
 
     def test_orthogonal_centroids(self):
         X = np.array([[1.0, 0.0], [0.0, 1.0]])
         Y = np.array([[1, 0], [0, 1]])
-        ds = Dataset(X, Y, default_label_names(2))
+        ds = Dataset(X, Y)
         assert semantic_similarity(ds)[0, 1] == 0.0
 
     def test_matches_cosine_oracle(self, rng):
         X = rng.normal(size=(20, 6))
         Y = (rng.random((20, 3)) < 0.6).astype(np.int8)
         Y[0] = 1
-        ds = Dataset(X, Y, default_label_names(3))
+        ds = Dataset(X, Y)
         M = semantic_similarity(ds)
         for i in range(3):
             for j in range(3):

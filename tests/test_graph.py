@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from ccg.data import Dataset, co_occurrence, default_label_names, semantic_similarity
-from ccg.graph import (CausalGraph, GraphLossConfig, export_dot, extract_graph,
-                       graph_loss, ideal_weights, load_graph,
+from ccg.data import co_occurrence, semantic_similarity
+from ccg.graph import (CausalGraph, export_dot, extract_graph, graph_loss,
+                       ideal_weights, load_graph,
                        rare_indicator_matrix, save_graph)
 
 from conftest import toy_dataset
@@ -12,8 +12,7 @@ from conftest import toy_dataset
 def one_edge_loss(eta, rare_set):
     """graph_loss of a unit deviation on the single edge W[0, 1]."""
     W = np.array([[0.0, 1.0], [0.0, 0.0]])
-    cfg = GraphLossConfig(eta=eta, rare_set=frozenset(rare_set))
-    return graph_loss(W, np.zeros((2, 2)), cfg)[0]
+    return graph_loss(W, np.zeros((2, 2)), eta, rare_set)[0]
 
 
 class TestPsi:
@@ -31,7 +30,7 @@ class TestPsi:
 
     def test_rejects_eta_below_one(self):
         with pytest.raises(ValueError):
-            GraphLossConfig(eta=0.9)
+            one_edge_loss(0.9, ())
 
     def test_indicator(self):
         M = rare_indicator_matrix(3, {2})
@@ -54,8 +53,7 @@ class TestGraphLoss:
         np.fill_diagonal(W, 0.0)
         Wt = rng.uniform(0, 1, (L, L))
         np.fill_diagonal(Wt, 0.0)
-        cfg = GraphLossConfig(eta=2.0, rare_set=frozenset({3}))
-        loss, _ = graph_loss(W, Wt, cfg)
+        loss, _ = graph_loss(W, Wt, 2.0, {3})
         oracle = 0.0
         for i in range(L):
             for j in range(L):
@@ -70,7 +68,7 @@ class TestGraphLoss:
         # would neither count it nor push on it
         W = np.diag([0.5, 0.0, -0.2])
         Wt = np.zeros((3, 3))
-        loss, grad = graph_loss(W, Wt, GraphLossConfig())
+        loss, grad = graph_loss(W, Wt, 1.5, ())
         assert loss == 0.0
         assert np.abs(np.diag(grad)).sum() == 0.0
 
@@ -78,8 +76,7 @@ class TestGraphLoss:
         L = 4
         W = rng.normal(size=(L, L))
         Wt = rng.uniform(0, 1, (L, L))
-        cfg = GraphLossConfig(eta=1.5, rare_set=frozenset({0}))
-        _, grad = graph_loss(W, Wt, cfg)
+        _, grad = graph_loss(W, Wt, 1.5, {0})
         h = 1e-6
         for i in range(L):
             for j in range(L):
@@ -88,25 +85,26 @@ class TestGraphLoss:
                 Wp, Wm = W.copy(), W.copy()
                 Wp[i, j] += h
                 Wm[i, j] -= h
-                fd = (graph_loss(Wp, Wt, cfg)[0] - graph_loss(Wm, Wt, cfg)[0]) / (2 * h)
+                fd = (graph_loss(Wp, Wt, 1.5, {0})[0]
+                      - graph_loss(Wm, Wt, 1.5, {0})[0]) / (2 * h)
                 assert grad[i, j] == pytest.approx(fd, rel=1e-5)
 
     def test_rare_enhancement_multiplies_loss(self):
         W = np.array([[0.0, 1.0], [0.0, 0.0]])
         Wt = np.zeros((2, 2))
-        base = graph_loss(W, Wt, GraphLossConfig(eta=1.5))[0]
-        rare = graph_loss(W, Wt, GraphLossConfig(eta=1.5, rare_set=frozenset({0})))[0]
+        base = graph_loss(W, Wt, 1.5, ())[0]
+        rare = graph_loss(W, Wt, 1.5, {0})[0]
         assert rare == pytest.approx(1.5 * base)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            graph_loss(np.zeros((2, 2)), np.zeros((3, 3)), GraphLossConfig())
+            graph_loss(np.zeros((2, 2)), np.zeros((3, 3)), 1.5, ())
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ideal_weights(toy_dataset(n=10, d=4, L=3, seed=9), 1.5)
         with pytest.raises(ValueError):
-            GraphLossConfig(eta=0.5)
+            graph_loss(np.zeros((2, 2)), np.zeros((2, 2)), 0.5, ())
 
 
 class TestIdealWeights:

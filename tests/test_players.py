@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from ccg.graph import CausalGraph, extract_graph
 from ccg.players import (build_masks, encode_batch, init_encoders,
@@ -115,12 +116,12 @@ class TestEncoders:
 
 class TestPlayerHeads:
     """Each label's mask row belongs to exactly one player, which is what
-    lets the composite score every player from the union-mask head and the
-    all-zero-mask head."""
+    lets the composite score every player from the union-mask head and
+    sigmoid(b), what an all-zero mask row leaves."""
 
     @staticmethod
     def cases(rng):
-        """(union head, zero-mask head, [(own-label mask, player head)]) on
+        """(union head, sigmoid(b), [(own-label mask, player head)]) on
         random graphs, partitions and models; every third case has L
         singleton players."""
         for trial in range(30):
@@ -141,7 +142,7 @@ class TestPlayerHeads:
                 own[sub] = True
                 players.append((own, head(model, H, M)))
             yield (head(model, H, masks.union()),
-                   head(model, H, np.zeros((L, L))), players)
+                   np.broadcast_to(expit(model.b), (len(H), L)), players)
 
     def test_own_labels_equal_union_head(self, rng):
         for union, _, players in self.cases(rng):

@@ -39,26 +39,9 @@ class TestBernoulliDivergences:
         assert (js >= 0).all() and (js <= LN2 + 1e-9).all()
 
     def test_js_approaches_ln2_at_opposite_certainty(self):
-        assert js_bernoulli(1e-9, 1 - 1e-9) == pytest.approx(LN2, abs=1e-4)
-
-
-class TestJsDivergence:
-    """js_bernoulli, the divergence the counterfactual term scores."""
-
-    def test_identical_distributions(self):
-        p = np.array([0.2, 0.3, 0.5])
-        assert (js_bernoulli(p, p) == 0.0).all()
-
-    def test_disjoint_support_is_ln2(self):
         # up to the PROB_EPS clamp
-        assert js_bernoulli(1.0, 0.0) == pytest.approx(LN2, abs=1e-4)
-        assert js_bernoulli(0.0, 1.0) == pytest.approx(LN2, abs=1e-4)
-
-    def test_symmetry(self, rng):
-        p = rng.random(6)
-        q = rng.random(6)
-        np.testing.assert_allclose(js_bernoulli(p, q), js_bernoulli(q, p),
-                                   rtol=1e-12)
+        for p, q in ((1e-9, 1 - 1e-9), (1.0, 0.0), (0.0, 1.0)):
+            assert js_bernoulli(p, q) == pytest.approx(LN2, abs=1e-4)
 
 
 def surrogate(P, P_cf, P_rest, Y, subsets, freq=(9, 1, 4, 3)):

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from ccg.graph import GraphLossConfig
 from ccg.sem import (full_mask, init_model, pair_backward, pair_features,
                      predict_batch, zero_gradients)
 from ccg.training import ObjectiveSpec, composite_value_and_grads
 
-from conftest import fd_probe, freeze_counterfactuals, toy_setup
+from conftest import (fd_probe, freeze_counterfactuals, objective_config,
+                      toy_setup)
 
 
 def tiny_model(d=3, L=2, hidden=2, seed=0):
@@ -203,23 +203,24 @@ class TestPairKernels:
             assert dx[b, f] == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
-def ce_objective(stats, **kw):
-    base = dict(alpha=np.ones(len(stats.freq)), stats=stats,
-                graph_cfg=GraphLossConfig(rare_set=stats.rare_set))
-    base.update(kw)
-    return ObjectiveSpec(**base)
+def ce_objective(stats, alpha=1.0, **cfg_kw):
+    """A warm-up step's objective (no players) with CE weights alpha."""
+    L = len(stats.freq)
+    return ObjectiveSpec(cfg=objective_config(**cfg_kw),
+                         alpha=np.full(L, alpha), stats=stats,
+                         wtilde=np.zeros((L, L)))
 
 
 class TestLossAndGradients:
     def test_gradients_match_finite_differences(self, monkeypatch):
         ds, stats, model, _, part, masks, encs, wt = toy_setup(seed=1)
-        obj = ObjectiveSpec(alpha=np.ones(ds.L), stats=stats,
-                            graph_cfg=GraphLossConfig(rare_set=stats.rare_set),
+        cfg = objective_config(lambda_rare=0.5, lambda_graph=0.4,
+                               lambda_inv=0.3, lambda_env=0.6,
+                               lambda_rwd=0.8, m_envs=3, perturb_frac=0.3)
+        obj = ObjectiveSpec(cfg=cfg, alpha=np.ones(ds.L), stats=stats,
                             wtilde=wt, subsets=part.subsets, masks=masks.masks,
-                            encoders=encs, lambda_ce=1.0, lambda_rare=0.5,
-                            lambda_graph=0.4, lambda_inv=0.3, lambda_env=0.6,
-                            lambda_rwd=0.8, beta=0.7, gamma_r=0.9, m_envs=3,
-                            perturb_frac=0.3, rng_seed=(5,))
+                            encoders=encs, beta=0.7, gamma_r=0.9,
+                            rng_seed=(5,))
         # finite differences probe the smooth surrogate on frozen
         # counterfactual inputs
         freeze_counterfactuals(monkeypatch)
@@ -236,7 +237,7 @@ class TestLossAndGradients:
 
     def test_duplicated_batch_mean_invariance(self):
         ds, stats, model, _, part, masks, encs, wt = toy_setup(seed=2)
-        obj = ce_objective(stats, lambda_ce=1.0, lambda_rare=0.3)
+        obj = ce_objective(stats, lambda_rare=0.3)
         l1, g1, _ = composite_value_and_grads(model, ds.X, ds.Y, obj)
         X2 = np.vstack([ds.X, ds.X])
         Y2 = np.vstack([ds.Y, ds.Y])
@@ -247,7 +248,7 @@ class TestLossAndGradients:
 
     def test_all_zero_coefficients(self):
         ds, stats, model, _, part, masks, encs, wt = toy_setup(seed=3)
-        obj = ce_objective(stats, lambda_ce=0.0)
+        obj = ce_objective(stats, alpha=0.0)
         loss, grads, _ = composite_value_and_grads(model, ds.X, ds.Y, obj)
         assert loss == 0.0
         for a in grads.arrays():

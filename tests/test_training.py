@@ -6,7 +6,6 @@ import pytest
 
 from ccg.data import LabelStats, generate_synthetic
 from ccg.errors import NumericalError
-from ccg.graph import GraphLossConfig
 from ccg.invariance import contrastive_inv_loss, env_consistency_loss
 from ccg.players import init_encoders
 from ccg.reward import curiosity_surrogate
@@ -16,7 +15,7 @@ from ccg.training import (AdamW, ObjectiveSpec, TrainConfig, alpha_weights,
                           composite_value_and_grads, load_run, rare_reg_loss,
                           save_run, train, weighted_ce)
 
-from conftest import fd_probe, toy_setup
+from conftest import fd_probe, objective_config, toy_setup
 
 
 def stats_for(freq, rare=()):
@@ -122,18 +121,18 @@ def test_term_gradient_matches_finite_differences(name):
 
 
 class TestCompositeObjective:
-    def make_obj(self, ds, stats, part, masks, encs, wt, **kw):
-        base = dict(alpha=np.ones(ds.L), stats=stats,
-                    graph_cfg=GraphLossConfig(rare_set=stats.rare_set),
-                    wtilde=wt, subsets=part.subsets, masks=masks.masks,
-                    encoders=encs, rng_seed=(3,))
-        base.update(kw)
-        return ObjectiveSpec(**base)
+    def make_obj(self, ds, stats, part, masks, encs, wt, beta=1.0,
+                 gamma_r=0.2, **cfg_kw):
+        return ObjectiveSpec(cfg=objective_config(**cfg_kw),
+                             alpha=np.ones(ds.L), stats=stats, wtilde=wt,
+                             subsets=part.subsets, masks=masks.masks,
+                             encoders=encs, beta=beta, gamma_r=gamma_r,
+                             rng_seed=(3,))
 
     def test_total_is_weighted_sum_of_breakdown(self):
         ds, stats, model, _, part, masks, encs, wt = toy_setup(seed=6)
         obj = self.make_obj(ds, stats, part, masks, encs, wt,
-                            lambda_ce=1.0, lambda_rare=0.5, lambda_graph=0.4,
+                            lambda_rare=0.5, lambda_graph=0.4,
                             lambda_inv=0.3, lambda_env=0.6, lambda_rwd=0.8,
                             beta=0.7, gamma_r=0.9, m_envs=3)
         total, _, bd = composite_value_and_grads(model, ds.X, ds.Y, obj)
@@ -145,13 +144,13 @@ class TestCompositeObjective:
     def test_terms_scale_linearly_with_coefficients(self):
         ds, stats, model, _, part, masks, encs, wt = toy_setup(seed=7)
         obj1 = self.make_obj(ds, stats, part, masks, encs, wt,
-                             lambda_ce=1.0, lambda_graph=1.0)
+                             lambda_graph=1.0)
         obj2 = self.make_obj(ds, stats, part, masks, encs, wt,
-                             lambda_ce=2.0, lambda_graph=3.0)
+                             lambda_graph=3.0)
         t1, g1, bd1 = composite_value_and_grads(model, ds.X, ds.Y, obj1)
         t2, g2, bd2 = composite_value_and_grads(model, ds.X, ds.Y, obj2)
-        assert bd1["ce"] == bd2["ce"]  # breakdown is unweighted
-        assert t2 == pytest.approx(2 * bd1["ce"] + 3 * bd1["graph"])
+        assert bd1["graph"] == bd2["graph"]  # breakdown is unweighted
+        assert t2 == pytest.approx(bd1["ce"] + 3 * bd1["graph"])
 
     def test_deterministic_given_seed(self):
         ds, stats, model, _, part, masks, encs, wt = toy_setup(seed=8)
@@ -182,13 +181,13 @@ class TestCompositeObjective:
                             lambda_rare=0.5, lambda_graph=0.4, lambda_inv=0.3,
                             lambda_env=0.6, lambda_rwd=0.8, m_envs=M)
         composite_value_and_grads(model, ds.X, ds.Y, obj)
-        assert calls == {"pair_features": 2, "pair_backward": 3, "head": 3,
-                         "head_backward": 4, "encode_batch": 5}
+        assert calls == {"pair_features": 2, "pair_backward": 3, "head": 2,
+                         "head_backward": 3, "encode_batch": 5}
 
     def test_nonfinite_probability_raises_numerical_error(self):
         ds, stats, model, _, part, masks, encs, wt = toy_setup(seed=9)
         model.b[...] = np.nan
-        obj = self.make_obj(ds, stats, part, masks, encs, wt, lambda_ce=1.0)
+        obj = self.make_obj(ds, stats, part, masks, encs, wt)
         with pytest.raises(NumericalError):
             composite_value_and_grads(model, ds.X, ds.Y, obj)
 
@@ -417,9 +416,9 @@ class TestPersistence:
         r = train(dss[0], TrainConfig(max_epochs=2, warmup_epochs=1,
                                       n_players=2, hidden=3, enc_dim=3))
         save_run(tmp_path, r)
-        path = tmp_path / "model.json"
+        path = tmp_path / "config.json"
         obj = json.loads(path.read_text())
-        obj["config"]["lambda_selfloop"] = 0.1
+        obj["lambda_selfloop"] = 0.1
         path.write_text(json.dumps(obj))
         assert load_run(tmp_path)[6] == r.config
 
