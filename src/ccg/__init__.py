@@ -17,8 +17,8 @@ from .players import (MaskSet, Partition, PlayerEncoder, build_masks,
                       init_encoders, partition_labels)
 from .reward import anneal, curiosity_surrogate, generate_counterfactual
 from .sem import GradientBundle, SemModel, init_model, predict_batch
-from .training import (AlphaWeights, ObjectiveSpec, TrainConfig, TrainResult,
-                       alpha_weights, composite_value_and_grads, rare_reg_loss,
-                       train, weighted_ce)
+from .training import (ObjectiveSpec, TrainConfig, TrainResult, alpha_weights,
+                       composite_value_and_grads, rare_reg_loss, train,
+                       weighted_ce)
 
 __version__ = "0.1.0"

@@ -10,14 +10,22 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 
 from . import evaluation, training
 from .data import PlantedWorld, generate_synthetic, load_dataset, save_dataset
-from .errors import CapacityError, DatasetError, DimensionError, NumericalError
+from .errors import DatasetError, DimensionError, NumericalError
 from .graph import export_dot
 
-ABLATION_FLAGS = ("cgm", "ccr", "cil", "mpd", "rle")
+# the TrainConfig settings each ablation flag switches a component off with
+ABLATIONS = {
+    "cgm": dict(lambda_graph=0.0, partition_source="cooccur"),
+    "ccr": dict(lambda_rwd=0.0),
+    "cil": dict(lambda_inv=0.0, lambda_env=0.0, m_envs=1),
+    "mpd": dict(n_players=1),
+    "rle": dict(lambda_rare=0.0, uniform_alpha=True),
+}
+ABLATION_FLAGS = tuple(ABLATIONS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,49 +48,22 @@ def build_config(args) -> training.TrainConfig:
     """The TrainConfig defaults, then the --config file's keys, then the
     training flags, whose argparse dest is the field they set."""
     cfg = training.TrainConfig()
-    names = [f.name for f in fields(training.TrainConfig)]
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise DatasetError("--config must hold a JSON object")
-        bad = set(raw) - set(names)
-        if bad:
-            raise DatasetError(f"unknown config keys: {sorted(bad)}")
-        for key, val in raw.items():
-            # each value has its field's JSON type; an int will do for a
-            # float, a bool never does for a number
-            kind = type(getattr(cfg, key))
-            accepted = (int, float) if kind is float else kind
-            if (isinstance(val, bool) != (kind is bool)
-                    or not isinstance(val, accepted)):
-                raise DatasetError(
-                    f"config key '{key}' must be of type {kind.__name__}")
-        cfg = replace(cfg, **raw)
-    overrides = {name: getattr(args, name) for name in names
-                 if getattr(args, name, None) is not None}
-    if overrides:
-        cfg = replace(cfg, **overrides)
+            cfg = training.TrainConfig.from_dict(json.load(fh),
+                                                 f"--config {args.config}")
+    cfg = replace(cfg, **{name: getattr(args, name)
+                          for name in training.FIELD_RULES
+                          if getattr(args, name, None) is not None})
     return apply_ablations(cfg, getattr(args, "ablate", None))
 
 
 def apply_ablations(cfg: training.TrainConfig, flags) -> training.TrainConfig:
     """Map ablation flags onto config semantics (one flag set per run)."""
-    if not flags:
-        return cfg
-    for flag in flags:
-        if flag not in ABLATION_FLAGS:
+    for flag in flags or ():
+        if flag not in ABLATIONS:
             raise DatasetError(f"unknown ablation flag '{flag}'")
-        if flag == "cgm":
-            cfg = replace(cfg, lambda_graph=0.0, partition_source="cooccur")
-        elif flag == "ccr":
-            cfg = replace(cfg, lambda_rwd=0.0)
-        elif flag == "cil":
-            cfg = replace(cfg, lambda_inv=0.0, lambda_env=0.0, m_envs=1)
-        elif flag == "mpd":
-            cfg = replace(cfg, n_players=1)
-        elif flag == "rle":
-            cfg = replace(cfg, lambda_rare=0.0, uniform_alpha=True)
+        cfg = replace(cfg, **ABLATIONS[flag])
     return cfg
 
 
@@ -90,7 +71,11 @@ def _train_one(data_path, cfg, world_path=None, ood_path=None):
     ds = load_dataset(data_path)
     planted = _load_world(world_path) if world_path else None
     ood = load_dataset(ood_path) if ood_path else None
-    return training.train(ds, cfg, planted=planted, ood=ood), ds
+    try:
+        return training.train(ds, cfg, planted=planted, ood=ood)
+    except DimensionError as exc:
+        # train raises it only for an ood dataset of another d or L
+        raise DimensionError(f"--extra-envs {ood_path}: {exc}") from None
 
 
 def cmd_gen(args) -> int:
@@ -108,7 +93,7 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = build_config(args)
-    result, _ = _train_one(args.data, cfg, args.world, args.extra_envs)
+    result = _train_one(args.data, cfg, args.world, args.extra_envs)
     training.save_run(args.out, result)
     if result.aborted:
         print(f"training aborted: {result.aborted}; last checkpoint retained",
@@ -143,7 +128,7 @@ def _sweep(args, header: str, runs, what: str) -> int:
     test = load_dataset(args.test) if args.test else None
     rows = [header]
     for label, cfg in runs:
-        result, _ = _train_one(args.data, cfg, args.world)
+        result = _train_one(args.data, cfg, args.world)
         if test is not None:
             m, f1 = evaluation.map_and_rare_f1(result.model, result.masks,
                                                test, result.stats,
@@ -176,20 +161,22 @@ def cmd_ablate(args) -> int:
 SENSITIVITY_GRID = {
     "gamma": [0.2, 0.5, 0.8],
     "eta": [1.0, 1.5, 2.0, 2.5],
-    "gamma_r": [0.5, 1.0, 1.5],
+    "gamma_r_t": [0.5, 1.0, 1.5],
     "m_envs": [1, 3, 5],
 }
 
 
 def cmd_sensitivity(args) -> int:
     cfg0 = build_config(args)
-    if args.param not in SENSITIVITY_GRID:
-        raise DatasetError(f"unknown sensitivity parameter '{args.param}'")
-    values = ([float(v) for v in args.values.split(",")] if args.values
-              else SENSITIVITY_GRID[args.param])
-    name = {"gamma_r": "gamma_r_t"}.get(args.param, args.param)
-    runs = [(v, replace(cfg0, **{name: int(v) if name == "m_envs" else v}))
-            for v in values]
+    values = SENSITIVITY_GRID[args.param]
+    if args.values:
+        kind = training.FIELD_RULES[args.param][0]
+        try:
+            values = [kind(v) for v in args.values.split(",")]
+        except ValueError:
+            raise DatasetError(f"--values for {args.param} must be "
+                               f"{kind.__name__}s: {args.values}") from None
+    runs = [(v, replace(cfg0, **{args.param: v})) for v in values]
     return _sweep(args, f"{args.param},map,rare_f1", runs,
                   "sensitivity sweep")
 
@@ -206,7 +193,13 @@ def cmd_export_graph(args) -> int:
     return 0
 
 
-def _add_train_opts(p, with_ablate=True):
+def _add_train_opts(p, sweep: bool):
+    """--data, --out and the training flags; a sweep of runs also takes
+    --test, a single run --ablate."""
+    p.add_argument("--data", required=True)
+    p.add_argument("--out", required=True)
+    if sweep:
+        p.add_argument("--test", help="dataset each run is scored on")
     p.add_argument("--config", help="flat JSON config (TrainConfig fields)")
     # each flag's dest is the TrainConfig field it sets
     p.add_argument("--seed", type=int)
@@ -219,7 +212,7 @@ def _add_train_opts(p, with_ablate=True):
     p.add_argument("--eta", type=float)
     p.add_argument("--gamma-r-peak", dest="gamma_r_t", type=float)
     p.add_argument("--world", help="planted-world JSON for env-view generation")
-    if with_ablate:
+    if not sweep:
         p.add_argument("--ablate", action="append",
                        help=f"ablation flag, one of {ABLATION_FLAGS}")
 
@@ -239,12 +232,10 @@ def make_parser() -> _Parser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("train", help="train a model")
-    p.add_argument("--data", required=True)
     p.add_argument("--extra-envs", dest="extra_envs",
                    help="a dataset from another environment; each epoch "
                         "logs its mAP as ood_map")
-    p.add_argument("--out", required=True)
-    _add_train_opts(p)
+    _add_train_opts(p, sweep=False)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a trained model")
@@ -257,29 +248,20 @@ def make_parser() -> _Parser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep-players", help="train/eval over player counts")
-    p.add_argument("--data", required=True)
-    p.add_argument("--test")
     p.add_argument("--ns", default="1,2,3,4,5,6,8,10")
-    p.add_argument("--out", required=True)
-    _add_train_opts(p, with_ablate=False)
+    _add_train_opts(p, sweep=True)
     p.set_defaults(func=cmd_sweep_players)
 
     p = sub.add_parser("ablate", help="one-at-a-time component ablations")
-    p.add_argument("--data", required=True)
-    p.add_argument("--test")
     p.add_argument("--only", help="comma list of flags to ablate")
-    p.add_argument("--out", required=True)
-    _add_train_opts(p, with_ablate=False)
+    _add_train_opts(p, sweep=True)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("sensitivity", help="single-hyperparameter sweep")
-    p.add_argument("--data", required=True)
-    p.add_argument("--test")
-    p.add_argument("--param", required=True,
-                   choices=sorted(SENSITIVITY_GRID))
-    p.add_argument("--values")
-    p.add_argument("--out", required=True)
-    _add_train_opts(p, with_ablate=False)
+    p.add_argument("--param", required=True, choices=sorted(SENSITIVITY_GRID),
+                   help="the TrainConfig field to vary")
+    p.add_argument("--values", help="comma list of values of its type")
+    _add_train_opts(p, sweep=True)
     p.set_defaults(func=cmd_sensitivity)
 
     p = sub.add_parser("export-graph", help="export the learned graph as DOT")
@@ -296,8 +278,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DatasetError, CapacityError, DimensionError, FileNotFoundError,
-            OSError, ValueError) as exc:
+    # every error of ccg.errors but NumericalError is a ValueError
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

@@ -102,9 +102,7 @@ def load_dataset(path) -> Dataset:
             labs.append([int(v) for v in y])
     if not feats:
         raise DatasetError("empty dataset")
-    X = np.array(feats, dtype=np.float64)
-    Y = np.array(labs, dtype=np.int8)
-    return Dataset(X, Y)
+    return Dataset(feats, labs)
 
 
 def save_dataset(ds: Dataset, path) -> None:
@@ -301,12 +299,10 @@ def semantic_similarity(ds: Dataset) -> np.ndarray:
             cents[lab] = ds.X[mask].mean(axis=0)
             has[lab] = True
     norms = np.linalg.norm(cents, axis=1)
+    ok = has & (norms > 0.0)
     M = np.zeros((L, L))
     for i in range(L):
         for j in range(L):
-            if i == j or not (has[i] and has[j]):
-                continue
-            if norms[i] == 0.0 or norms[j] == 0.0:
-                continue
-            M[i, j] = float(cents[i] @ cents[j] / (norms[i] * norms[j]))
+            if i != j and ok[i] and ok[j]:
+                M[i, j] = float(cents[i] @ cents[j] / (norms[i] * norms[j]))
     return np.clip(M, 0.0, 1.0)

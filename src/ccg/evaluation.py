@@ -96,13 +96,10 @@ def rare_f1(preds: np.ndarray, y: np.ndarray, stats: LabelStats,
         return 0.0
     yhat = (np.asarray(preds)[:, cols] >= 0.5).astype(int)
     yt = np.asarray(y)[:, cols].astype(int)
-    scores = []
-    for c in range(len(cols)):
-        tp = int(((yhat[:, c] == 1) & (yt[:, c] == 1)).sum())
-        fp = int(((yhat[:, c] == 1) & (yt[:, c] == 0)).sum())
-        fn = int(((yhat[:, c] == 0) & (yt[:, c] == 1)).sum())
-        scores.append(_f1(tp, fp, fn))
-    return float(np.mean(scores))
+    tp = ((yhat == 1) & (yt == 1)).sum(axis=0).tolist()
+    fp = ((yhat == 1) & (yt == 0)).sum(axis=0).tolist()
+    fn = ((yhat == 0) & (yt == 1)).sum(axis=0).tolist()
+    return float(np.mean([_f1(*c) for c in zip(tp, fp, fn)]))
 
 
 def structure_score(learned: CausalGraph, planted: PlantedWorld) -> tuple[float, float]:
@@ -117,13 +114,15 @@ def structure_score(learned: CausalGraph, planted: PlantedWorld) -> tuple[float,
     return precision, recall
 
 
+PREDICT_BATCH = 256  # samples per predict_batch call
+
+
 def predict_dataset(model: SemModel, ds: Dataset,
-                    union_mask: np.ndarray | None = None,
-                    batch: int = 256) -> np.ndarray:
+                    union_mask: np.ndarray | None = None) -> np.ndarray:
     """Full-model probabilities: the union of per-player masked predictions
     (equivalently, one pass with the summed mask)."""
-    chunks = [predict_batch(model, ds.X[i:i + batch], union_mask)
-              for i in range(0, ds.n, batch)]
+    chunks = [predict_batch(model, ds.X[i:i + PREDICT_BATCH], union_mask)
+              for i in range(0, ds.n, PREDICT_BATCH)]
     return np.concatenate(chunks, axis=0)
 
 

@@ -36,13 +36,9 @@ class CausalGraph:
 
 def rare_indicator_matrix(L: int, rare_set) -> np.ndarray:
     """I[i, j] = 1 where label i or label j is rare, else 0."""
-    ind = np.zeros((L, L))
     rare = np.zeros(L, dtype=bool)
-    for r in rare_set:
-        rare[r] = True
-    ind[rare, :] = 1.0
-    ind[:, rare] = 1.0
-    return ind
+    rare[list(rare_set)] = True
+    return (rare[:, None] | rare[None, :]).astype(np.float64)
 
 
 def ideal_weights(ds: Dataset, gamma: float) -> np.ndarray:

@@ -46,24 +46,17 @@ def encode_batch(enc: PlayerEncoder, X: np.ndarray) -> np.ndarray:
 def _components(L: int, edges) -> list[list[int]]:
     """Weakly-connected components (singletons included), each sorted,
     ordered by smallest member."""
-    parent = list(range(L))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for (j, i, _) in edges:
-        ra, rb = find(j), find(i)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    groups: dict[int, list[int]] = {}
-    for v in range(L):
-        groups.setdefault(find(v), []).append(v)
-    comps = [sorted(g) for g in groups.values()]
-    comps.sort(key=lambda c: c[0])
-    return comps
+    ends = np.array([e[:2] for e in edges], dtype=np.int64).reshape(-1, 2)
+    src, dst = np.concatenate([ends, ends[:, ::-1]]).T
+    # every label takes the smallest label next to it until none changes,
+    # which leaves each holding its component's smallest member
+    low = np.arange(L)
+    while True:
+        nxt = low.copy()
+        np.minimum.at(nxt, dst, low[src])
+        if np.array_equal(nxt, low):
+            return [np.flatnonzero(low == m).tolist() for m in np.unique(low)]
+        low = nxt
 
 
 def partition_labels(g: CausalGraph, N: int, freq: np.ndarray) -> Partition:
@@ -80,26 +73,23 @@ def partition_labels(g: CausalGraph, N: int, freq: np.ndarray) -> Partition:
 
     while len(comps) > N:
         # merge the two components with smallest total label frequency
-        scored = sorted(comps, key=lambda c: (int(freq[c].sum()), c[0]))
-        a, b = scored[0], scored[1]
-        comps = [c for c in comps if c is not a and c is not b]
-        comps.append(sorted(a + b))
-        comps.sort(key=lambda c: c[0])
+        a, b = sorted(comps, key=lambda c: (int(freq[c].sum()), c[0]))[:2]
+        comps = sorted([c for c in comps if c is not a and c is not b]
+                       + [sorted(a + b)])
 
     while len(comps) < N:
         # split the largest component (ties: smallest min label index) by
-        # removing its weakest internal edges until it disconnects
-        comp = sorted(comps, key=lambda c: (-len(c), c[0]))[0]
-        comp_set = set(comp)
-        internal = [e for e in edges if e[0] in comp_set and e[1] in comp_set]
+        # removing its weakest internal edges until it disconnects, which
+        # is when the graph gains a component
+        comp = set(min(comps, key=lambda c: (-len(c), c[0])))
+        internal = [e for e in edges if e[0] in comp and e[1] in comp]
         internal.sort(key=lambda e: (e[2], e[0], e[1]))
         for e in internal:
             edges.remove(e)
-            remaining = [x for x in edges if x[0] in comp_set and x[1] in comp_set]
-            pieces = [c for c in _components(L, remaining) if set(c) <= comp_set]
-            if len(pieces) > 1:
+            split = _components(L, edges)
+            if len(split) > len(comps):
                 break
-        comps = _components(L, edges)
+        comps = split
 
     return Partition(subsets=[list(c) for c in comps])
 

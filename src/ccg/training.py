@@ -23,9 +23,10 @@ carries every term's gradient; the terms that read only the raw batch use
 its leading rows. Each label's mask row belongs to one player, so every head
 it runs is a union-mask head; what players output on labels they do not own
 is sigmoid(b), which needs no head. The coefficients and view settings are
-read from the run's `TrainConfig`; `ObjectiveSpec` holds the rest of a
-step's context. A step without masks is a warm-up step, which runs only the
-CE, rare and graph terms. The environment views
+read from the run's `TrainConfig`, which checks every setting's type and
+range against `FIELD_RULES` when it is built; `ObjectiveSpec` holds the rest
+of a step's context. A step without masks is a warm-up step, which runs
+only the CE, rare and graph terms. The environment views
 (`invariance.make_env_views_batch`) and the counterfactual inputs
 (`reward.generate_counterfactual`, ranked by the salience of the raw rows)
 are each built in one whole-batch pass and enter as constants. Gradients are
@@ -44,7 +45,7 @@ from scipy.special import expit
 
 from . import evaluation
 from .data import Dataset, LabelStats, PlantedWorld, compute_label_stats
-from .errors import NumericalError
+from .errors import DimensionError, NumericalError
 from .graph import (CausalGraph, extract_graph, graph_loss, ideal_weights,
                     save_graph, load_graph)
 from .data import co_occurrence
@@ -58,8 +59,38 @@ from .sem import (GradientBundle, SemModel, full_mask, head, head_backward,
                   init_model, pair_backward, pair_features, zero_gradients)
 
 
-@dataclass
+def _inside(value, interval: str) -> bool:
+    """Whether value lies in an interval such as "[0, 1)"; NaN lies in none."""
+    lo, hi = (float(x) for x in interval[1:-1].split(","))
+    return ((lo <= value if interval[0] == "[" else lo < value)
+            and (value <= hi if interval[-1] == "]" else value < hi))
+
+
+# each TrainConfig field's JSON type and the interval or choices its value
+# must lie in; grad_clip 0 turns clipping off
+FIELD_RULES = {
+    **dict.fromkeys(("batch_size", "n_players", "k_topk", "m_envs", "hidden",
+                     "enc_dim"), (int, "[1, inf)")),
+    **dict.fromkeys(("max_epochs", "warmup_epochs", "patience", "seed"),
+                    (int, "[0, inf)")),
+    **dict.fromkeys(("lr_main", "lr_aux", "weight_decay", "grad_clip",
+                     "lambda_graph", "lambda_inv", "lambda_env", "lambda_rwd",
+                     "lambda_rare", "beta0", "beta_t", "gamma_r0",
+                     "gamma_r_t"), (float, "[0, inf)")),
+    "val_frac": (float, "[0, 1)"),
+    "perturb_frac": (float, "(0, 1]"),
+    "gamma": (float, "[0, 1]"),
+    "rare_pct": (float, "[0, 100]"),
+    "eta": (float, "[1, inf)"),
+    "partition_source": (str, ("learned", "cooccur")),
+    "uniform_alpha": (bool, (False, True)),
+}
+
+
+@dataclass(frozen=True)
 class TrainConfig:
+    """Every training setting. Building one checks each value against its
+    FIELD_RULES entry, raising ValueError naming the field, and keeps it."""
     # training from scratch at this scale needs larger steps than a
     # pretrained-encoder setup would use
     lr_main: float = 1e-3
@@ -93,18 +124,36 @@ class TrainConfig:
     partition_source: str = "learned"  # "learned" | "cooccur" (w/o CGM)
     uniform_alpha: bool = False        # w/o RLE sets alpha(l) = 1
 
+    def __post_init__(self):
+        for name, (kind, allowed) in FIELD_RULES.items():
+            value = getattr(self, name)
+            # an int will do for a float; a bool never does for a number
+            if (isinstance(value, bool) != (kind is bool) or not isinstance(
+                    value, (int, float) if kind is float else kind)):
+                raise ValueError(f"{name} must be of type {kind.__name__}, "
+                                 f"got {value!r}")
+            if not (value in allowed if isinstance(allowed, tuple)
+                    else _inside(value, allowed)):
+                raise ValueError(f"{name} must be in {allowed}, got {value!r}")
 
-@dataclass
-class AlphaWeights:
-    alpha: np.ndarray  # (L,) positive, mean 1
+    @classmethod
+    def from_dict(cls, obj, where: str) -> "TrainConfig":
+        """The config a JSON object gives, its missing keys at their
+        defaults; any error names where the object came from."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"{where} must hold a JSON object")
+        try:
+            return cls(**obj)
+        except (TypeError, ValueError) as exc:  # TypeError: an unknown key
+            raise ValueError(f"{where}: {exc}") from None
 
 
-def alpha_weights(stats: LabelStats) -> AlphaWeights:
-    """alpha(l) proportional to freq(l)**-0.25 (freq floored at 1),
+def alpha_weights(stats: LabelStats) -> np.ndarray:
+    """(L,) alpha(l) proportional to freq(l)**-0.25 (freq floored at 1),
     normalized to mean 1."""
     freq = np.maximum(np.asarray(stats.freq, dtype=np.float64), 1.0)
     raw = freq ** -0.25
-    return AlphaWeights(alpha=raw * len(raw) / raw.sum())
+    return raw * len(raw) / raw.sum()
 
 
 def weighted_ce(P: np.ndarray, Y: np.ndarray, alpha: np.ndarray):
@@ -350,7 +399,6 @@ class TrainResult:
     masks: MaskSet | None
     graph: CausalGraph | None
     stats: LabelStats
-    wtilde: np.ndarray
     config: TrainConfig
     log: list[dict] = field(default_factory=list)
     aborted: str | None = None  # the NumericalError message when it aborted
@@ -361,21 +409,13 @@ def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
     """Algorithm-1 training loop: ideal-weight estimation, warm-up of W,
     graph extraction and player partitioning (frozen thereafter), then
     full-composite epochs with early stopping on validation mAP. With an
-    ood dataset, each epoch also logs the mAP on it as ood_map."""
+    ood dataset, each epoch also logs the mAP on it as ood_map; one of
+    another d or L raises DimensionError before any epoch."""
     if ds.n == 0:
         raise ValueError("dataset is empty")
-    for name in ("batch_size", "n_players", "k_topk", "m_envs"):
-        if getattr(cfg, name) < 1:
-            raise ValueError(f"{name} must be >= 1")
-    for name in ("max_epochs", "warmup_epochs", "patience"):
-        if getattr(cfg, name) < 0:
-            raise ValueError(f"{name} must be >= 0")
-    if not 0.0 <= cfg.val_frac < 1.0:
-        raise ValueError("val_frac must be in [0, 1)")
-    if cfg.eta < 1.0:
-        raise ValueError("eta must be >= 1")
-    if cfg.partition_source not in ("learned", "cooccur"):
-        raise ValueError("partition_source must be 'learned' or 'cooccur'")
+    if ood is not None and (ood.d, ood.L) != (ds.d, ds.L):
+        raise DimensionError(f"ood data has (d, L) = ({ood.d}, {ood.L}), the "
+                             f"training data ({ds.d}, {ds.L})")
     n = ds.n
     perm = np.random.default_rng([cfg.seed, 11]).permutation(n)
     n_val = int(round(cfg.val_frac * n))
@@ -386,15 +426,13 @@ def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
         val_ds = train_ds = ds
 
     stats = compute_label_stats(train_ds, cfg.rare_pct)
-    alpha = (np.ones(ds.L) if cfg.uniform_alpha
-             else alpha_weights(stats).alpha)
+    alpha = np.ones(ds.L) if cfg.uniform_alpha else alpha_weights(stats)
     wtilde = ideal_weights(train_ds, cfg.gamma)
     model = init_model(ds.d, ds.L, cfg.hidden, cfg.seed)
     encoders = init_encoders(ds.d, cfg.enc_dim, cfg.n_players, cfg.seed + 1)
 
     result = TrainResult(model=model, encoders=encoders, partition=None,
-                         masks=None, graph=None, stats=stats, wtilde=wtilde,
-                         config=cfg)
+                         masks=None, graph=None, stats=stats, config=cfg)
     if cfg.max_epochs == 0:
         return result
 
@@ -424,12 +462,9 @@ def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
                               masks=masks.masks)
             order = np.random.default_rng([cfg.seed, 12, epoch]).permutation(train_ds.n)
             ep_terms: dict[str, float] = {}
-            nb = 0
-            beta = gamma_r = 0.0
+            # train_ds is never empty, so none of its batches is
             for bi in range(steps_per_epoch):
                 idx = order[bi * cfg.batch_size:(bi + 1) * cfg.batch_size]
-                if len(idx) == 0:
-                    continue
                 beta, gamma_r = anneal(min(global_step, total_steps), total_steps, cfg)
                 _, grads, bd = composite_value_and_grads(
                     model, train_ds.X[idx], train_ds.Y[idx],
@@ -437,7 +472,6 @@ def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
                             rng_seed=(cfg.seed, 13, epoch, bi)))
                 opt.step(grads)
                 global_step += 1
-                nb += 1
                 for key, val in bd.items():
                     ep_terms[key] = ep_terms.get(key, 0.0) + val
 
@@ -450,7 +484,7 @@ def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
                      "val_on_train": val_ds is train_ds,
                      "n_players": partition.N if partition else 0}
             for key, val in sorted(ep_terms.items()):
-                entry[key] = val / max(1, nb)
+                entry[key] = val / steps_per_epoch
             if ood is not None:
                 entry["ood_map"], _ = evaluation.map_and_rare_f1(
                     model, masks, ood, stats, cfg.rare_pct)
@@ -513,11 +547,13 @@ def load_run(run_dir: str):
     model = SemModel(d=obj["d"], L=obj["L"], hidden=obj["hidden"], **params)
     encoders = [PlayerEncoder(w=np.array(e["w"]), b=np.array(e["b"]))
                 for e in obj["encoders"]]
-    with open(os.path.join(run_dir, "config.json")) as fh:
+    path = os.path.join(run_dir, "config.json")
+    with open(path) as fh:
         raw = json.load(fh)
     # runs saved while W's self-loop penalty was a setting carry its key
-    raw.pop("lambda_selfloop", None)
-    cfg = TrainConfig(**raw)
+    if isinstance(raw, dict):
+        raw.pop("lambda_selfloop", None)
+    cfg = TrainConfig.from_dict(raw, path)
     with open(os.path.join(run_dir, "stats.json")) as fh:
         st = json.load(fh)
     stats = LabelStats(freq=np.array(st["freq"], dtype=np.int64),

@@ -146,7 +146,7 @@ def test_criterion_03_exact_formulas():
 
     from ccg.data import LabelStats
     a = alpha_weights(LabelStats(freq=np.array([16, 1]),
-                                 rare_set=frozenset(), rare_pct=30.0)).alpha
+                                 rare_set=frozenset(), rare_pct=30.0))
     ok &= a[1] / a[0] == pytest.approx(2.0, abs=1e-12)
 
     cfg = TrainConfig()

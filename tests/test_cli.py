@@ -1,9 +1,11 @@
 import json
 import math
 import os
+import shutil
 
 import pytest
 
+from ccg import training
 from ccg.cli import ABLATION_FLAGS, apply_ablations, build_config, main
 from ccg.training import TrainConfig
 
@@ -15,6 +17,11 @@ def run(argv):
 def read(path):
     with open(path) as fh:
         return fh.read()
+
+
+def _no_step(self, grads):
+    # not an error main() turns into an exit code, so the test fails
+    raise AssertionError("an optimizer step was taken")
 
 
 @pytest.fixture(scope="module")
@@ -87,31 +94,64 @@ class TestTrainCommand:
                   "--out", str(tmp_path / "o")])
         assert rc == 1
 
-    def test_m_envs_zero_exits_1(self, gen_dir, tmp_path, capsys):
-        # each bad size, count, fraction, choice or JSON type is rejected,
-        # naming its key, before any epoch trains
-        cases = [(["--m-envs", "0"], "m_envs"),
-                 (["--players", "0"], "n_players"),
-                 (["--topk", "0"], "k_topk")]
+    def test_m_envs_zero_exits_1(self, gen_dir, run_dir, tmp_path, capsys,
+                                 monkeypatch):
+        # each bad size, count, fraction, rate, choice or JSON type is
+        # rejected, naming its key, before the first optimizer step; so is
+        # a bad config.json in a run directory
+        monkeypatch.setattr(training.AdamW, "step", _no_step)
+        data = ["--data", str(gen_dir / "env0.jsonl")]
+        cases = [(["train", *data, "--m-envs", "0"], "m_envs"),
+                 (["train", *data, "--players", "0"], "n_players"),
+                 (["train", *data, "--topk", "0"], "k_topk")]
         for i, (key, val) in enumerate((
                 ("batch_size", 0), ("val_frac", 1.0), ("val_frac", 1.5),
                 ("val_frac", -0.5), ("batch_size", "16"), ("lr_main", True),
                 ("uniform_alpha", 1), ("partition_source", 3),
                 ("max_epochs", -1), ("warmup_epochs", -1), ("patience", -1),
-                ("partition_source", "learnd"))):
+                ("partition_source", "learnd"), ("perturb_frac", 0),
+                ("lr_main", -1), ("enc_dim", 0), ("seed", -1))):
             bad = tmp_path / f"bad{i}.json"
             bad.write_text(json.dumps({key: val}))
-            cases.append((["--config", str(bad)], key))
+            cases.append((["train", *data, "--config", str(bad)], key))
         not_object = tmp_path / "five.json"
         not_object.write_text("5")
-        cases.append((["--config", str(not_object)], "--config"))
-        for flags, name in cases:
-            rc = run(["train", "--data", str(gen_dir / "env0.jsonl"), *flags,
-                      "--out", str(tmp_path / "o")])
-            assert rc == 1
+        cases.append((["train", *data, "--config", str(not_object)],
+                      "--config"))
+        for param, values in (("m_envs", "3,5,0"), ("eta", "1.5,2,0.5"),
+                              ("m_envs", "3,5.5"), ("gamma", "0.2,x")):
+            cases.append((["sensitivity", *data, "--param", param,
+                           "--values", values], param))
+        for i, (key, val) in enumerate((("typo_key", 1), ("gamma", "0.5"),
+                                        ("gamma", 2.0))):
+            bad_run = tmp_path / f"run{i}"
+            shutil.copytree(run_dir, bad_run)
+            config = json.loads(read(bad_run / "config.json"))
+            (bad_run / "config.json").write_text(
+                json.dumps({**config, key: val}))
+            cases.append((["eval", "--model", str(bad_run), *data], key))
+        for argv, name in cases:
+            rc = run([*argv, "--out", str(tmp_path / "o")])
+            assert rc == 1, argv
             err = capsys.readouterr().err
-            assert name in err and "Traceback" not in err
+            assert name in err and "Traceback" not in err, err
             assert not (tmp_path / "o").exists()
+
+    def test_extra_envs_of_another_dimension_exits_1(self, gen_dir, tmp_path,
+                                                      capsys, monkeypatch):
+        other = tmp_path / "other"
+        assert run(["gen", "--labels", "4", "--dim", "20", "--samples", "20",
+                    "--out", str(other)]) == 0
+        monkeypatch.setattr(training.AdamW, "step", _no_step)
+        rc = run(["train", "--data", str(gen_dir / "env0.jsonl"),
+                  "--extra-envs", str(other / "env0.jsonl"),
+                  "--epochs", "2", "--warmup", "1",
+                  "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"--extra-envs {other / 'env0.jsonl'}" in err
+        assert "(20, 4)" in err and "(16, 4)" in err
+        assert not (tmp_path / "o").exists()
 
     def test_extra_envs_logs_ood_map_every_epoch(self, gen_dir, run_dir,
                                                  tmp_path, tmp_path_factory):
@@ -227,16 +267,19 @@ class TestHarnessCommands:
 
     def test_sensitivity_custom_values(self, gen_dir, tmp_path,
                                        tmp_path_factory):
-        out = tmp_path / "sens.csv"
-        rc = run(["sensitivity", "--data", str(gen_dir / "env0.jsonl"),
-                  "--param", "gamma", "--values", "0.2,0.8",
-                  "--epochs", "2", "--warmup", "1", "--players", "2",
-                  "--config", str(_tiny_config(tmp_path_factory)),
-                  "--out", str(out)])
-        assert rc == 0
-        lines = read(out).strip().split("\n")
-        assert lines[0] == "gamma,map,rare_f1"
-        assert len(lines) == 3
+        # --param is the TrainConfig field the rows vary
+        for param, values in (("gamma", "0.2,0.8"), ("gamma_r_t", "0.5,1.5")):
+            out = tmp_path / f"{param}.csv"
+            rc = run(["sensitivity", "--data", str(gen_dir / "env0.jsonl"),
+                      "--param", param, "--values", values,
+                      "--epochs", "2", "--warmup", "1", "--players", "2",
+                      "--config", str(_tiny_config(tmp_path_factory)),
+                      "--out", str(out)])
+            assert rc == 0
+            lines = read(out).strip().split("\n")
+            assert lines[0] == f"{param},map,rare_f1"
+            assert [line.split(",")[0] for line in lines[1:]] == \
+                values.split(",")
 
     def test_export_graph_deterministic(self, run_dir, tmp_path):
         a, b = tmp_path / "a.dot", tmp_path / "b.dot"

@@ -56,6 +56,33 @@ class TestPartitionLabels:
         with pytest.raises(ValueError):
             partition_labels(g, 4, np.ones(3))
 
+    def test_n_equal_to_component_count_returns_the_components(self, rng):
+        # the weakly-connected components, found here by breadth-first search
+        # over edges taken both ways, each sorted, by smallest member
+        for trial in range(200):
+            L = int(rng.integers(1, 12))
+            edges = [(int(j), int(i), float(rng.random()))
+                     for j in range(L) for i in range(L)
+                     if j != i and rng.random() < 0.15]
+            nbrs = {v: set() for v in range(L)}
+            for j, i, _ in edges:
+                nbrs[j].add(i)
+                nbrs[i].add(j)
+            seen, comps = set(), []
+            for v in range(L):
+                if v in seen:
+                    continue
+                comp, frontier = {v}, [v]
+                while frontier:
+                    frontier = [w for u in frontier for w in nbrs[u]
+                                if w not in comp]
+                    comp.update(frontier)
+                seen |= comp
+                comps.append(sorted(comp))
+            g = CausalGraph(L=L, edges=edges)
+            p = partition_labels(g, len(comps), rng.integers(1, 50, L))
+            assert p.subsets == comps
+
     def test_deterministic(self, rng):
         g = random_graph(8, np.random.default_rng(3))
         freq = np.arange(1, 9)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,15 +6,15 @@ import numpy as np
 import pytest
 
 from ccg.data import LabelStats, generate_synthetic
-from ccg.errors import NumericalError
+from ccg.errors import DimensionError, NumericalError
 from ccg.invariance import contrastive_inv_loss, env_consistency_loss
 from ccg.players import init_encoders
 from ccg.reward import curiosity_surrogate
 from ccg import training
 from ccg.sem import init_model, zero_gradients
-from ccg.training import (AdamW, ObjectiveSpec, TrainConfig, alpha_weights,
-                          composite_value_and_grads, load_run, rare_reg_loss,
-                          save_run, train, weighted_ce)
+from ccg.training import (FIELD_RULES, AdamW, ObjectiveSpec, TrainConfig,
+                          alpha_weights, composite_value_and_grads, load_run,
+                          rare_reg_loss, save_run, train, weighted_ce)
 
 from conftest import fd_probe, objective_config, toy_setup
 
@@ -25,19 +26,19 @@ def stats_for(freq, rare=()):
 
 class TestAlphaWeights:
     def test_quarter_power_ratio(self):
-        a = alpha_weights(stats_for([16, 1])).alpha
+        a = alpha_weights(stats_for([16, 1]))
         assert a[1] / a[0] == pytest.approx(2.0)
 
     def test_three_way_ratios(self):
-        a = alpha_weights(stats_for([81, 16, 1])).alpha
+        a = alpha_weights(stats_for([81, 16, 1]))
         np.testing.assert_allclose(a / a[2], [1 / 3, 1 / 2, 1.0], rtol=1e-12)
 
     def test_mean_one(self, rng):
-        a = alpha_weights(stats_for(rng.integers(1, 500, 12))).alpha
+        a = alpha_weights(stats_for(rng.integers(1, 500, 12)))
         assert a.mean() == pytest.approx(1.0)
 
     def test_zero_frequency_floored(self):
-        a = alpha_weights(stats_for([0, 1])).alpha
+        a = alpha_weights(stats_for([0, 1]))
         assert np.isfinite(a).all()
         assert a[0] == a[1]
 
@@ -422,6 +423,20 @@ class TestPersistence:
         path.write_text(json.dumps(obj))
         assert load_run(tmp_path)[6] == r.config
 
+    def test_load_run_rejects_a_bad_config(self, tmp_path):
+        dss, _ = generate_synthetic(L=3, d=12, n=40, n_envs=1, seed=8)
+        r = train(dss[0], TrainConfig(max_epochs=0, hidden=3, enc_dim=3))
+        save_run(tmp_path, r)
+        path = tmp_path / "config.json"
+        good = json.loads(path.read_text())
+        for key, val in (("typo_key", 1), ("gamma", "0.5"), ("gamma", 2.0)):
+            path.write_text(json.dumps({**good, key: val}))
+            with pytest.raises(ValueError, match=f"config.json: .*{key}"):
+                load_run(tmp_path)
+        path.write_text("[]")
+        with pytest.raises(ValueError, match="config.json must hold"):
+            load_run(tmp_path)
+
     def test_log_file_deterministic(self, tmp_path):
         dss, _ = generate_synthetic(L=3, d=12, n=40, n_envs=1, seed=8)
         cfg = TrainConfig(max_epochs=2, warmup_epochs=1, n_players=2,
@@ -434,3 +449,91 @@ class TestPersistence:
             out.append((d / "log.jsonl").read_bytes()
                        + (d / "model.json").read_bytes())
         assert out[0] == out[1]
+
+
+# one value per TrainConfig field that its rule rejects
+BAD_VALUES = {
+    **dict.fromkeys(("batch_size", "n_players", "k_topk", "m_envs", "hidden",
+                     "enc_dim"), 0),
+    **dict.fromkeys(("max_epochs", "warmup_epochs", "patience", "seed"), -1),
+    **dict.fromkeys(("lr_main", "lr_aux", "weight_decay", "grad_clip",
+                     "lambda_graph", "lambda_inv", "lambda_env", "lambda_rwd",
+                     "lambda_rare", "beta0", "beta_t", "gamma_r0",
+                     "gamma_r_t"), -1e-9),
+    "val_frac": 1.0,
+    "perturb_frac": 0.0,
+    "gamma": 1.5,
+    "rare_pct": 100.5,
+    "eta": 0.5,
+    "partition_source": "learnd",
+    "uniform_alpha": 1,
+}
+FIELDS = [f.name for f in dataclasses.fields(TrainConfig)]
+FLOAT_FIELDS = [name for name in FIELDS if FIELD_RULES[name][0] is float]
+
+
+class TestTrainConfig:
+    def test_every_field_has_one_rule(self):
+        assert sorted(FIELD_RULES) == sorted(FIELDS)
+        assert sorted(BAD_VALUES) == sorted(FIELDS)
+
+    def test_defaults_pass_their_rules(self):
+        TrainConfig()
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_bad_value_rejected_naming_the_field(self, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be"):
+            TrainConfig(**{name: BAD_VALUES[name]})
+
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    def test_nan_rejected(self, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be in"):
+            TrainConfig(**{name: math.nan})
+
+    @pytest.mark.parametrize("name,value", [
+        ("eta", True), ("batch_size", 16.0), ("batch_size", "16"),
+        ("uniform_alpha", "yes"), ("partition_source", 3), ("seed", None)])
+    def test_wrong_type_rejected(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be of type"):
+            TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("name,value", [
+        ("val_frac", 0.0), ("perturb_frac", 1.0), ("gamma", 0.0),
+        ("gamma", 1.0), ("rare_pct", 0.0), ("rare_pct", 100.0), ("eta", 1),
+        ("grad_clip", 0.0), ("max_epochs", 0), ("m_envs", 1),
+        ("partition_source", "cooccur"), ("uniform_alpha", True)])
+    def test_interval_ends_accepted(self, name, value):
+        assert getattr(TrainConfig(**{name: value}), name) == value
+
+    def test_values_are_kept_as_given(self):
+        # an int will do for a float field and stays an int, so a saved
+        # config.json keeps its bytes
+        cfg = TrainConfig(eta=2, lr_main=0)
+        assert type(cfg.eta) is int and type(cfg.lr_main) is int
+
+    def test_frozen_and_replace_checks(self):
+        cfg = TrainConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.seed = 3
+        with pytest.raises(ValueError, match="m_envs"):
+            dataclasses.replace(cfg, m_envs=0)
+
+    def test_from_dict(self):
+        assert TrainConfig.from_dict({}, "here") == TrainConfig()
+        assert TrainConfig.from_dict({"seed": 4}, "here").seed == 4
+        with pytest.raises(ValueError, match="here must hold a JSON object"):
+            TrainConfig.from_dict([("seed", 4)], "here")
+        with pytest.raises(ValueError, match="^here: .*'learning_rate'"):
+            TrainConfig.from_dict({"learning_rate": 0.1}, "here")
+        with pytest.raises(ValueError, match="^here: perturb_frac must be"):
+            TrainConfig.from_dict({"perturb_frac": 0}, "here")
+
+
+class TestExtraEnvs:
+    def test_ood_of_another_shape_rejected_before_training(self):
+        dss, _ = generate_synthetic(L=3, d=12, n=40, n_envs=1, seed=8)
+        other, _ = generate_synthetic(L=3, d=16, n=40, n_envs=1, seed=8)
+        cfg = TrainConfig(max_epochs=2, warmup_epochs=1, n_players=2,
+                          hidden=3, enc_dim=3)
+        with pytest.raises(DimensionError, match=r"\(16, 3\).*\(12, 3\)"):
+            train(dss[0], cfg, ood=other[0])
