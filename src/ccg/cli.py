@@ -50,8 +50,12 @@ def build_config(args) -> training.TrainConfig:
     cfg = training.TrainConfig()
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            cfg = training.TrainConfig.from_dict(json.load(fh),
-                                                 f"--config {args.config}")
+            try:
+                obj = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"--config {args.config}: not valid JSON "
+                                 f"({exc})") from None
+        cfg = training.TrainConfig.from_dict(obj, f"--config {args.config}")
     cfg = replace(cfg, **{name: getattr(args, name)
                           for name in training.FIELD_RULES
                           if getattr(args, name, None) is not None})

@@ -38,6 +38,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import zipfile
 from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
@@ -429,7 +430,8 @@ def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
     alpha = np.ones(ds.L) if cfg.uniform_alpha else alpha_weights(stats)
     wtilde = ideal_weights(train_ds, cfg.gamma)
     model = init_model(ds.d, ds.L, cfg.hidden, cfg.seed)
-    encoders = init_encoders(ds.d, cfg.enc_dim, cfg.n_players, cfg.seed + 1)
+    n_players = min(cfg.n_players, ds.L)
+    encoders = init_encoders(ds.d, cfg.enc_dim, n_players, cfg.seed + 1)
 
     result = TrainResult(model=model, encoders=encoders, partition=None,
                          masks=None, graph=None, stats=stats, config=cfg)
@@ -451,7 +453,7 @@ def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
     def build_partition():
         src = co_occurrence(train_ds) if cfg.partition_source == "cooccur" else model.W
         g = extract_graph(src, cfg.k_topk)
-        p = partition_labels(g, min(cfg.n_players, ds.L), stats.freq)
+        p = partition_labels(g, n_players, stats.freq)
         return g, p, build_masks(p, g)
 
     try:
@@ -515,45 +517,63 @@ def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
 # run persistence
 
 def save_run(run_dir: str, result: TrainResult) -> None:
+    """Write the parameter arrays to model.npz, their shapes and the players
+    to the model.json manifest, and the config, stats, graph and log. A run
+    without a graph removes any graph.json already there."""
     os.makedirs(run_dir, exist_ok=True)
     m = result.model
-    model_obj = {
-        "d": m.d, "L": m.L, "hidden": m.hidden,
-        "params": {k: v.tolist() for k, v in m.param_arrays().items()},
-        "encoders": [{"w": e.w.tolist(), "b": e.b.tolist()}
-                     for e in result.encoders],
-        "players": result.partition.subsets if result.partition else None,
-    }
+    # uncompressed zip members with a fixed date: equal arrays, equal bytes
+    np.savez(os.path.join(run_dir, "model.npz"), **m.param_arrays(),
+             enc_w=np.stack([e.w for e in result.encoders]),
+             enc_b=np.stack([e.b for e in result.encoders]))
+    players = result.partition.subsets if result.partition else None
     with open(os.path.join(run_dir, "model.json"), "w") as fh:
-        json.dump(model_obj, fh, sort_keys=True)
+        json.dump({"d": m.d, "L": m.L, "hidden": m.hidden,
+                   "encoders": len(result.encoders), "players": players},
+                  fh, sort_keys=True)
     with open(os.path.join(run_dir, "config.json"), "w") as fh:
         json.dump(asdict(result.config), fh, sort_keys=True, indent=2)
     with open(os.path.join(run_dir, "stats.json"), "w") as fh:
         json.dump({"freq": result.stats.freq.tolist(),
                    "rare_pct": result.stats.rare_pct,
                    "rare_set": sorted(result.stats.rare_set)}, fh, sort_keys=True)
+    gpath = os.path.join(run_dir, "graph.json")
     if result.graph is not None:
-        save_graph(result.graph, os.path.join(run_dir, "graph.json"))
+        save_graph(result.graph, gpath)
+    elif os.path.exists(gpath):
+        os.remove(gpath)
     with open(os.path.join(run_dir, "log.jsonl"), "w") as fh:
         for entry in result.log:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
 
 def load_run(run_dir: str):
-    """Rebuild (model, encoders, partition, masks, graph, stats, config)."""
+    """Rebuild (model, encoders, partition, masks, graph, stats, config). A
+    model.npz not holding exactly the float64 arrays of the shapes the
+    manifest and config imply raises DimensionError naming it."""
     with open(os.path.join(run_dir, "model.json")) as fh:
         obj = json.load(fh)
-    params = {k: np.array(v, dtype=np.float64) for k, v in obj["params"].items()}
-    model = SemModel(d=obj["d"], L=obj["L"], hidden=obj["hidden"], **params)
-    encoders = [PlayerEncoder(w=np.array(e["w"]), b=np.array(e["b"]))
-                for e in obj["encoders"]]
     path = os.path.join(run_dir, "config.json")
     with open(path) as fh:
-        raw = json.load(fh)
-    # runs saved while W's self-loop penalty was a setting carry its key
-    if isinstance(raw, dict):
-        raw.pop("lambda_selfloop", None)
-    cfg = TrainConfig.from_dict(raw, path)
+        cfg = TrainConfig.from_dict(json.load(fh), path)
+    d, L, h, n, e = obj["d"], obj["L"], obj["hidden"], obj["encoders"], cfg.enc_dim
+    shapes = {"w1": (L, L, h, d), "b1": (L, L, h), "w2": (L, L, h),
+              "b2": (L, L), "W": (L, L), "b": (L,), "enc_w": (n, e, d),
+              "enc_b": (n, e)}
+    path = os.path.join(run_dir, "model.npz")
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            arrays = {k: npz[k] for k in npz.files}
+    # not a zip file, or an array only pickle reads, such as an object array
+    except (ValueError, zipfile.BadZipFile) as exc:
+        raise DimensionError(f"{path}: {exc}") from None
+    held = {k: (a.dtype.name, a.shape) for k, a in arrays.items()}
+    want = {k: ("float64", shape) for k, shape in shapes.items()}
+    if held != want:
+        raise DimensionError(f"{path} holds {held}, expected {want}")
+    encoders = [PlayerEncoder(w=w, b=b)
+                for w, b in zip(arrays.pop("enc_w"), arrays.pop("enc_b"))]
+    model = SemModel(d=d, L=L, hidden=h, **arrays)
     with open(os.path.join(run_dir, "stats.json")) as fh:
         st = json.load(fh)
     stats = LabelStats(freq=np.array(st["freq"], dtype=np.int64),

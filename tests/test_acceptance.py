@@ -344,7 +344,8 @@ def test_criterion_09_train_determinism(tmp_path):
                          "--out", str(out)]) == 0
         outs.append(out)
     ok = all((outs[0] / f).read_bytes() == (outs[1] / f).read_bytes()
-             for f in ("model.json", "log.jsonl", "graph.json", "config.json"))
+             for f in ("model.json", "model.npz", "log.jsonl", "graph.json",
+                       "config.json"))
     _report(9, "training determinism (byte-identical reruns)", ok)
 
 

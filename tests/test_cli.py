@@ -3,6 +3,7 @@ import math
 import os
 import shutil
 
+import numpy as np
 import pytest
 
 from ccg import training
@@ -73,7 +74,7 @@ class TestGen:
 
 class TestTrainCommand:
     def test_run_artifacts(self, run_dir):
-        for name in ("model.json", "config.json", "stats.json",
+        for name in ("model.json", "model.npz", "config.json", "stats.json",
                      "graph.json", "log.jsonl"):
             assert (run_dir / name).exists()
 
@@ -86,8 +87,20 @@ class TestTrainCommand:
                   "--config", str(_tiny_config(tmp_path_factory)),
                   "--out", str(out2)])
         assert rc == 0
-        for name in ("model.json", "log.jsonl", "graph.json"):
-            assert read(run_dir / name) == read(out2 / name)
+        for name in ("model.json", "model.npz", "log.jsonl", "graph.json"):
+            assert (run_dir / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_one_encoder_per_player(self, gen_dir, tmp_path):
+        # 9 players on 4 labels partition into 4, and 4 encoders are saved
+        out = tmp_path / "run9"
+        rc = run(["train", "--data", str(gen_dir / "env0.jsonl"),
+                  "--epochs", "2", "--warmup", "1", "--players", "9",
+                  "--out", str(out)])
+        assert rc == 0
+        manifest = json.loads(read(out / "model.json"))
+        assert manifest["encoders"] == len(manifest["players"]) == 4
+        with np.load(out / "model.npz") as npz:
+            assert npz["enc_w"].shape[0] == npz["enc_b"].shape[0] == 4
 
     def test_missing_data_exits_1(self, tmp_path):
         rc = run(["train", "--data", str(tmp_path / "nope.jsonl"),
@@ -118,6 +131,10 @@ class TestTrainCommand:
         not_object.write_text("5")
         cases.append((["train", *data, "--config", str(not_object)],
                       "--config"))
+        empty = tmp_path / "empty.json"
+        empty.write_text("")
+        cases.append((["train", *data, "--config", str(empty)],
+                      f"--config {empty}: not valid JSON"))
         for param, values in (("m_envs", "3,5,0"), ("eta", "1.5,2,0.5"),
                               ("m_envs", "3,5.5"), ("gamma", "0.2,x")):
             cases.append((["sensitivity", *data, "--param", param,
@@ -130,6 +147,21 @@ class TestTrainCommand:
             (bad_run / "config.json").write_text(
                 json.dumps({**config, key: val}))
             cases.append((["eval", "--model", str(bad_run), *data], key))
+        # a model.npz array of the wrong shape, one only pickle reads, and
+        # a file cut short
+        with np.load(run_dir / "model.npz") as npz:
+            arrays = dict(npz)
+        for i, change in enumerate(({"W": np.zeros((5, 5))},
+                                    {"b": np.array([None] * 4)}, None)):
+            bad_run = tmp_path / f"npz{i}"
+            shutil.copytree(run_dir, bad_run)
+            if change is None:
+                cut = (run_dir / "model.npz").read_bytes()[:1000]
+                (bad_run / "model.npz").write_bytes(cut)
+            else:
+                np.savez(bad_run / "model.npz", **{**arrays, **change})
+            cases.append((["eval", "--model", str(bad_run), *data],
+                          "model.npz"))
         for argv, name in cases:
             rc = run([*argv, "--out", str(tmp_path / "o")])
             assert rc == 1, argv

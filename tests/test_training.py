@@ -411,18 +411,6 @@ class TestPersistence:
         assert stats.rare_set == r.stats.rare_set
         assert cfg2 == r.config
 
-    def test_load_run_ignores_removed_selfloop_key(self, tmp_path):
-        # runs saved while the self-loop penalty was a setting still load
-        dss, _ = generate_synthetic(L=3, d=12, n=40, n_envs=1, seed=8)
-        r = train(dss[0], TrainConfig(max_epochs=2, warmup_epochs=1,
-                                      n_players=2, hidden=3, enc_dim=3))
-        save_run(tmp_path, r)
-        path = tmp_path / "config.json"
-        obj = json.loads(path.read_text())
-        obj["lambda_selfloop"] = 0.1
-        path.write_text(json.dumps(obj))
-        assert load_run(tmp_path)[6] == r.config
-
     def test_load_run_rejects_a_bad_config(self, tmp_path):
         dss, _ = generate_synthetic(L=3, d=12, n=40, n_envs=1, seed=8)
         r = train(dss[0], TrainConfig(max_epochs=0, hidden=3, enc_dim=3))
@@ -447,8 +435,23 @@ class TestPersistence:
             d = tmp_path / sub
             save_run(d, r)
             out.append((d / "log.jsonl").read_bytes()
-                       + (d / "model.json").read_bytes())
+                       + (d / "model.json").read_bytes()
+                       + (d / "model.npz").read_bytes())
         assert out[0] == out[1]
+
+    def test_run_without_graph_removes_a_stale_graph(self, tmp_path):
+        dss, _ = generate_synthetic(L=3, d=12, n=40, n_envs=1, seed=8)
+        trained = train(dss[0], TrainConfig(max_epochs=2, warmup_epochs=1,
+                                            n_players=2, hidden=3, enc_dim=3))
+        save_run(tmp_path, trained)
+        assert (tmp_path / "graph.json").exists()
+        untrained = train(dss[0], TrainConfig(max_epochs=0, hidden=3,
+                                              enc_dim=3))
+        assert untrained.graph is None
+        save_run(tmp_path, untrained)
+        assert not (tmp_path / "graph.json").exists()
+        _, _, partition, masks, graph, _, _ = load_run(tmp_path)
+        assert graph is partition is masks is None
 
 
 # one value per TrainConfig field that its rule rejects
