@@ -14,9 +14,9 @@ from .graph import (CausalGraph, export_dot, extract_graph, graph_loss,
 from .invariance import (contrastive_inv_loss, env_consistency_loss,
                          make_env_views_batch)
 from .players import (MaskSet, Partition, PlayerEncoder, build_masks,
-                      init_encoders, partition_labels)
+                      partition_labels, player_encoders)
 from .reward import anneal, curiosity_surrogate, generate_counterfactual
-from .sem import GradientBundle, SemModel, init_model, predict_batch
+from .sem import SemModel, init_model, predict_batch
 from .training import (ObjectiveSpec, TrainConfig, TrainResult, alpha_weights,
                        composite_value_and_grads, rare_reg_loss, train,
                        weighted_ce)

@@ -128,11 +128,16 @@ def cmd_eval(args) -> int:
 def _sweep(args, header: str, runs, what: str) -> int:
     """Train each (row label, config) of runs on --data and write one CSV
     row of mAP and rare-F1 per run: on --test when given, else the last
-    epoch's validation figures."""
+    epoch's validation figures. A --test of another (d, L) fails first."""
+    ds = load_dataset(args.data)
+    planted = _load_world(args.world) if args.world else None
     test = load_dataset(args.test) if args.test else None
+    if test is not None and (test.d, test.L) != (ds.d, ds.L):
+        raise DimensionError(f"--test {args.test} has (d, L) = ({test.d}, "
+                             f"{test.L}), --data ({ds.d}, {ds.L})")
     rows = [header]
     for label, cfg in runs:
-        result = _train_one(args.data, cfg, args.world)
+        result = training.train(ds, cfg, planted=planted)
         if test is not None:
             m, f1 = evaluation.map_and_rare_f1(result.model, result.masks,
                                                test, result.stats,

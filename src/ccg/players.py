@@ -32,15 +32,15 @@ class PlayerEncoder:
     b: np.ndarray  # (e,)
 
 
-def init_encoders(d: int, e: int, N: int, seed: int) -> list[PlayerEncoder]:
-    rng = np.random.default_rng(seed)
-    a = np.sqrt(6.0 / (d + e))
-    return [PlayerEncoder(w=rng.uniform(-a, a, size=(e, d)), b=np.zeros(e))
-            for _ in range(N)]
+def player_encoders(model) -> list[PlayerEncoder]:
+    """Player k's encoder as views of the model's enc_w[k] and enc_b[k]."""
+    return [PlayerEncoder(w=w, b=b) for w, b in zip(model.enc_w, model.enc_b)]
 
 
-def encode_batch(enc: PlayerEncoder, X: np.ndarray) -> np.ndarray:
-    return X @ enc.w.T + enc.b
+def encode_batch(enc_w: np.ndarray, enc_b: np.ndarray,
+                 X: np.ndarray) -> np.ndarray:
+    """Every player's encoding of a (B, d) batch as one (N, B, e) array."""
+    return X @ enc_w.transpose(0, 2, 1) + enc_b[:, None, :]
 
 
 def _components(L: int, edges) -> list[list[int]]:

@@ -10,7 +10,7 @@ views). Backprop is hand-derived for this fixed architecture (no autodiff).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.special import expit
@@ -24,6 +24,8 @@ W1_BLOCK_ROWS = 256
 
 @dataclass
 class SemModel:
+    """Every trained array: the SEM and the N player encoders. A gradient
+    (zeros_like) and a checkpoint (copy) have the same layout."""
     d: int
     L: int
     hidden: int
@@ -35,49 +37,31 @@ class SemModel:
     # it to 0, no loss term gives it a gradient and W has no weight decay
     W: np.ndarray
     b: np.ndarray   # (L,)
-
-    def copy(self) -> "SemModel":
-        return SemModel(self.d, self.L, self.hidden,
-                        self.w1.copy(), self.b1.copy(), self.w2.copy(),
-                        self.b2.copy(), self.W.copy(), self.b.copy())
+    # player k's encoder is x -> enc_w[k] x + enc_b[k]
+    enc_w: np.ndarray  # (N, e, d)
+    enc_b: np.ndarray  # (N, e)
 
     def param_arrays(self) -> dict[str, np.ndarray]:
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2,
-                "b2": self.b2, "W": self.W, "b": self.b}
+        """The array fields by name, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if isinstance(getattr(self, f.name), np.ndarray)}
+
+    def copy(self) -> "SemModel":
+        return replace(self, **{k: a.copy()
+                                for k, a in self.param_arrays().items()})
+
+    def zeros_like(self) -> "SemModel":
+        """A gradient: every array zero, C-contiguous, of the same shape."""
+        return replace(self, **{k: np.zeros(a.shape)
+                                for k, a in self.param_arrays().items()})
 
 
-@dataclass
-class GradientBundle:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    W: np.ndarray
-    b: np.ndarray
-    enc_w: list | None = None  # per-player encoder weight grads
-    enc_b: list | None = None
-
-    def arrays(self) -> list[np.ndarray]:
-        out = [self.w1, self.b1, self.w2, self.b2, self.W, self.b]
-        if self.enc_w is not None:
-            out += list(self.enc_w) + list(self.enc_b)
-        return out
-
-
-def zero_gradients(model: SemModel, n_encoders: int = 0,
-                   enc_dim: int = 0) -> GradientBundle:
-    g = GradientBundle(*(np.zeros_like(a) for a in
-                         (model.w1, model.b1, model.w2, model.b2, model.W, model.b)))
-    if n_encoders:
-        g.enc_w = [np.zeros((enc_dim, model.d)) for _ in range(n_encoders)]
-        g.enc_b = [np.zeros(enc_dim) for _ in range(n_encoders)]
-    return g
-
-
-def init_model(d: int, L: int, hidden: int, seed: int) -> SemModel:
-    """Fan-based uniform init for the pair MLPs, N(0, 0.01) for W, zero biases."""
-    if min(d, L, hidden) < 1:
-        raise ValueError("d, L, hidden must be positive")
+def init_model(d: int, L: int, hidden: int, seed: int, players: int = 0,
+               enc_dim: int = 1) -> SemModel:
+    """Fan-based uniform init for the pair MLPs and, drawn from seed + 1, the
+    `players` encoders of dimension enc_dim; N(0, 0.01) for W; zero biases."""
+    if min(d, L, hidden, enc_dim) < 1:
+        raise ValueError("d, L, hidden, enc_dim must be positive")
     rng = np.random.default_rng(seed)
     a1 = np.sqrt(6.0 / (d + hidden))
     a2 = np.sqrt(6.0 / (hidden + 1))
@@ -88,9 +72,13 @@ def init_model(d: int, L: int, hidden: int, seed: int) -> SemModel:
     diag = np.eye(L, dtype=bool)
     w1[diag] = 0.0
     w2[diag] = 0.0
+    ae = np.sqrt(6.0 / (d + enc_dim))
+    enc_w = np.random.default_rng(seed + 1).uniform(
+        -ae, ae, size=(players, enc_dim, d))
     return SemModel(d=d, L=L, hidden=hidden,
                     w1=w1, b1=np.zeros((L, L, hidden)), w2=w2,
-                    b2=np.zeros((L, L)), W=W, b=np.zeros(L))
+                    b2=np.zeros((L, L)), W=W, b=np.zeros(L),
+                    enc_w=enc_w, enc_b=np.zeros((players, enc_dim)))
 
 
 def full_mask(L: int) -> np.ndarray:
@@ -119,7 +107,7 @@ def head(model: SemModel, H: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 def head_backward(model: SemModel, H: np.ndarray, mask: np.ndarray,
                   probs: np.ndarray, dprobs: np.ndarray,
-                  grads: GradientBundle | None, dH: np.ndarray) -> None:
+                  grads: SemModel | None, dH: np.ndarray) -> None:
     """Accumulate grads for one masked head; dH collects dLoss/dH. With
     grads=None only dH is accumulated."""
     dlogits = dprobs * probs * (1.0 - probs)
@@ -132,14 +120,14 @@ def head_backward(model: SemModel, H: np.ndarray, mask: np.ndarray,
 
 
 def pair_backward(model: SemModel, cache, dH: np.ndarray,
-                  grads: GradientBundle | None = None):
+                  grads: SemModel | None = None):
     """Backprop accumulated dH through the stacked pair MLPs.
 
     dH covers the leading B = len(dH) rows of the cache's batch; the rows
     after them are ignored, so one stacked forward serves a backward pass
-    over any leading slice of it. With a gradient bundle, accumulates the
-    pair-MLP parameter gradients into it and returns None. With grads=None,
-    computes only the input gradient dLoss/dX of shape (B, d) and returns it.
+    over any leading slice of it. With a gradient (a zeros_like model),
+    accumulates the pair-MLP gradients into it and returns None. With
+    grads=None, computes only the input gradient dLoss/dX of shape (B, d).
     """
     B, L, h, d = len(dH), model.L, model.hidden, model.d
     X, a = cache[0][:B], cache[1][:B]
@@ -149,7 +137,7 @@ def pair_backward(model: SemModel, cache, dH: np.ndarray,
         return dz_flat @ model.w1.reshape(L * L * h, d)
     grads.b2 += dH.sum(axis=0)
     grads.w2 += np.einsum("bij,bijh->ijh", dH, a)
-    # zero_gradients allocates contiguous arrays, so this reshape is a view;
+    # zeros_like allocates contiguous arrays, so this reshape is a view;
     # the product is added one block of rows at a time so its temporary
     # stays in cache
     gw1 = grads.w1.reshape(L * L * h, d)

@@ -17,12 +17,13 @@ with respect to its direct inputs:
 `composite_value_and_grads` runs the model's forwards, calls each active
 term, adds lambda * value to the total, and chains lambda * gradient back
 through the heads, the pair MLPs and the player encoders. The M environment
-views are stacked as the rows of one batch, so the pair MLPs, the union head
-and each player encoder run once over all of them, and one backward pass
-carries every term's gradient; the terms that read only the raw batch use
-its leading rows. Each label's mask row belongs to one player, so every head
-it runs is a union-mask head; what players output on labels they do not own
-is sigmoid(b), which needs no head. The coefficients and view settings are
+views are stacked as the rows of one batch, so the pair MLPs and the union
+head run once over all of them, one stacked `encode_batch` call encodes
+them for every player, and one backward pass carries every term's gradient;
+the terms that read only the raw batch use its leading rows. Each label's
+mask row belongs to one player, so every head it runs is a union-mask head;
+what players output on labels they do not own is sigmoid(b), which needs no
+head. The coefficients and view settings are
 read from the run's `TrainConfig`, which checks every setting's type and
 range against `FIELD_RULES` when it is built; `ObjectiveSpec` holds the rest
 of a step's context. A step without masks is a warm-up step, which runs
@@ -53,11 +54,11 @@ from .data import co_occurrence
 from .invariance import (contrastive_inv_loss, env_consistency_loss,
                          make_env_views_batch)
 from .players import (MaskSet, Partition, PlayerEncoder, build_masks,
-                      encode_batch, init_encoders, partition_labels)
+                      encode_batch, partition_labels, player_encoders)
 from .reward import (anneal, bce_terms, curiosity_surrogate,
                      generate_counterfactual)
-from .sem import (GradientBundle, SemModel, full_mask, head, head_backward,
-                  init_model, pair_backward, pair_features, zero_gradients)
+from .sem import (SemModel, full_mask, head, head_backward, init_model,
+                  pair_backward, pair_features)
 
 
 def _inside(value, interval: str) -> bool:
@@ -190,7 +191,6 @@ class ObjectiveSpec:
     wtilde: np.ndarray
     subsets: list | None = None
     masks: list | None = None
-    encoders: list | None = None
     planted: PlantedWorld | None = None
     beta: float = 1.0
     gamma_r: float = 0.2
@@ -206,16 +206,14 @@ def _check_finite(name: str, value: float) -> float:
 def composite_value_and_grads(model: SemModel, X: np.ndarray, Y: np.ndarray,
                               obj: ObjectiveSpec):
     """Evaluate the composite objective on one batch and return
-    (total, GradientBundle, per-term breakdown). Pure given obj.rng_seed."""
+    (total, gradient model, per-term breakdown). Pure given obj.rng_seed."""
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     cfg = obj.cfg
     # the invariance, env and curiosity terms need the players
     full = obj.masks is not None
     union = np.sum(obj.masks, axis=0) if full else full_mask(model.L)
-    n_enc = len(obj.encoders) if obj.encoders is not None else 0
-    grads = zero_gradients(model, n_encoders=n_enc,
-                           enc_dim=obj.encoders[0].w.shape[0] if n_enc else 0)
+    grads = model.zeros_like()
     bd: dict[str, float] = {}
     total = 0.0
 
@@ -259,15 +257,15 @@ def composite_value_and_grads(model: SemModel, X: np.ndarray, Y: np.ndarray,
         grads.W += cfg.lambda_graph * gW
 
     bd["inv"] = 0.0
-    if full and cfg.lambda_inv != 0.0 and n_enc and M >= 2:
-        inv, dE = contrastive_inv_loss(
-            [encode_batch(enc, Xs).reshape(M, B, -1) for enc in obj.encoders])
+    if full and cfg.lambda_inv != 0.0 and M >= 2:
+        N, e = model.enc_b.shape
+        inv, dE = contrastive_inv_loss(encode_batch(
+            model.enc_w, model.enc_b, Xs).reshape(N, M, B, e))
         bd["inv"] = _check_finite("contrastive_inv", inv)
         total += cfg.lambda_inv * inv
-        dE = cfg.lambda_inv * dE.reshape(n_enc, M * B, -1)
-        for k, dh in enumerate(dE):
-            grads.enc_w[k] += dh.T @ Xs
-            grads.enc_b[k] += dh.sum(axis=0)
+        dE = cfg.lambda_inv * dE.reshape(N, M * B, e)
+        grads.enc_w += dE.transpose(0, 2, 1) @ Xs
+        grads.enc_b += dE.sum(axis=1)
 
     bd["diversity"] = 0.0
     bd["cf_js"] = 0.0
@@ -311,37 +309,29 @@ def composite_value_and_grads(model: SemModel, X: np.ndarray, Y: np.ndarray,
     return total, grads, bd
 
 
+# array name -> (its learning-rate field, whether weight decay acts on it)
+ADAM_GROUPS = {**dict.fromkeys(("w1", "w2", "enc_w"), ("lr_main", True)),
+               **dict.fromkeys(("b1", "b2", "enc_b"), ("lr_main", False)),
+               **dict.fromkeys(("W", "b"), ("lr_aux", False))}
+
 # elements per block of AdamW's elementwise passes: five float64 blocks
 # (parameter, gradient, both moments, scratch) take 640 KB, which fits in L2
 ADAM_BLOCK = 1 << 14
 
 
 class AdamW:
-    """Adaptive moment estimation with decoupled weight decay; two rate
-    groups (pair MLPs + encoders vs. W and b) and global-norm clipping."""
+    """Adaptive moment estimation with decoupled weight decay, a learning
+    rate and decay per array (ADAM_GROUPS) and global-norm clipping."""
 
-    def __init__(self, model: SemModel, encoders: list[PlayerEncoder] | None,
-                 cfg: TrainConfig):
+    def __init__(self, model: SemModel, cfg: TrainConfig):
         self.cfg = cfg
         self.beta1, self.beta2, self.eps = 0.9, 0.999, 1e-8
         self.t = 0
-        # (name, lr, decay) in a fixed order matching _grad_arrays
-        self.plan = [("w1", cfg.lr_main, True), ("b1", cfg.lr_main, False),
-                     ("w2", cfg.lr_main, True), ("b2", cfg.lr_main, False),
-                     ("W", cfg.lr_aux, False), ("b", cfg.lr_aux, False)]
-        self.params = [model.param_arrays()[n] for n, _, _ in self.plan]
-        self.lrs = [lr for _, lr, _ in self.plan]
-        self.decays = [cfg.weight_decay if dec else 0.0 for _, _, dec in self.plan]
-        if encoders:
-            # matches GradientBundle.arrays(): all encoder weights, then biases
-            for enc in encoders:
-                self.params.append(enc.w)
-                self.lrs.append(cfg.lr_main)
-                self.decays.append(cfg.weight_decay)
-            for enc in encoders:
-                self.params.append(enc.b)
-                self.lrs.append(cfg.lr_main)
-                self.decays.append(0.0)
+        self.names = list(model.param_arrays())
+        self.params = list(model.param_arrays().values())
+        self.lrs = [getattr(cfg, ADAM_GROUPS[n][0]) for n in self.names]
+        self.decays = [cfg.weight_decay if ADAM_GROUPS[n][1] else 0.0
+                       for n in self.names]
         self.m = [np.zeros_like(p) for p in self.params]
         self.v = [np.zeros_like(p) for p in self.params]
         for p in self.params:
@@ -351,13 +341,13 @@ class AdamW:
         self.scratch = np.empty(min(ADAM_BLOCK,
                                     max(p.size for p in self.params)))
 
-    def step(self, grads: GradientBundle) -> None:
+    def step(self, grads: SemModel) -> None:
         """One update, in place. The global-norm clip scale s multiplies the
         gradient inside the moment updates (m += (1-beta1)*s*g,
         v += (1-beta2)*s^2*g^2), so no clipped copy of the gradients is made.
         Each array is walked in blocks of ADAM_BLOCK elements, so the dozen
         elementwise passes over a block run from cache."""
-        gs = grads.arrays()
+        gs = list(grads.param_arrays().values())
         scale = 1.0
         if self.cfg.grad_clip > 0:
             norm = math.sqrt(sum(float(np.vdot(g, g)) for g in gs))
@@ -395,7 +385,6 @@ class AdamW:
 @dataclass
 class TrainResult:
     model: SemModel
-    encoders: list[PlayerEncoder]
     partition: Partition | None
     masks: MaskSet | None
     graph: CausalGraph | None
@@ -403,6 +392,10 @@ class TrainResult:
     config: TrainConfig
     log: list[dict] = field(default_factory=list)
     aborted: str | None = None  # the NumericalError message when it aborted
+
+    @property
+    def encoders(self) -> list[PlayerEncoder]:
+        return player_encoders(self.model)
 
 
 def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
@@ -429,26 +422,26 @@ def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
     stats = compute_label_stats(train_ds, cfg.rare_pct)
     alpha = np.ones(ds.L) if cfg.uniform_alpha else alpha_weights(stats)
     wtilde = ideal_weights(train_ds, cfg.gamma)
-    model = init_model(ds.d, ds.L, cfg.hidden, cfg.seed)
     n_players = min(cfg.n_players, ds.L)
-    encoders = init_encoders(ds.d, cfg.enc_dim, n_players, cfg.seed + 1)
+    model = init_model(ds.d, ds.L, cfg.hidden, cfg.seed, n_players,
+                       cfg.enc_dim)
 
-    result = TrainResult(model=model, encoders=encoders, partition=None,
-                         masks=None, graph=None, stats=stats, config=cfg)
+    result = TrainResult(model=model, partition=None, masks=None, graph=None,
+                         stats=stats, config=cfg)
     if cfg.max_epochs == 0:
         return result
 
     steps_per_epoch = max(1, math.ceil(train_ds.n / cfg.batch_size))
     total_steps = steps_per_epoch * cfg.max_epochs
-    opt = AdamW(model, encoders, cfg)
+    opt = AdamW(model, cfg)
 
     partition: Partition | None = None
     masks: MaskSet | None = None
     graph: CausalGraph | None = None
-    best = {"map": -1.0, "epoch": -1, "model": None, "enc": None}
+    best = {"map": -1.0, "epoch": -1, "model": None}
     global_step = 0
     obj = ObjectiveSpec(cfg=cfg, alpha=alpha, stats=stats, wtilde=wtilde,
-                        encoders=encoders, planted=planted)
+                        planted=planted)
 
     def build_partition():
         src = co_occurrence(train_ds) if cfg.partition_source == "cooccur" else model.W
@@ -496,9 +489,7 @@ def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
             # the masked predictor returned at the end, so best-checkpoint
             # selection only starts once the partition exists
             if partition is not None and vmap > best["map"]:
-                best.update(map=vmap, epoch=epoch, model=model.copy(),
-                            enc=[PlayerEncoder(e.w.copy(), e.b.copy())
-                                 for e in encoders])
+                best.update(map=vmap, epoch=epoch, model=model.copy())
             if epoch - best["epoch"] >= cfg.patience and epoch >= cfg.warmup_epochs:
                 break
     except NumericalError as exc:
@@ -506,7 +497,6 @@ def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
 
     if best["model"] is not None:
         result.model = model = best["model"]
-        result.encoders = encoders = best["enc"]
     if partition is None and not result.aborted:
         graph, partition, masks = build_partition()
     result.graph, result.partition, result.masks = graph, partition, masks
@@ -523,13 +513,11 @@ def save_run(run_dir: str, result: TrainResult) -> None:
     os.makedirs(run_dir, exist_ok=True)
     m = result.model
     # uncompressed zip members with a fixed date: equal arrays, equal bytes
-    np.savez(os.path.join(run_dir, "model.npz"), **m.param_arrays(),
-             enc_w=np.stack([e.w for e in result.encoders]),
-             enc_b=np.stack([e.b for e in result.encoders]))
+    np.savez(os.path.join(run_dir, "model.npz"), **m.param_arrays())
     players = result.partition.subsets if result.partition else None
     with open(os.path.join(run_dir, "model.json"), "w") as fh:
         json.dump({"d": m.d, "L": m.L, "hidden": m.hidden,
-                   "encoders": len(result.encoders), "players": players},
+                   "encoders": len(m.enc_w), "players": players},
                   fh, sort_keys=True)
     with open(os.path.join(run_dir, "config.json"), "w") as fh:
         json.dump(asdict(result.config), fh, sort_keys=True, indent=2)
@@ -549,10 +537,25 @@ def save_run(run_dir: str, result: TrainResult) -> None:
 
 def load_run(run_dir: str):
     """Rebuild (model, encoders, partition, masks, graph, stats, config). A
-    model.npz not holding exactly the float64 arrays of the shapes the
-    manifest and config imply raises DimensionError naming it."""
-    with open(os.path.join(run_dir, "model.json")) as fh:
+    bad model.json size or players list, or a model.npz not holding exactly
+    the float64 arrays the manifest and config imply, raises DimensionError
+    naming the file."""
+    path = os.path.join(run_dir, "model.json")
+    with open(path) as fh:
         obj = json.load(fh)
+    for key, low in (("d", 1), ("L", 1), ("hidden", 1), ("encoders", 0)):
+        # type(...) is int leaves out bool
+        if (not isinstance(obj, dict) or type(obj.get(key)) is not int
+                or obj[key] < low):
+            raise DimensionError(f"{path}: {key} must be an int >= {low}")
+    players = obj.get("players")
+    if players is not None and not (
+            isinstance(players, list)
+            and all(isinstance(sub, list) and sub
+                    and all(type(x) is int for x in sub) for sub in players)
+            and sorted(sum(players, [])) == list(range(obj["L"]))):
+        raise DimensionError(f"{path}: players must be disjoint non-empty "
+                             f"label lists covering range({obj['L']})")
     path = os.path.join(run_dir, "config.json")
     with open(path) as fh:
         cfg = TrainConfig.from_dict(json.load(fh), path)
@@ -562,7 +565,11 @@ def load_run(run_dir: str):
               "enc_b": (n, e)}
     path = os.path.join(run_dir, "model.npz")
     try:
-        with np.load(path, allow_pickle=False) as npz:
+        npz = np.load(path, allow_pickle=False)
+        # an .npy file loads as one bare array
+        if not isinstance(npz, np.lib.npyio.NpzFile):
+            raise ValueError("not an .npz archive")
+        with npz:
             arrays = {k: npz[k] for k in npz.files}
     # not a zip file, or an array only pickle reads, such as an object array
     except (ValueError, zipfile.BadZipFile) as exc:
@@ -571,8 +578,6 @@ def load_run(run_dir: str):
     want = {k: ("float64", shape) for k, shape in shapes.items()}
     if held != want:
         raise DimensionError(f"{path} holds {held}, expected {want}")
-    encoders = [PlayerEncoder(w=w, b=b)
-                for w, b in zip(arrays.pop("enc_w"), arrays.pop("enc_b"))]
     model = SemModel(d=d, L=L, hidden=h, **arrays)
     with open(os.path.join(run_dir, "stats.json")) as fh:
         st = json.load(fh)
@@ -583,8 +588,7 @@ def load_run(run_dir: str):
     gpath = os.path.join(run_dir, "graph.json")
     if os.path.exists(gpath):
         graph = load_graph(gpath)
-        if obj["players"] is not None:
-            partition = Partition(subsets=[sorted(int(x) for x in sub)
-                                           for sub in obj["players"]])
+        if players is not None:
+            partition = Partition(subsets=[sorted(sub) for sub in players])
             masks = build_masks(partition, graph)
-    return model, encoders, partition, masks, graph, stats, cfg
+    return model, player_encoders(model), partition, masks, graph, stats, cfg

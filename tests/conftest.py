@@ -4,7 +4,7 @@ import pytest
 from ccg import training
 from ccg.data import Dataset, compute_label_stats
 from ccg.graph import extract_graph
-from ccg.players import build_masks, init_encoders, partition_labels
+from ccg.players import build_masks, partition_labels
 from ccg.sem import init_model
 
 
@@ -17,20 +17,20 @@ def toy_dataset(n=12, d=6, L=4, seed=0, pos_rate=0.5):
 
 
 def toy_setup(L=4, d=6, hidden=5, B=5, N=2, seed=0):
-    """Random model + dataset + partition/masks/encoders for gradient tests."""
+    """Random model with N encoders + dataset + partition/masks for gradient
+    tests."""
     rng = np.random.default_rng(seed)
     ds = toy_dataset(n=B, d=d, L=L, seed=seed + 1)
     stats = compute_label_stats(ds, 50)
-    model = init_model(d, L, hidden, seed=seed + 2)
+    model = init_model(d, L, hidden, seed=seed + 2, players=N, enc_dim=4)
     model.W += rng.normal(0, 0.3, (L, L))
     np.fill_diagonal(model.W, 0.0)
     g = extract_graph(rng.normal(0.5, 0.3, (L, L)), 2)
     part = partition_labels(g, N, stats.freq)
     masks = build_masks(part, g)
-    encs = init_encoders(d, 4, N, seed=seed + 3)
     wt = np.clip(rng.normal(0.3, 0.2, (L, L)), 0.0, 1.0)
     np.fill_diagonal(wt, 0.0)
-    return ds, stats, model, g, part, masks, encs, wt
+    return ds, stats, model, g, part, masks, wt
 
 
 def objective_config(**kw):

@@ -14,7 +14,7 @@ from ccg.evaluation import (average_precision, mean_average_precision,
                             per_label_average_precision, predict_dataset,
                             rare_f1, structure_score)
 from ccg.graph import extract_graph, graph_loss, rare_indicator_matrix
-from ccg.players import build_masks, init_encoders, partition_labels
+from ccg.players import build_masks, partition_labels
 from ccg.reward import anneal, clamp_probs, js_bernoulli, kl_bernoulli
 from ccg.sem import head, init_model, pair_features, predict_batch
 from ccg.training import (ObjectiveSpec, TrainConfig, alpha_weights,
@@ -41,17 +41,17 @@ def _gradient_setup(seed):
     hidden = 3 + seed % 6    # 3..8
     ds = toy_dataset(n=6, d=d, L=L, seed=seed + 100)
     stats = compute_label_stats(ds, 50)
-    model = init_model(d, L, hidden, seed=seed + 200)
+    model = init_model(d, L, hidden, seed=seed + 200, players=min(2, L),
+                       enc_dim=4)
     model.W += rng.normal(0, 0.3, (L, L))
     np.fill_diagonal(model.W, 0.0)
     g = extract_graph(rng.normal(0.4, 0.3, (L, L)), 2)
     part = partition_labels(g, min(2, L), stats.freq)
     masks = build_masks(part, g)
-    encs = init_encoders(d, 4, part.N, seed=seed + 300)
     wt = np.clip(rng.normal(0.3, 0.2, (L, L)), 0.0, 1.0)
     np.fill_diagonal(wt, 0.0)
     alpha = rng.uniform(0.5, 2.0, L)
-    return ds, stats, model, part, masks, encs, wt, alpha
+    return ds, stats, model, part, masks, wt, alpha
 
 
 def test_criterion_01_gradient_suite(monkeypatch):
@@ -61,7 +61,7 @@ def test_criterion_01_gradient_suite(monkeypatch):
     t0 = time.perf_counter()
     worst_overall = 0.0
     for seed in range(20):
-        ds, stats, model, part, masks, encs, wt, alpha = _gradient_setup(seed)
+        ds, stats, model, part, masks, wt, alpha = _gradient_setup(seed)
         # (term, CE on, lambdas, beta, gamma_r); alpha = 0 turns CE off
         term_configs = [
             ("weighted_ce", True, {}, 1.0, 0.2),
@@ -75,21 +75,19 @@ def test_criterion_01_gradient_suite(monkeypatch):
                                      lambda_inv=0.3, lambda_env=0.6,
                                      lambda_rwd=0.8), 0.7, 0.9),
         ]
-        arrays = ([model.w1, model.b1, model.w2, model.b2, model.W, model.b]
-                  + [e.w for e in encs] + [e.b for e in encs])
+        arrays = list(model.param_arrays().values())
         for name, with_ce, lambdas, beta, gamma_r in term_configs:
             obj = ObjectiveSpec(
                 cfg=objective_config(m_envs=3, perturb_frac=0.3, **lambdas),
                 alpha=alpha if with_ce else 0.0 * alpha, stats=stats,
                 wtilde=wt, subsets=part.subsets, masks=masks.masks,
-                encoders=encs, beta=beta, gamma_r=gamma_r,
-                rng_seed=(seed, 17))
+                beta=beta, gamma_r=gamma_r, rng_seed=(seed, 17))
             frozen.clear()
 
             def value_fn():
                 total, grads, _ = composite_value_and_grads(
                     model, ds.X, ds.Y, obj)
-                return total, grads.arrays()
+                return total, list(grads.param_arrays().values())
 
             n = 8 if name == "composite" else 4
             worst = fd_probe(value_fn, arrays, n_probes=n, seed=seed,

@@ -8,6 +8,7 @@ import pytest
 
 from ccg import training
 from ccg.cli import ABLATION_FLAGS, apply_ablations, build_config, main
+from ccg.data import Dataset, load_dataset, save_dataset
 from ccg.training import TrainConfig
 
 
@@ -111,7 +112,8 @@ class TestTrainCommand:
                                  monkeypatch):
         # each bad size, count, fraction, rate, choice or JSON type is
         # rejected, naming its key, before the first optimizer step; so is
-        # a bad config.json in a run directory
+        # a bad config.json, model.json or model.npz in a run directory and
+        # a sweep's --test of another shape
         monkeypatch.setattr(training.AdamW, "step", _no_step)
         data = ["--data", str(gen_dir / "env0.jsonl")]
         cases = [(["train", *data, "--m-envs", "0"], "m_envs"),
@@ -162,6 +164,41 @@ class TestTrainCommand:
                 np.savez(bad_run / "model.npz", **{**arrays, **change})
             cases.append((["eval", "--model", str(bad_run), *data],
                           "model.npz"))
+        # an .npy file in place of model.npz
+        bad_run = tmp_path / "npy"
+        shutil.copytree(run_dir, bad_run)
+        with open(bad_run / "model.npz", "wb") as fh:
+            np.save(fh, arrays["W"])
+        cases.append((["eval", "--model", str(bad_run), *data], "model.npz"))
+        # a manifest size missing or not an int, and players that overlap,
+        # miss a label or name one outside range(L)
+        manifest = json.loads(read(run_dir / "model.json"))
+        for i, change in enumerate((
+                {"encoders": None}, {"d": None}, {"L": "4"}, {"hidden": 4.0},
+                {"encoders": True}, {"players": [[0, 1], [1, 2, 3]]},
+                {"players": [[0, 1], [2]]}, {"players": [[0, 1, 2, 3, 4]]},
+                {"players": [[0, 1], []]}, {"players": 3})):
+            bad_run = tmp_path / f"manifest{i}"
+            shutil.copytree(run_dir, bad_run)
+            (bad_run / "model.json").write_text(json.dumps(
+                {k: v for k, v in {**manifest, **change}.items()
+                 if v is not None}))
+            cases.append((["eval", "--model", str(bad_run), *data],
+                          "model.json"))
+        # a --test dataset of another d or of another L, before the first
+        # run trains
+        wide = tmp_path / "wide"
+        assert run(["gen", "--labels", "4", "--dim", "20", "--samples", "20",
+                    "--out", str(wide)]) == 0
+        ds = load_dataset(str(gen_dir / "env0.jsonl"))
+        save_dataset(Dataset(ds.X, np.hstack([ds.Y, ds.Y[:, :1]])),
+                     str(tmp_path / "five_labels.jsonl"))
+        for test in (str(wide / "env0.jsonl"),
+                     str(tmp_path / "five_labels.jsonl")):
+            cases.append((["ablate", *data, "--test", test, "--only", "cgm"],
+                          f"--test {test}"))
+            cases.append((["sweep-players", *data, "--test", test,
+                           "--ns", "2"], f"--test {test}"))
         for argv, name in cases:
             rc = run([*argv, "--out", str(tmp_path / "o")])
             assert rc == 1, argv

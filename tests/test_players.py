@@ -3,8 +3,8 @@ import pytest
 from scipy.special import expit
 
 from ccg.graph import CausalGraph, extract_graph
-from ccg.players import (build_masks, encode_batch, init_encoders,
-                         partition_labels)
+from ccg.players import (build_masks, encode_batch, partition_labels,
+                         player_encoders)
 from ccg.sem import init_model, pair_features, head
 
 
@@ -124,21 +124,34 @@ class TestBuildMasks:
 
 class TestEncoders:
     def test_init_shapes_and_determinism(self):
-        a = init_encoders(6, 4, 3, seed=5)
-        b = init_encoders(6, 4, 3, seed=5)
-        assert len(a) == 3
-        for ea, eb in zip(a, b):
+        a = init_model(6, 2, 2, seed=5, players=3, enc_dim=4)
+        b = init_model(6, 2, 2, seed=5, players=3, enc_dim=4)
+        # player k's weights are the k-th (e, d) draw from seed + 1
+        rng = np.random.default_rng(6)
+        bound = np.sqrt(6.0 / (6 + 4))
+        assert len(player_encoders(a)) == 3
+        for ea, eb in zip(player_encoders(a), player_encoders(b)):
             assert ea.w.shape == (4, 6) and ea.b.shape == (4,)
             np.testing.assert_array_equal(ea.w, eb.w)
+            np.testing.assert_array_equal(
+                ea.w, rng.uniform(-bound, bound, size=(4, 6)))
+            np.testing.assert_array_equal(ea.b, np.zeros(4))
+
+    def test_player_encoders_are_views_of_the_model(self):
+        m = init_model(5, 2, 2, seed=1, players=2, enc_dim=3)
+        m.enc_b[1] = 7.0
+        assert (player_encoders(m)[1].b == 7.0).all()
 
     def test_encode_batch_matches_single(self, rng):
-        enc = init_encoders(5, 3, 1, seed=2)[0]
-        enc.b = rng.normal(size=3)
+        m = init_model(5, 2, 2, seed=2, players=2, enc_dim=3)
+        m.enc_b[...] = rng.normal(size=(2, 3))
         X = rng.normal(size=(4, 5))
-        batch = encode_batch(enc, X)
-        for i in range(4):
-            np.testing.assert_allclose(batch[i], enc.w @ X[i] + enc.b,
-                                       atol=1e-14)
+        batch = encode_batch(m.enc_w, m.enc_b, X)
+        assert batch.shape == (2, 4, 3)
+        for k, enc in enumerate(player_encoders(m)):
+            for i in range(4):
+                np.testing.assert_allclose(batch[k, i], enc.w @ X[i] + enc.b,
+                                           atol=1e-14)
 
 
 class TestPlayerHeads:

@@ -3,7 +3,7 @@ import pytest
 from scipy.special import expit
 
 from ccg.sem import (full_mask, init_model, pair_backward, pair_features,
-                     predict_batch, zero_gradients)
+                     predict_batch)
 from ccg.training import ObjectiveSpec, composite_value_and_grads
 
 from conftest import (fd_probe, freeze_counterfactuals, objective_config,
@@ -113,6 +113,18 @@ class TestInit:
         m = init_model(6, 5, 3, seed=1)
         assert np.diag(m.W).sum() == 0.0
 
+    def test_copy_and_zeros_like_walk_every_array(self):
+        m = init_model(4, 3, 2, seed=2, players=2, enc_dim=3)
+        assert list(m.param_arrays()) == ["w1", "b1", "w2", "b2", "W", "b",
+                                          "enc_w", "enc_b"]
+        c, z = m.copy(), m.zeros_like()
+        for name, a in m.param_arrays().items():
+            assert c.param_arrays()[name] is not a
+            np.testing.assert_array_equal(c.param_arrays()[name], a)
+            g = z.param_arrays()[name]
+            assert g.shape == a.shape and g.flags.c_contiguous
+            assert not g.any()
+
 
 def random_model(L, hidden, d, seed):
     """Model with every pair slot (diagonal included) and bias random."""
@@ -154,8 +166,8 @@ class TestPairKernels:
         dH = rng.normal(size=(B, L, L))
         _, g_ref, dx_ref = einsum_pair_oracle(m, X, dH)
         _, cache = pair_features(m, X)
-        # gradients accumulate into what the bundle already holds
-        grads = zero_gradients(m)
+        # gradients accumulate into what the gradient already holds
+        grads = m.zeros_like()
         start = {k: rng.normal(size=getattr(grads, k).shape)
                  for k in ("w1", "b1", "w2", "b2")}
         for k, v in start.items():
@@ -177,10 +189,11 @@ class TestPairKernels:
         _, cache = pair_features(m, X)
         others = rng.normal(size=(2 * B, d))
         _, stacked = pair_features(m, np.vstack([X, others]))
-        g_own, g_stacked = zero_gradients(m), zero_gradients(m)
+        g_own, g_stacked = m.zeros_like(), m.zeros_like()
         pair_backward(m, cache, dH, g_own)
         pair_backward(m, stacked, dH, g_stacked)
-        for a, b in zip(g_own.arrays(), g_stacked.arrays()):
+        for a, b in zip(g_own.param_arrays().values(),
+                        g_stacked.param_arrays().values()):
             np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(pair_backward(m, stacked, dH),
                                    pair_backward(m, cache, dH),
@@ -213,43 +226,42 @@ def ce_objective(stats, alpha=1.0, **cfg_kw):
 
 class TestLossAndGradients:
     def test_gradients_match_finite_differences(self, monkeypatch):
-        ds, stats, model, _, part, masks, encs, wt = toy_setup(seed=1)
+        ds, stats, model, _, part, masks, wt = toy_setup(seed=1)
         cfg = objective_config(lambda_rare=0.5, lambda_graph=0.4,
                                lambda_inv=0.3, lambda_env=0.6,
                                lambda_rwd=0.8, m_envs=3, perturb_frac=0.3)
         obj = ObjectiveSpec(cfg=cfg, alpha=np.ones(ds.L), stats=stats,
                             wtilde=wt, subsets=part.subsets, masks=masks.masks,
-                            encoders=encs, beta=0.7, gamma_r=0.9,
-                            rng_seed=(5,))
+                            beta=0.7, gamma_r=0.9, rng_seed=(5,))
         # finite differences probe the smooth surrogate on frozen
         # counterfactual inputs
         freeze_counterfactuals(monkeypatch)
-        arrays = ([model.w1, model.b1, model.w2, model.b2, model.W, model.b]
-                  + [e.w for e in encs] + [e.b for e in encs])
+        arrays = list(model.param_arrays().values())
 
         def value_fn():
             loss, grads, _ = composite_value_and_grads(model, ds.X, ds.Y, obj)
-            return loss, grads.arrays()
+            return loss, list(grads.param_arrays().values())
 
         worst = fd_probe(value_fn, arrays, n_probes=20,
                          skip=lambda pi, idx: pi == 4 and idx[0] == idx[1])
         assert worst < 1e-4
 
     def test_duplicated_batch_mean_invariance(self):
-        ds, stats, model, _, part, masks, encs, wt = toy_setup(seed=2)
+        ds, stats, model, _, part, masks, wt = toy_setup(seed=2)
         obj = ce_objective(stats, lambda_rare=0.3)
         l1, g1, _ = composite_value_and_grads(model, ds.X, ds.Y, obj)
         X2 = np.vstack([ds.X, ds.X])
         Y2 = np.vstack([ds.Y, ds.Y])
         l2, g2, _ = composite_value_and_grads(model, X2, Y2, obj)
         assert l1 == pytest.approx(l2, rel=1e-12)
-        for a, b in zip(g1.arrays(), g2.arrays()):
+        for a, b in zip(g1.param_arrays().values(),
+                        g2.param_arrays().values()):
             np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_all_zero_coefficients(self):
-        ds, stats, model, _, part, masks, encs, wt = toy_setup(seed=3)
+        ds, stats, model, _, part, masks, wt = toy_setup(seed=3)
         obj = ce_objective(stats, alpha=0.0)
         loss, grads, _ = composite_value_and_grads(model, ds.X, ds.Y, obj)
         assert loss == 0.0
-        for a in grads.arrays():
+        for a in grads.param_arrays().values():
             assert np.abs(a).sum() == 0.0

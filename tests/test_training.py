@@ -8,13 +8,13 @@ import pytest
 from ccg.data import LabelStats, generate_synthetic
 from ccg.errors import DimensionError, NumericalError
 from ccg.invariance import contrastive_inv_loss, env_consistency_loss
-from ccg.players import init_encoders
 from ccg.reward import curiosity_surrogate
 from ccg import training
-from ccg.sem import init_model, zero_gradients
-from ccg.training import (FIELD_RULES, AdamW, ObjectiveSpec, TrainConfig,
-                          alpha_weights, composite_value_and_grads, load_run,
-                          rare_reg_loss, save_run, train, weighted_ce)
+from ccg.sem import init_model
+from ccg.training import (ADAM_GROUPS, FIELD_RULES, AdamW, ObjectiveSpec,
+                          TrainConfig, alpha_weights,
+                          composite_value_and_grads, load_run, rare_reg_loss,
+                          save_run, train, weighted_ce)
 
 from conftest import fd_probe, objective_config, toy_setup
 
@@ -122,17 +122,16 @@ def test_term_gradient_matches_finite_differences(name):
 
 
 class TestCompositeObjective:
-    def make_obj(self, ds, stats, part, masks, encs, wt, beta=1.0,
-                 gamma_r=0.2, **cfg_kw):
+    def make_obj(self, ds, stats, part, masks, wt, beta=1.0, gamma_r=0.2,
+                 **cfg_kw):
         return ObjectiveSpec(cfg=objective_config(**cfg_kw),
                              alpha=np.ones(ds.L), stats=stats, wtilde=wt,
                              subsets=part.subsets, masks=masks.masks,
-                             encoders=encs, beta=beta, gamma_r=gamma_r,
-                             rng_seed=(3,))
+                             beta=beta, gamma_r=gamma_r, rng_seed=(3,))
 
     def test_total_is_weighted_sum_of_breakdown(self):
-        ds, stats, model, _, part, masks, encs, wt = toy_setup(seed=6)
-        obj = self.make_obj(ds, stats, part, masks, encs, wt,
+        ds, stats, model, _, part, masks, wt = toy_setup(seed=6)
+        obj = self.make_obj(ds, stats, part, masks, wt,
                             lambda_rare=0.5, lambda_graph=0.4,
                             lambda_inv=0.3, lambda_env=0.6, lambda_rwd=0.8,
                             beta=0.7, gamma_r=0.9, m_envs=3)
@@ -143,10 +142,10 @@ class TestCompositeObjective:
         assert total == pytest.approx(recon, rel=1e-12)
 
     def test_terms_scale_linearly_with_coefficients(self):
-        ds, stats, model, _, part, masks, encs, wt = toy_setup(seed=7)
-        obj1 = self.make_obj(ds, stats, part, masks, encs, wt,
+        ds, stats, model, _, part, masks, wt = toy_setup(seed=7)
+        obj1 = self.make_obj(ds, stats, part, masks, wt,
                              lambda_graph=1.0)
-        obj2 = self.make_obj(ds, stats, part, masks, encs, wt,
+        obj2 = self.make_obj(ds, stats, part, masks, wt,
                              lambda_graph=3.0)
         t1, g1, bd1 = composite_value_and_grads(model, ds.X, ds.Y, obj1)
         t2, g2, bd2 = composite_value_and_grads(model, ds.X, ds.Y, obj2)
@@ -154,23 +153,23 @@ class TestCompositeObjective:
         assert t2 == pytest.approx(bd1["ce"] + 3 * bd1["graph"])
 
     def test_deterministic_given_seed(self):
-        ds, stats, model, _, part, masks, encs, wt = toy_setup(seed=8)
-        obj = self.make_obj(ds, stats, part, masks, encs, wt,
+        ds, stats, model, _, part, masks, wt = toy_setup(seed=8)
+        obj = self.make_obj(ds, stats, part, masks, wt,
                             lambda_rwd=1.0, lambda_inv=1.0, lambda_env=1.0,
                             m_envs=3, beta=0.5, gamma_r=0.5)
         t1, g1, _ = composite_value_and_grads(model, ds.X, ds.Y, obj)
         t2, g2, _ = composite_value_and_grads(model, ds.X, ds.Y, obj)
         assert t1 == t2
-        for a, b in zip(g1.arrays(), g2.arrays()):
+        for a, b in zip(g1.param_arrays().values(),
+                        g2.param_arrays().values()):
             np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("M", [3, 5])
     def test_full_step_kernel_calls_do_not_grow_with_views(self, M,
                                                            monkeypatch):
         # the M views run as one stacked batch: one forward and one backward
-        # for all of them, and one encoder call per player
-        ds, stats, model, _, part, masks, encs, wt = toy_setup(L=6, N=5,
-                                                               seed=11)
+        # for all of them, and one encoder call for every player
+        ds, stats, model, _, part, masks, wt = toy_setup(L=6, N=5, seed=11)
         calls = dict.fromkeys(("pair_features", "pair_backward", "head",
                                "head_backward", "encode_batch"), 0)
         for name in calls:
@@ -178,17 +177,17 @@ class TestCompositeObjective:
                 calls[_name] += 1
                 return _fn(*args, **kw)
             monkeypatch.setattr(training, name, counted)
-        obj = self.make_obj(ds, stats, part, masks, encs, wt,
+        obj = self.make_obj(ds, stats, part, masks, wt,
                             lambda_rare=0.5, lambda_graph=0.4, lambda_inv=0.3,
                             lambda_env=0.6, lambda_rwd=0.8, m_envs=M)
         composite_value_and_grads(model, ds.X, ds.Y, obj)
         assert calls == {"pair_features": 2, "pair_backward": 3, "head": 2,
-                         "head_backward": 3, "encode_batch": 5}
+                         "head_backward": 3, "encode_batch": 1}
 
     def test_nonfinite_probability_raises_numerical_error(self):
-        ds, stats, model, _, part, masks, encs, wt = toy_setup(seed=9)
+        ds, stats, model, _, part, masks, wt = toy_setup(seed=9)
         model.b[...] = np.nan
-        obj = self.make_obj(ds, stats, part, masks, encs, wt)
+        obj = self.make_obj(ds, stats, part, masks, wt)
         with pytest.raises(NumericalError):
             composite_value_and_grads(model, ds.X, ds.Y, obj)
 
@@ -219,9 +218,8 @@ class TestAdamW:
         model = init_model(3, 2, 2, seed=0)
         cfg = TrainConfig(lr_main=0.1, lr_aux=0.2, weight_decay=0.0,
                           grad_clip=0.0)
-        opt = AdamW(model, None, cfg)
-        from ccg.sem import zero_gradients
-        grads = zero_gradients(model)
+        opt = AdamW(model, cfg)
+        grads = model.zeros_like()
         g = 0.5
         grads.b[...] = g
         b_before = model.b.copy()
@@ -237,19 +235,17 @@ class TestAdamW:
         cfg = TrainConfig(lr_main=0.0, lr_aux=0.0, weight_decay=0.5,
                           grad_clip=0.0)
         # zero lr means only decay could act, and lr scales decay too
-        opt = AdamW(model, None, cfg)
-        from ccg.sem import zero_gradients
+        opt = AdamW(model, cfg)
         w1_before = model.w1.copy()
-        opt.step(zero_gradients(model))
+        opt.step(model.zeros_like())
         np.testing.assert_array_equal(model.w1, w1_before)
 
     def test_global_norm_clipping(self):
         model = init_model(3, 2, 2, seed=2)
         cfg = TrainConfig(lr_main=1.0, lr_aux=1.0, weight_decay=0.0,
                           grad_clip=1.0)
-        opt = AdamW(model, None, cfg)
-        from ccg.sem import zero_gradients
-        g1 = zero_gradients(model)
+        opt = AdamW(model, cfg)
+        g1 = model.zeros_like()
         g1.W[...] = 1e6
         before = model.W.copy()
         opt.step(g1)
@@ -261,25 +257,24 @@ class TestAdamW:
         model = init_model(3, 3, 2, seed=6)
         model.W = model.W.T
         with pytest.raises(ValueError):
-            AdamW(model, None, TrainConfig())
+            AdamW(model, TrainConfig())
 
     def test_clipped_steps_match_textbook_formula(self):
         # w1 has 6*6*8*64 = 18432 elements, more than one update block
-        model = init_model(64, 6, 8, seed=3)
-        encs = init_encoders(64, 4, 2, seed=4)
+        model = init_model(64, 6, 8, seed=3, players=2, enc_dim=4)
         cfg = TrainConfig(lr_main=0.05, lr_aux=0.2, weight_decay=0.3,
                           grad_clip=1.0)
-        opt = AdamW(model, encs, cfg)
+        opt = AdamW(model, cfg)
         before = [p.copy() for p in opt.params]
         rng = np.random.default_rng(5)
         steps = []
         for _ in range(4):
-            g = zero_gradients(model, n_encoders=2, enc_dim=4)
-            for arr in g.arrays():
+            g = model.zeros_like()
+            for arr in g.param_arrays().values():
                 arr[...] = rng.normal(0.0, 3.0, arr.shape)
-            assert math.sqrt(sum(float((a ** 2).sum())
-                                 for a in g.arrays())) > cfg.grad_clip
-            steps.append([a.copy() for a in g.arrays()])
+            assert math.sqrt(sum(float((a ** 2).sum()) for a in
+                                 g.param_arrays().values())) > cfg.grad_clip
+            steps.append([a.copy() for a in g.param_arrays().values()])
             opt.step(g)
         expected = textbook_clipped_adamw(before, steps, opt.lrs, opt.decays,
                                           cfg.grad_clip)
@@ -342,7 +337,7 @@ class TestTrain:
 
         def checked_step(opt, grads):
             step(opt, grads)
-            W = opt.params[[name for name, _, _ in opt.plan].index("W")]
+            W = opt.params[opt.names.index("W")]
             diag.append(np.abs(np.diag(W)).max())
 
         monkeypatch.setattr(AdamW, "step", checked_step)
@@ -452,6 +447,18 @@ class TestPersistence:
         assert not (tmp_path / "graph.json").exists()
         _, _, partition, masks, graph, _, _ = load_run(tmp_path)
         assert graph is partition is masks is None
+
+    def test_every_array_has_one_adam_group_and_one_npz_entry(self,
+                                                               tmp_path):
+        # SemModel's array fields are the one parameter layout: AdamW's
+        # groups and model.npz's keys are exactly its param_arrays()
+        dss, _ = generate_synthetic(L=3, d=12, n=40, n_envs=1, seed=8)
+        r = train(dss[0], TrainConfig(max_epochs=0, hidden=3, enc_dim=3))
+        names = list(r.model.param_arrays())
+        assert sorted(ADAM_GROUPS) == sorted(names)
+        save_run(tmp_path, r)
+        with np.load(tmp_path / "model.npz") as npz:
+            assert npz.files == names
 
 
 # one value per TrainConfig field that its rule rejects
