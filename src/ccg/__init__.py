@@ -13,8 +13,8 @@ from .graph import (CausalGraph, export_dot, extract_graph, graph_loss,
                     ideal_weights)
 from .invariance import (contrastive_inv_loss, env_consistency_loss,
                          make_env_views_batch)
-from .players import (MaskSet, Partition, PlayerEncoder, build_masks,
-                      partition_labels, player_encoders)
+from .players import (MaskSet, PlayerEncoder, build_masks, partition_labels,
+                      player_encoders)
 from .reward import anneal, curiosity_surrogate, generate_counterfactual
 from .sem import SemModel, init_model, predict_batch
 from .training import (ObjectiveSpec, TrainConfig, TrainResult, alpha_weights,

@@ -13,7 +13,8 @@ import sys
 from dataclasses import replace
 
 from . import evaluation, training
-from .data import PlantedWorld, generate_synthetic, load_dataset, save_dataset
+from .data import (PlantedWorld, generate_synthetic, load_dataset, read_json,
+                   save_dataset)
 from .errors import DatasetError, DimensionError, NumericalError
 from .graph import export_dot
 
@@ -33,9 +34,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _load_world(path) -> PlantedWorld:
-    with open(path) as fh:
-        return PlantedWorld.from_json(json.load(fh))
+def _read(flag, path, like=None):
+    """The dataset, or for --world the planted world, that flag names at
+    path (None without a path). A file that does not parse, or whose
+    (d, L) differs from like's, raises an error naming flag and path."""
+    if path is None:
+        return None
+    where = f"{flag} {path}"
+    if flag == "--world":
+        got = read_json(path, PlantedWorld.from_json, where)
+    else:
+        try:
+            got = load_dataset(path)
+        except DatasetError as exc:
+            raise DatasetError(f"{where}: {exc}") from None
+    if like is not None and (got.d, got.L) != (like.d, like.L):
+        raise DimensionError(f"{where} has (d, L) = ({got.d}, {got.L}), "
+                             f"expected ({like.d}, {like.L})")
+    return got
 
 
 def _write(path, text):
@@ -49,13 +65,9 @@ def build_config(args) -> training.TrainConfig:
     training flags, whose argparse dest is the field they set."""
     cfg = training.TrainConfig()
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"--config {args.config}: not valid JSON "
-                                 f"({exc})") from None
-        cfg = training.TrainConfig.from_dict(obj, f"--config {args.config}")
+        where = f"--config {args.config}"
+        cfg = training.TrainConfig.from_dict(
+            read_json(args.config, where=where), where)
     cfg = replace(cfg, **{name: getattr(args, name)
                           for name in training.FIELD_RULES
                           if getattr(args, name, None) is not None})
@@ -69,17 +81,6 @@ def apply_ablations(cfg: training.TrainConfig, flags) -> training.TrainConfig:
             raise DatasetError(f"unknown ablation flag '{flag}'")
         cfg = replace(cfg, **ABLATIONS[flag])
     return cfg
-
-
-def _train_one(data_path, cfg, world_path=None, ood_path=None):
-    ds = load_dataset(data_path)
-    planted = _load_world(world_path) if world_path else None
-    ood = load_dataset(ood_path) if ood_path else None
-    try:
-        return training.train(ds, cfg, planted=planted, ood=ood)
-    except DimensionError as exc:
-        # train raises it only for an ood dataset of another d or L
-        raise DimensionError(f"--extra-envs {ood_path}: {exc}") from None
 
 
 def cmd_gen(args) -> int:
@@ -97,7 +98,9 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = build_config(args)
-    result = _train_one(args.data, cfg, args.world, args.extra_envs)
+    ds = _read("--data", args.data)
+    result = training.train(ds, cfg, planted=_read("--world", args.world, ds),
+                            ood=_read("--extra-envs", args.extra_envs, ds))
     training.save_run(args.out, result)
     if result.aborted:
         print(f"training aborted: {result.aborted}; last checkpoint retained",
@@ -108,14 +111,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model, _, partition, masks, graph, stats, _ = training.load_run(args.model)
-    ds = load_dataset(args.data)
-    if ds.d != model.d or ds.L != model.L:
-        raise DimensionError("model/data dimension mismatch")
-    ds_ood = load_dataset(args.ood) if args.ood else None
-    planted = _load_world(args.world) if args.world else None
+    model, _, _, masks, graph, stats, _ = training.load_run(args.model)
+    ds = _read("--data", args.data, model)
+    ds_ood = _read("--ood", args.ood, model)
+    planted = _read("--world", args.world, model)
     p_list = [float(p) for p in args.rare_pcts.split(",")]
-    report = evaluation.evaluate(model, partition, masks, ds, ds_ood, stats,
+    report = evaluation.evaluate(model, None, masks, ds, ds_ood, stats,
                                  p_list, learned_graph=graph, planted=planted)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "report.json"), "w") as fh:
@@ -129,19 +130,17 @@ def _sweep(args, header: str, runs, what: str) -> int:
     """Train each (row label, config) of runs on --data and write one CSV
     row of mAP and rare-F1 per run: on --test when given, else the last
     epoch's validation figures. A --test of another (d, L) fails first."""
-    ds = load_dataset(args.data)
-    planted = _load_world(args.world) if args.world else None
-    test = load_dataset(args.test) if args.test else None
-    if test is not None and (test.d, test.L) != (ds.d, ds.L):
-        raise DimensionError(f"--test {args.test} has (d, L) = ({test.d}, "
-                             f"{test.L}), --data ({ds.d}, {ds.L})")
+    ds = _read("--data", args.data)
+    planted = _read("--world", args.world, ds)
+    test = _read("--test", args.test, ds)
     rows = [header]
     for label, cfg in runs:
         result = training.train(ds, cfg, planted=planted)
         if test is not None:
-            m, f1 = evaluation.map_and_rare_f1(result.model, result.masks,
-                                               test, result.stats,
-                                               cfg.rare_pct)
+            scores = evaluation.evaluate(result.model, None, result.masks,
+                                         test, None, result.stats,
+                                         [cfg.rare_pct])
+            m, f1 = scores.map, scores.rare_f1[cfg.rare_pct]
         elif result.log:
             m, f1 = result.log[-1]["val_map"], result.log[-1]["val_rare_f1"]
         else:

@@ -105,6 +105,22 @@ def load_dataset(path) -> Dataset:
     return Dataset(feats, labs)
 
 
+def read_json(path, build=lambda obj: obj, where=None):
+    """build applied to the object the JSON file at path holds. A file that
+    is not JSON, or an object build cannot read (a missing key, a value of
+    the wrong type), raises DatasetError naming where, by default path."""
+    with open(path) as fh:
+        try:
+            return build(json.load(fh))
+        except json.JSONDecodeError as exc:
+            why = f"not valid JSON ({exc})"
+        except KeyError as exc:
+            why = f"missing key {exc}"
+        except (TypeError, ValueError) as exc:
+            why = str(exc)
+    raise DatasetError(f"{where or path}: {why}")
+
+
 def save_dataset(ds: Dataset, path) -> None:
     with open(path, "w") as fh:
         for i in range(ds.n):
@@ -153,41 +169,23 @@ class PlantedWorld:
         )
 
 
-def topological_order(world: PlantedWorld) -> list[int]:
-    """Topological order of the planted DAG; raises if cyclic."""
-    indeg = {i: 0 for i in range(world.L)}
-    out = {i: [] for i in range(world.L)}
-    for j, i, _ in world.edges:
-        indeg[i] += 1
-        out[j].append(i)
-    queue = sorted(i for i in range(world.L) if indeg[i] == 0)
-    order = []
-    while queue:
-        v = queue.pop(0)
-        order.append(v)
-        for w in sorted(out[v]):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-        queue.sort()
-    if len(order) != world.L:
-        raise ValueError("planted graph has a cycle")
-    return order
-
-
 ROOT_PROB = 0.3
 FEATURE_NOISE_STD = 0.1
 
 
 def sample_labels(world: PlantedWorld, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Ancestral noisy-OR sampling: roots Bernoulli(0.3), a child fires with
-    probability 1 - prod(1 - s_e) over its currently-active parent edges."""
-    order = topological_order(world)
+    """Ancestral noisy-OR sampling in label order: roots Bernoulli(0.3), a
+    child fires with probability 1 - prod(1 - s_e) over its currently-active
+    parent edges. Every edge must run from a lower to a higher label, as
+    build_world draws them, so label order is topological."""
     parents = {i: [] for i in range(world.L)}
     for j, i, s in world.edges:
+        if not j < i:
+            raise ValueError(f"edge {j} -> {i} does not run from a lower to "
+                             f"a higher label")
         parents[i].append((j, s))
     Y = np.zeros((n, world.L), dtype=np.int8)
-    for i in order:
+    for i in range(world.L):
         if not parents[i]:
             p = np.full(n, ROOT_PROB)
         else:

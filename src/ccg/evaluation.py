@@ -16,17 +16,18 @@ class MetricsReport:
     map: float
     rare_f1: dict[float, float]
     per_label_ap: list[float | None]   # None for labels with no positives
-    ood_delta: tuple[float, dict[float, float]] | None = None
+    ood: MetricsReport | None = None  # the OOD set's own scores
     structure: tuple[float, float] | None = None
 
     def to_dict(self) -> dict:
         out = {"map": self.map,
                "rare_f1": {str(p): v for p, v in self.rare_f1.items()},
                "per_label_ap": self.per_label_ap}
-        if self.ood_delta is not None:
-            out["ood_delta"] = {"map_drop": self.ood_delta[0],
-                                "rare_f1_drop": {str(p): v for p, v
-                                                 in self.ood_delta[1].items()}}
+        if self.ood is not None:
+            out["ood_delta"] = {"map_drop": self.map - self.ood.map,
+                                "rare_f1_drop": {
+                                    str(p): v - self.ood.rare_f1[p]
+                                    for p, v in self.rare_f1.items()}}
         if self.structure is not None:
             out["structure"] = {"precision": self.structure[0],
                                 "recall": self.structure[1]}
@@ -36,10 +37,10 @@ class MetricsReport:
         rows = ["metric,value", f"map,{self.map}"]
         for p, v in sorted(self.rare_f1.items()):
             rows.append(f"rare_f1@{p},{v}")
-        if self.ood_delta is not None:
-            rows.append(f"ood_map_drop,{self.ood_delta[0]}")
-            for p, v in sorted(self.ood_delta[1].items()):
-                rows.append(f"ood_rare_f1_drop@{p},{v}")
+        if self.ood is not None:
+            rows.append(f"ood_map_drop,{self.map - self.ood.map}")
+            for p, v in sorted(self.rare_f1.items()):
+                rows.append(f"ood_rare_f1_drop@{p},{v - self.ood.rare_f1[p]}")
         if self.structure is not None:
             rows.append(f"structure_precision,{self.structure[0]}")
             rows.append(f"structure_recall,{self.structure[1]}")
@@ -126,32 +127,24 @@ def predict_dataset(model: SemModel, ds: Dataset,
     return np.concatenate(chunks, axis=0)
 
 
-def map_and_rare_f1(model: SemModel, masks, ds: Dataset, stats: LabelStats,
-                    rare_pct: float) -> tuple[float, float]:
-    """mAP and rare-F1 at rare_pct of the union-mask predictions on ds
-    (unmasked when masks is None)."""
-    union = masks.union() if masks is not None else None
-    probs = predict_dataset(model, ds, union)
-    return (mean_average_precision(probs, ds.Y),
-            rare_f1(probs, ds.Y, stats, rare_pct))
-
-
 def evaluate(model: SemModel, partition, masks, ds_id: Dataset,
              ds_ood: Dataset | None, stats: LabelStats,
              p_list: list[float], learned_graph: CausalGraph | None = None,
              planted: PlantedWorld | None = None) -> MetricsReport:
+    """Per-label AP, mAP and rare-F1 at each p of p_list of the union-mask
+    predictions on ds_id (unmasked without masks), ds_ood's own scores as
+    report.ood, and the structure scores given both graphs. partition is
+    not read."""
     union = masks.union() if masks is not None else None
     probs = predict_dataset(model, ds_id, union)
     aps = per_label_average_precision(probs, ds_id.Y)
-    id_map = _map_of(aps)
-    id_f1 = {p: rare_f1(probs, ds_id.Y, stats, p) for p in p_list}
-    report = MetricsReport(map=id_map, rare_f1=id_f1, per_label_ap=aps)
+    report = MetricsReport(
+        map=_map_of(aps),
+        rare_f1={p: rare_f1(probs, ds_id.Y, stats, p) for p in p_list},
+        per_label_ap=aps)
     if ds_ood is not None:
-        probs_o = predict_dataset(model, ds_ood, union)
-        ood_map = mean_average_precision(probs_o, ds_ood.Y)
-        ood_f1 = {p: rare_f1(probs_o, ds_ood.Y, stats, p) for p in p_list}
-        report.ood_delta = (id_map - ood_map,
-                            {p: id_f1[p] - ood_f1[p] for p in p_list})
+        report.ood = evaluate(model, partition, masks, ds_ood, None, stats,
+                              p_list)
     if planted is not None and learned_graph is not None:
         report.structure = structure_score(learned_graph, planted)
     return report

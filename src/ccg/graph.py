@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, co_occurrence, semantic_similarity
+from .data import Dataset, co_occurrence, read_json, semantic_similarity
 
 
 @dataclass
@@ -109,5 +109,4 @@ def save_graph(g: CausalGraph, path) -> None:
 
 
 def load_graph(path) -> CausalGraph:
-    with open(path) as fh:
-        return CausalGraph.from_json(json.load(fh))
+    return read_json(path, CausalGraph.from_json)

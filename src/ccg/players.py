@@ -10,17 +10,11 @@ from .graph import CausalGraph
 
 
 @dataclass
-class Partition:
-    subsets: list[list[int]]  # N disjoint, sorted label subsets
-
-    @property
-    def N(self) -> int:
-        return len(self.subsets)
-
-
-@dataclass
 class MaskSet:
-    masks: list[np.ndarray]  # N binary (L, L) matrices
+    """The players: player k owns the labels subsets[k] and predicts them
+    through its causal mask masks[k]."""
+    subsets: list[list[int]]  # N disjoint, sorted label subsets
+    masks: list[np.ndarray]   # N binary (L, L) matrices
 
     def union(self) -> np.ndarray:
         return np.sum(self.masks, axis=0)
@@ -59,7 +53,8 @@ def _components(L: int, edges) -> list[list[int]]:
         low = nxt
 
 
-def partition_labels(g: CausalGraph, N: int, freq: np.ndarray) -> Partition:
+def partition_labels(g: CausalGraph, N: int,
+                     freq: np.ndarray) -> list[list[int]]:
     """Partition labels into exactly N subsets. Start from weakly-connected
     components of the learned graph; merge the two lowest-frequency
     components while there are too many, or split the largest component by
@@ -91,18 +86,18 @@ def partition_labels(g: CausalGraph, N: int, freq: np.ndarray) -> Partition:
                 break
         comps = split
 
-    return Partition(subsets=[list(c) for c in comps])
+    return comps
 
 
-def build_masks(p: Partition, g: CausalGraph) -> MaskSet:
-    """m_ij^(k) = 1 iff edge (l_j -> l_i) is in the graph and both endpoints
-    lie in subset k."""
+def build_masks(subsets: list[list[int]], g: CausalGraph) -> MaskSet:
+    """The players owning subsets, with m_ij^(k) = 1 iff edge (l_j -> l_i) is
+    in the graph and both endpoints lie in subset k."""
     masks = []
-    for sub in p.subsets:
+    for sub in subsets:
         s = set(sub)
         M = np.zeros((g.L, g.L))
         for (j, i, _) in g.edges:
             if j in s and i in s:
                 M[i, j] = 1.0
         masks.append(M)
-    return MaskSet(masks=masks)
+    return MaskSet(subsets=subsets, masks=masks)

@@ -46,15 +46,15 @@ import numpy as np
 from scipy.special import expit
 
 from . import evaluation
-from .data import Dataset, LabelStats, PlantedWorld, compute_label_stats
+from .data import (Dataset, LabelStats, PlantedWorld, co_occurrence,
+                   compute_label_stats, read_json)
 from .errors import DimensionError, NumericalError
 from .graph import (CausalGraph, extract_graph, graph_loss, ideal_weights,
                     save_graph, load_graph)
-from .data import co_occurrence
 from .invariance import (contrastive_inv_loss, env_consistency_loss,
                          make_env_views_batch)
-from .players import (MaskSet, Partition, PlayerEncoder, build_masks,
-                      encode_batch, partition_labels, player_encoders)
+from .players import (MaskSet, PlayerEncoder, build_masks, encode_batch,
+                      partition_labels, player_encoders)
 from .reward import (anneal, bce_terms, curiosity_surrogate,
                      generate_counterfactual)
 from .sem import (SemModel, full_mask, head, head_backward, init_model,
@@ -189,8 +189,7 @@ class ObjectiveSpec:
     alpha: np.ndarray
     stats: LabelStats
     wtilde: np.ndarray
-    subsets: list | None = None
-    masks: list | None = None
+    masks: MaskSet | None = None
     planted: PlantedWorld | None = None
     beta: float = 1.0
     gamma_r: float = 0.2
@@ -212,7 +211,7 @@ def composite_value_and_grads(model: SemModel, X: np.ndarray, Y: np.ndarray,
     cfg = obj.cfg
     # the invariance, env and curiosity terms need the players
     full = obj.masks is not None
-    union = np.sum(obj.masks, axis=0) if full else full_mask(model.L)
+    union = obj.masks.union() if full else full_mask(model.L)
     grads = model.zeros_like()
     bd: dict[str, float] = {}
     total = 0.0
@@ -286,7 +285,7 @@ def composite_value_and_grads(model: SemModel, X: np.ndarray, Y: np.ndarray,
         # all zero there, which leaves sigmoid(b), so only b has a gradient
         P_rest = np.broadcast_to(expit(model.b), P_cf.shape)
         div, js, racc, d_cur, dP_cf, dP_rest = curiosity_surrogate(
-            P[:B], P_cf, P_rest, Y, obj.subsets,
+            P[:B], P_cf, P_rest, Y, obj.masks.subsets,
             np.asarray(obj.stats.freq, dtype=np.float64), obj.beta,
             obj.gamma_r)
         bd["diversity"] = _check_finite("diversity", div)
@@ -385,7 +384,6 @@ class AdamW:
 @dataclass
 class TrainResult:
     model: SemModel
-    partition: Partition | None
     masks: MaskSet | None
     graph: CausalGraph | None
     stats: LabelStats
@@ -426,8 +424,8 @@ def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
     model = init_model(ds.d, ds.L, cfg.hidden, cfg.seed, n_players,
                        cfg.enc_dim)
 
-    result = TrainResult(model=model, partition=None, masks=None, graph=None,
-                         stats=stats, config=cfg)
+    result = TrainResult(model=model, masks=None, graph=None, stats=stats,
+                         config=cfg)
     if cfg.max_epochs == 0:
         return result
 
@@ -435,7 +433,6 @@ def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
     total_steps = steps_per_epoch * cfg.max_epochs
     opt = AdamW(model, cfg)
 
-    partition: Partition | None = None
     masks: MaskSet | None = None
     graph: CausalGraph | None = None
     best = {"map": -1.0, "epoch": -1, "model": None}
@@ -446,15 +443,13 @@ def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
     def build_partition():
         src = co_occurrence(train_ds) if cfg.partition_source == "cooccur" else model.W
         g = extract_graph(src, cfg.k_topk)
-        p = partition_labels(g, n_players, stats.freq)
-        return g, p, build_masks(p, g)
+        return g, build_masks(partition_labels(g, n_players, stats.freq), g)
 
     try:
         for epoch in range(cfg.max_epochs):
-            if epoch == cfg.warmup_epochs and partition is None:
-                graph, partition, masks = build_partition()
-                obj = replace(obj, subsets=partition.subsets,
-                              masks=masks.masks)
+            if epoch == cfg.warmup_epochs and masks is None:
+                graph, masks = build_partition()
+                obj = replace(obj, masks=masks)
             order = np.random.default_rng([cfg.seed, 12, epoch]).permutation(train_ds.n)
             ep_terms: dict[str, float] = {}
             # train_ds is never empty, so none of its batches is
@@ -470,26 +465,26 @@ def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
                 for key, val in bd.items():
                     ep_terms[key] = ep_terms.get(key, 0.0) + val
 
-            vmap, vf1 = evaluation.map_and_rare_f1(model, masks, val_ds,
-                                                   stats, cfg.rare_pct)
+            scores = evaluation.evaluate(model, None, masks, val_ds, ood,
+                                         stats, [cfg.rare_pct])
             entry = {"epoch": epoch,
                      "beta": beta, "gamma_r": gamma_r,
-                     "val_map": vmap, "val_rare_f1": vf1,
+                     "val_map": scores.map,
+                     "val_rare_f1": scores.rare_f1[cfg.rare_pct],
                      # no held-out split when round(val_frac * n) is 0 or n
                      "val_on_train": val_ds is train_ds,
-                     "n_players": partition.N if partition else 0}
+                     "n_players": len(masks.subsets) if masks else 0}
             for key, val in sorted(ep_terms.items()):
                 entry[key] = val / steps_per_epoch
             if ood is not None:
-                entry["ood_map"], _ = evaluation.map_and_rare_f1(
-                    model, masks, ood, stats, cfg.rare_pct)
+                entry["ood_map"] = scores.ood.map
             result.log.append(entry)
 
             # warmup epochs are evaluated unmasked and aren't comparable to
             # the masked predictor returned at the end, so best-checkpoint
             # selection only starts once the partition exists
-            if partition is not None and vmap > best["map"]:
-                best.update(map=vmap, epoch=epoch, model=model.copy())
+            if masks is not None and scores.map > best["map"]:
+                best.update(map=scores.map, epoch=epoch, model=model.copy())
             if epoch - best["epoch"] >= cfg.patience and epoch >= cfg.warmup_epochs:
                 break
     except NumericalError as exc:
@@ -497,9 +492,9 @@ def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
 
     if best["model"] is not None:
         result.model = model = best["model"]
-    if partition is None and not result.aborted:
-        graph, partition, masks = build_partition()
-    result.graph, result.partition, result.masks = graph, partition, masks
+    if masks is None and not result.aborted:
+        graph, masks = build_partition()
+    result.graph, result.masks = graph, masks
     return result
 
 
@@ -514,7 +509,7 @@ def save_run(run_dir: str, result: TrainResult) -> None:
     m = result.model
     # uncompressed zip members with a fixed date: equal arrays, equal bytes
     np.savez(os.path.join(run_dir, "model.npz"), **m.param_arrays())
-    players = result.partition.subsets if result.partition else None
+    players = result.masks.subsets if result.masks else None
     with open(os.path.join(run_dir, "model.json"), "w") as fh:
         json.dump({"d": m.d, "L": m.L, "hidden": m.hidden,
                    "encoders": len(m.enc_w), "players": players},
@@ -536,13 +531,13 @@ def save_run(run_dir: str, result: TrainResult) -> None:
 
 
 def load_run(run_dir: str):
-    """Rebuild (model, encoders, partition, masks, graph, stats, config). A
-    bad model.json size or players list, or a model.npz not holding exactly
-    the float64 arrays the manifest and config imply, raises DimensionError
-    naming the file."""
+    """Rebuild (model, encoders, subsets, masks, graph, stats, config), where
+    subsets is masks.subsets (None without masks). A run file that is not
+    JSON or lacks a key, a bad model.json size or players list, or a
+    model.npz not holding exactly the float64 arrays the manifest and config
+    imply, raises a ValueError naming the file."""
     path = os.path.join(run_dir, "model.json")
-    with open(path) as fh:
-        obj = json.load(fh)
+    obj = read_json(path)
     for key, low in (("d", 1), ("L", 1), ("hidden", 1), ("encoders", 0)):
         # type(...) is int leaves out bool
         if (not isinstance(obj, dict) or type(obj.get(key)) is not int
@@ -557,8 +552,7 @@ def load_run(run_dir: str):
         raise DimensionError(f"{path}: players must be disjoint non-empty "
                              f"label lists covering range({obj['L']})")
     path = os.path.join(run_dir, "config.json")
-    with open(path) as fh:
-        cfg = TrainConfig.from_dict(json.load(fh), path)
+    cfg = TrainConfig.from_dict(read_json(path), path)
     d, L, h, n, e = obj["d"], obj["L"], obj["hidden"], obj["encoders"], cfg.enc_dim
     shapes = {"w1": (L, L, h, d), "b1": (L, L, h), "w2": (L, L, h),
               "b2": (L, L), "W": (L, L), "b": (L,), "enc_w": (n, e, d),
@@ -579,16 +573,16 @@ def load_run(run_dir: str):
     if held != want:
         raise DimensionError(f"{path} holds {held}, expected {want}")
     model = SemModel(d=d, L=L, hidden=h, **arrays)
-    with open(os.path.join(run_dir, "stats.json")) as fh:
-        st = json.load(fh)
-    stats = LabelStats(freq=np.array(st["freq"], dtype=np.int64),
-                       rare_set=frozenset(st["rare_set"]),
-                       rare_pct=st["rare_pct"])
-    graph = partition = masks = None
+    stats = read_json(os.path.join(run_dir, "stats.json"),
+                      lambda st: LabelStats(
+                          freq=np.array(st["freq"], dtype=np.int64),
+                          rare_set=frozenset(st["rare_set"]),
+                          rare_pct=st["rare_pct"]))
+    graph = masks = None
     gpath = os.path.join(run_dir, "graph.json")
     if os.path.exists(gpath):
         graph = load_graph(gpath)
         if players is not None:
-            partition = Partition(subsets=[sorted(sub) for sub in players])
-            masks = build_masks(partition, graph)
-    return model, player_encoders(model), partition, masks, graph, stats, cfg
+            masks = build_masks([sorted(sub) for sub in players], graph)
+    return (model, player_encoders(model), masks.subsets if masks else None,
+            masks, graph, stats, cfg)

@@ -17,8 +17,8 @@ def toy_dataset(n=12, d=6, L=4, seed=0, pos_rate=0.5):
 
 
 def toy_setup(L=4, d=6, hidden=5, B=5, N=2, seed=0):
-    """Random model with N encoders + dataset + partition/masks for gradient
-    tests."""
+    """Random model with N encoders + dataset + graph + players (MaskSet) for
+    gradient tests."""
     rng = np.random.default_rng(seed)
     ds = toy_dataset(n=B, d=d, L=L, seed=seed + 1)
     stats = compute_label_stats(ds, 50)
@@ -26,11 +26,10 @@ def toy_setup(L=4, d=6, hidden=5, B=5, N=2, seed=0):
     model.W += rng.normal(0, 0.3, (L, L))
     np.fill_diagonal(model.W, 0.0)
     g = extract_graph(rng.normal(0.5, 0.3, (L, L)), 2)
-    part = partition_labels(g, N, stats.freq)
-    masks = build_masks(part, g)
+    masks = build_masks(partition_labels(g, N, stats.freq), g)
     wt = np.clip(rng.normal(0.3, 0.2, (L, L)), 0.0, 1.0)
     np.fill_diagonal(wt, 0.0)
-    return ds, stats, model, g, part, masks, wt
+    return ds, stats, model, g, masks, wt
 
 
 def objective_config(**kw):

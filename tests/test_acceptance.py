@@ -46,12 +46,11 @@ def _gradient_setup(seed):
     model.W += rng.normal(0, 0.3, (L, L))
     np.fill_diagonal(model.W, 0.0)
     g = extract_graph(rng.normal(0.4, 0.3, (L, L)), 2)
-    part = partition_labels(g, min(2, L), stats.freq)
-    masks = build_masks(part, g)
+    masks = build_masks(partition_labels(g, min(2, L), stats.freq), g)
     wt = np.clip(rng.normal(0.3, 0.2, (L, L)), 0.0, 1.0)
     np.fill_diagonal(wt, 0.0)
     alpha = rng.uniform(0.5, 2.0, L)
-    return ds, stats, model, part, masks, wt, alpha
+    return ds, stats, model, masks, wt, alpha
 
 
 def test_criterion_01_gradient_suite(monkeypatch):
@@ -61,7 +60,7 @@ def test_criterion_01_gradient_suite(monkeypatch):
     t0 = time.perf_counter()
     worst_overall = 0.0
     for seed in range(20):
-        ds, stats, model, part, masks, wt, alpha = _gradient_setup(seed)
+        ds, stats, model, masks, wt, alpha = _gradient_setup(seed)
         # (term, CE on, lambdas, beta, gamma_r); alpha = 0 turns CE off
         term_configs = [
             ("weighted_ce", True, {}, 1.0, 0.2),
@@ -80,7 +79,7 @@ def test_criterion_01_gradient_suite(monkeypatch):
             obj = ObjectiveSpec(
                 cfg=objective_config(m_envs=3, perturb_frac=0.3, **lambdas),
                 alpha=alpha if with_ce else 0.0 * alpha, stats=stats,
-                wtilde=wt, subsets=part.subsets, masks=masks.masks,
+                wtilde=wt, masks=masks,
                 beta=beta, gamma_r=gamma_r, rng_seed=(seed, 17))
             frozen.clear()
 
@@ -171,16 +170,16 @@ def test_criterion_04_partition_mask_suite():
         W[rng.random((L, L)) > 0.3] = 0.0
         g = extract_graph(W, 3)
         freq = rng.integers(1, 50, L)
-        part = partition_labels(g, N, freq)
+        subsets = partition_labels(g, N, freq)
 
         # disjoint cover with exactly N subsets
-        flat = sorted(x for sub in part.subsets for x in sub)
-        ok &= part.N == N and flat == list(range(L))
+        flat = sorted(x for sub in subsets for x in sub)
+        ok &= len(subsets) == N and flat == list(range(L))
 
         # mask definition by re-evaluation
-        masks = build_masks(part, g)
+        masks = build_masks(subsets, g)
         edge_set = g.edge_set()
-        for sub, M in zip(part.subsets, masks.masks):
+        for sub, M in zip(subsets, masks.masks):
             s = set(sub)
             expect = np.zeros((L, L))
             for (j, i) in edge_set:
@@ -193,8 +192,8 @@ def test_criterion_04_partition_mask_suite():
             model = init_model(5, L, 3, seed=trial)
             x = rng.normal(size=5)
             before = [predict_batch(model, x[None], M) for M in masks.masks]
-            i = part.subsets[0][0]
-            j = part.subsets[1][0]
+            i = subsets[0][0]
+            j = subsets[1][0]
             model.W[i, j] += 100.0
             after = [predict_batch(model, x[None], M) for M in masks.masks]
             ok &= all(np.array_equal(a, b) for a, b in zip(before, after))

@@ -112,8 +112,9 @@ class TestTrainCommand:
                                  monkeypatch):
         # each bad size, count, fraction, rate, choice or JSON type is
         # rejected, naming its key, before the first optimizer step; so is
-        # a bad config.json, model.json or model.npz in a run directory and
-        # a sweep's --test of another shape
+        # a bad config.json, model.json or model.npz in a run directory, a
+        # run file that is not JSON or lacks a key, and a dataset or world
+        # that does not parse or has another shape than --data or the model
         monkeypatch.setattr(training.AdamW, "step", _no_step)
         data = ["--data", str(gen_dir / "env0.jsonl")]
         cases = [(["train", *data, "--m-envs", "0"], "m_envs"),
@@ -199,6 +200,40 @@ class TestTrainCommand:
                           f"--test {test}"))
             cases.append((["sweep-players", *data, "--test", test,
                            "--ns", "2"], f"--test {test}"))
+        # an eval --ood of another d or L, or with a line that does not parse
+        lines = read(gen_dir / "env1.jsonl").splitlines()
+        (tmp_path / "torn.jsonl").write_text(f"{lines[0]}\n{{\n")
+        three = tmp_path / "three"  # (L, d) = (3, 16)
+        assert run(["gen", "--labels", "3", "--dim", "16", "--samples", "20",
+                    "--out", str(three)]) == 0
+        for ood in (str(three / "env0.jsonl"),
+                    str(tmp_path / "five_labels.jsonl"),
+                    str(wide / "env0.jsonl"), str(tmp_path / "torn.jsonl")):
+            cases.append((["eval", "--model", str(run_dir), *data,
+                           "--ood", ood], f"--ood {ood}"))
+        # a --world of another (L, d), or without a key
+        six = tmp_path / "six"  # (L, d) = (6, 40)
+        assert run(["gen", "--labels", "6", "--dim", "40", "--samples", "5",
+                    "--out", str(six)]) == 0
+        no_d = tmp_path / "no_d.json"
+        no_d.write_text(json.dumps({"L": 4}))
+        for world in (str(six / "world.json"), str(three / "world.json"),
+                      str(no_d)):
+            cases.append((["train", *data, "--world", world],
+                          f"--world {world}"))
+        cases.append((["eval", "--model", str(run_dir), *data, "--world",
+                       str(three / "world.json")],
+                      f"--world {three / 'world.json'}"))
+        # a run file that is not JSON, or lacks a key its reader needs
+        for i, (name, text) in enumerate(
+                [(name, "{\n") for name in ("model.json", "config.json",
+                                            "stats.json", "graph.json")]
+                + [("stats.json", "{}"), ("graph.json", '{"edges": 3}')]):
+            bad_run = tmp_path / f"json{i}"
+            shutil.copytree(run_dir, bad_run)
+            (bad_run / name).write_text(text)
+            cases.append((["eval", "--model", str(bad_run), *data],
+                          str(bad_run / name)))
         for argv, name in cases:
             rc = run([*argv, "--out", str(tmp_path / "o")])
             assert rc == 1, argv

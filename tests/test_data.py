@@ -5,7 +5,7 @@ import pytest
 
 from ccg.data import (Dataset, PlantedWorld, co_occurrence, compute_label_stats,
                       generate_from_world, generate_synthetic, load_dataset,
-                      save_dataset, semantic_similarity, topological_order)
+                      save_dataset, semantic_similarity)
 from ccg.errors import CapacityError, DatasetError
 
 
@@ -137,9 +137,19 @@ class TestGenerateSynthetic:
             generate_synthetic(L=10, d=8, n=10, n_envs=1, seed=0)
 
     def test_planted_graph_acyclic(self):
+        # every edge runs from a lower to a higher label, so label order is
+        # topological
         _, world = generate_synthetic(L=8, d=32, n=5, n_envs=1, seed=11,
                                       edge_density=0.3)
-        assert len(topological_order(world)) == 8
+        assert world.edges and all(j < i for j, i, _ in world.edges)
+
+    def test_edge_against_label_order_rejected(self):
+        world = PlantedWorld(L=2, d=8, edges=[(1, 0, 0.9)],
+                             causal_blocks={0: [0, 1], 1: [2, 3]},
+                             spurious_blocks={},
+                             env_params=[{"mean_mult": 1.0, "var_mult": 1.0}])
+        with pytest.raises(ValueError, match="1 -> 0"):
+            generate_from_world(world, 10, seed=0)
 
     def test_blocks_disjoint_and_in_range(self):
         _, world = generate_synthetic(L=6, d=36, n=5, n_envs=1, seed=4,

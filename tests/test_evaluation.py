@@ -156,16 +156,20 @@ class TestStructureScore:
 
 class TestMetricsReport:
     def report(self):
-        return MetricsReport(map=0.75, rare_f1={20.0: 0.4, 30.0: 0.5},
-                             per_label_ap=[0.8, None],
-                             ood_delta=(0.1, {20.0: 0.05, 30.0: 0.02}),
+        # binary fractions, so each drop is exact
+        ood = MetricsReport(map=0.5, rare_f1={20.0: 0.25, 30.0: 0.625},
+                            per_label_ap=[0.5, None])
+        return MetricsReport(map=0.75, rare_f1={20.0: 0.5, 30.0: 0.75},
+                             per_label_ap=[0.8, None], ood=ood,
                              structure=(0.6, 0.4))
 
     def test_to_dict_keys(self):
         d = self.report().to_dict()
         assert d["map"] == 0.75
-        assert d["rare_f1"]["20.0"] == 0.4
-        assert d["ood_delta"]["map_drop"] == 0.1
+        assert d["rare_f1"]["20.0"] == 0.5
+        assert d["ood_delta"] == {"map_drop": 0.25,
+                                  "rare_f1_drop": {"20.0": 0.25,
+                                                   "30.0": 0.125}}
         assert d["structure"] == {"precision": 0.6, "recall": 0.4}
 
     def test_to_csv_rows(self):
@@ -173,5 +177,8 @@ class TestMetricsReport:
         lines = csv.strip().split("\n")
         assert lines[0] == "metric,value"
         assert "map,0.75" in lines
-        assert "rare_f1@20.0,0.4" in lines
+        assert "rare_f1@20.0,0.5" in lines
+        assert "ood_map_drop,0.25" in lines
+        assert "ood_rare_f1_drop@20.0,0.25" in lines
+        assert "ood_rare_f1_drop@30.0,0.125" in lines
         assert "structure_recall,0.4" in lines

@@ -22,32 +22,32 @@ class TestPartitionLabels:
             N = int(rng.integers(1, L + 1))
             g = random_graph(L, rng)
             freq = rng.integers(1, 50, L)
-            p = partition_labels(g, N, freq)
-            assert p.N == N
-            flat = sorted(x for sub in p.subsets for x in sub)
+            subsets = partition_labels(g, N, freq)
+            assert len(subsets) == N
+            flat = sorted(x for sub in subsets for x in sub)
             assert flat == list(range(L))
 
     def test_n_one_single_subset(self):
         g = CausalGraph(L=4, edges=[(0, 1, 0.5)])
-        p = partition_labels(g, 1, np.ones(4))
-        assert p.subsets == [[0, 1, 2, 3]]
+        subsets = partition_labels(g, 1, np.ones(4))
+        assert subsets == [[0, 1, 2, 3]]
 
     def test_n_equals_l_all_singletons(self):
         g = CausalGraph(L=3, edges=[(0, 1, 0.9), (1, 2, 0.8)])
-        p = partition_labels(g, 3, np.ones(3))
-        assert p.subsets == [[0], [1], [2]]
+        subsets = partition_labels(g, 3, np.ones(3))
+        assert subsets == [[0], [1], [2]]
 
     def test_merge_lowest_frequency_components(self):
         # three components {0,1}, {2}, {3}; freqs make {2} and {3} cheapest
         g = CausalGraph(L=4, edges=[(0, 1, 0.9)])
-        p = partition_labels(g, 2, np.array([10, 10, 1, 2]))
-        assert p.subsets == [[0, 1], [2, 3]]
+        subsets = partition_labels(g, 2, np.array([10, 10, 1, 2]))
+        assert subsets == [[0, 1], [2, 3]]
 
     def test_split_removes_weakest_edge(self):
         # chain 0 -> 1 -> 2 with a weak middle link
         g = CausalGraph(L=3, edges=[(0, 1, 0.9), (1, 2, 0.1)])
-        p = partition_labels(g, 2, np.ones(3))
-        assert p.subsets == [[0, 1], [2]]
+        subsets = partition_labels(g, 2, np.ones(3))
+        assert subsets == [[0, 1], [2]]
 
     def test_n_out_of_range(self):
         g = CausalGraph(L=3, edges=[])
@@ -80,15 +80,15 @@ class TestPartitionLabels:
                 seen |= comp
                 comps.append(sorted(comp))
             g = CausalGraph(L=L, edges=edges)
-            p = partition_labels(g, len(comps), rng.integers(1, 50, L))
-            assert p.subsets == comps
+            assert partition_labels(g, len(comps),
+                                    rng.integers(1, 50, L)) == comps
 
     def test_deterministic(self, rng):
         g = random_graph(8, np.random.default_rng(3))
         freq = np.arange(1, 9)
         a = partition_labels(g, 3, freq)
         b = partition_labels(g, 3, freq)
-        assert a.subsets == b.subsets
+        assert a == b
 
 
 class TestBuildMasks:
@@ -97,10 +97,11 @@ class TestBuildMasks:
             L = int(rng.integers(2, 10))
             g = random_graph(L, rng)
             N = int(rng.integers(1, L + 1))
-            p = partition_labels(g, N, rng.integers(1, 20, L))
-            ms = build_masks(p, g)
+            subsets = partition_labels(g, N, rng.integers(1, 20, L))
+            ms = build_masks(subsets, g)
+            assert ms.subsets == subsets
             edge_set = g.edge_set()
-            for sub, M in zip(p.subsets, ms.masks):
+            for sub, M in zip(subsets, ms.masks):
                 s = set(sub)
                 for i in range(L):
                     for j in range(L):
@@ -110,14 +111,14 @@ class TestBuildMasks:
 
     def test_union_has_no_overlap(self, rng):
         g = random_graph(9, np.random.default_rng(7))
-        p = partition_labels(g, 3, np.ones(9))
-        ms = build_masks(p, g)
+        subsets = partition_labels(g, 3, np.ones(9))
+        ms = build_masks(subsets, g)
         assert ms.union().max() <= 1.0
 
     def test_cross_subset_edges_masked_out(self):
         g = CausalGraph(L=4, edges=[(0, 1, 0.9), (1, 2, 0.2), (2, 3, 0.9)])
-        p = partition_labels(g, 2, np.ones(4))
-        ms = build_masks(p, g)
+        subsets = partition_labels(g, 2, np.ones(4))
+        ms = build_masks(subsets, g)
         # edge (1 -> 2) crosses the split, so no mask may contain it
         assert all(M[2, 1] == 0.0 for M in ms.masks)
 
@@ -168,16 +169,16 @@ class TestPlayerHeads:
             L = int(rng.integers(2, 9))
             N = int(rng.integers(1, L + 1)) if trial % 3 else L
             g = random_graph(L, rng, density=0.6)
-            part = partition_labels(g, N, rng.integers(1, 50, L))
-            assert len(part.subsets) == N
-            masks = build_masks(part, g)
+            subsets = partition_labels(g, N, rng.integers(1, 50, L))
+            assert len(subsets) == N
+            masks = build_masks(subsets, g)
             model = init_model(3, L, 4, seed=trial)
             model.W = rng.normal(0.0, 1.0, (L, L))
             np.fill_diagonal(model.W, 0.0)
             model.b = rng.normal(0.0, 1.0, L)
             H, _ = pair_features(model, rng.normal(size=(6, 3)))
             players = []
-            for sub, M in zip(part.subsets, masks.masks):
+            for sub, M in zip(subsets, masks.masks):
                 own = np.zeros(L, dtype=bool)
                 own[sub] = True
                 players.append((own, head(model, H, M)))

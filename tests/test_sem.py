@@ -226,12 +226,12 @@ def ce_objective(stats, alpha=1.0, **cfg_kw):
 
 class TestLossAndGradients:
     def test_gradients_match_finite_differences(self, monkeypatch):
-        ds, stats, model, _, part, masks, wt = toy_setup(seed=1)
+        ds, stats, model, _, masks, wt = toy_setup(seed=1)
         cfg = objective_config(lambda_rare=0.5, lambda_graph=0.4,
                                lambda_inv=0.3, lambda_env=0.6,
                                lambda_rwd=0.8, m_envs=3, perturb_frac=0.3)
         obj = ObjectiveSpec(cfg=cfg, alpha=np.ones(ds.L), stats=stats,
-                            wtilde=wt, subsets=part.subsets, masks=masks.masks,
+                            wtilde=wt, masks=masks,
                             beta=0.7, gamma_r=0.9, rng_seed=(5,))
         # finite differences probe the smooth surrogate on frozen
         # counterfactual inputs
@@ -247,7 +247,7 @@ class TestLossAndGradients:
         assert worst < 1e-4
 
     def test_duplicated_batch_mean_invariance(self):
-        ds, stats, model, _, part, masks, wt = toy_setup(seed=2)
+        ds, stats, model, _, masks, wt = toy_setup(seed=2)
         obj = ce_objective(stats, lambda_rare=0.3)
         l1, g1, _ = composite_value_and_grads(model, ds.X, ds.Y, obj)
         X2 = np.vstack([ds.X, ds.X])
@@ -259,7 +259,7 @@ class TestLossAndGradients:
             np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_all_zero_coefficients(self):
-        ds, stats, model, _, part, masks, wt = toy_setup(seed=3)
+        ds, stats, model, _, masks, wt = toy_setup(seed=3)
         obj = ce_objective(stats, alpha=0.0)
         loss, grads, _ = composite_value_and_grads(model, ds.X, ds.Y, obj)
         assert loss == 0.0

@@ -122,16 +122,16 @@ def test_term_gradient_matches_finite_differences(name):
 
 
 class TestCompositeObjective:
-    def make_obj(self, ds, stats, part, masks, wt, beta=1.0, gamma_r=0.2,
+    def make_obj(self, ds, stats, masks, wt, beta=1.0, gamma_r=0.2,
                  **cfg_kw):
         return ObjectiveSpec(cfg=objective_config(**cfg_kw),
                              alpha=np.ones(ds.L), stats=stats, wtilde=wt,
-                             subsets=part.subsets, masks=masks.masks,
-                             beta=beta, gamma_r=gamma_r, rng_seed=(3,))
+                             masks=masks, beta=beta, gamma_r=gamma_r,
+                             rng_seed=(3,))
 
     def test_total_is_weighted_sum_of_breakdown(self):
-        ds, stats, model, _, part, masks, wt = toy_setup(seed=6)
-        obj = self.make_obj(ds, stats, part, masks, wt,
+        ds, stats, model, _, masks, wt = toy_setup(seed=6)
+        obj = self.make_obj(ds, stats, masks, wt,
                             lambda_rare=0.5, lambda_graph=0.4,
                             lambda_inv=0.3, lambda_env=0.6, lambda_rwd=0.8,
                             beta=0.7, gamma_r=0.9, m_envs=3)
@@ -142,10 +142,10 @@ class TestCompositeObjective:
         assert total == pytest.approx(recon, rel=1e-12)
 
     def test_terms_scale_linearly_with_coefficients(self):
-        ds, stats, model, _, part, masks, wt = toy_setup(seed=7)
-        obj1 = self.make_obj(ds, stats, part, masks, wt,
+        ds, stats, model, _, masks, wt = toy_setup(seed=7)
+        obj1 = self.make_obj(ds, stats, masks, wt,
                              lambda_graph=1.0)
-        obj2 = self.make_obj(ds, stats, part, masks, wt,
+        obj2 = self.make_obj(ds, stats, masks, wt,
                              lambda_graph=3.0)
         t1, g1, bd1 = composite_value_and_grads(model, ds.X, ds.Y, obj1)
         t2, g2, bd2 = composite_value_and_grads(model, ds.X, ds.Y, obj2)
@@ -153,8 +153,8 @@ class TestCompositeObjective:
         assert t2 == pytest.approx(bd1["ce"] + 3 * bd1["graph"])
 
     def test_deterministic_given_seed(self):
-        ds, stats, model, _, part, masks, wt = toy_setup(seed=8)
-        obj = self.make_obj(ds, stats, part, masks, wt,
+        ds, stats, model, _, masks, wt = toy_setup(seed=8)
+        obj = self.make_obj(ds, stats, masks, wt,
                             lambda_rwd=1.0, lambda_inv=1.0, lambda_env=1.0,
                             m_envs=3, beta=0.5, gamma_r=0.5)
         t1, g1, _ = composite_value_and_grads(model, ds.X, ds.Y, obj)
@@ -169,7 +169,7 @@ class TestCompositeObjective:
                                                            monkeypatch):
         # the M views run as one stacked batch: one forward and one backward
         # for all of them, and one encoder call for every player
-        ds, stats, model, _, part, masks, wt = toy_setup(L=6, N=5, seed=11)
+        ds, stats, model, _, masks, wt = toy_setup(L=6, N=5, seed=11)
         calls = dict.fromkeys(("pair_features", "pair_backward", "head",
                                "head_backward", "encode_batch"), 0)
         for name in calls:
@@ -177,7 +177,7 @@ class TestCompositeObjective:
                 calls[_name] += 1
                 return _fn(*args, **kw)
             monkeypatch.setattr(training, name, counted)
-        obj = self.make_obj(ds, stats, part, masks, wt,
+        obj = self.make_obj(ds, stats, masks, wt,
                             lambda_rare=0.5, lambda_graph=0.4, lambda_inv=0.3,
                             lambda_env=0.6, lambda_rwd=0.8, m_envs=M)
         composite_value_and_grads(model, ds.X, ds.Y, obj)
@@ -185,9 +185,9 @@ class TestCompositeObjective:
                          "head_backward": 3, "encode_batch": 1}
 
     def test_nonfinite_probability_raises_numerical_error(self):
-        ds, stats, model, _, part, masks, wt = toy_setup(seed=9)
+        ds, stats, model, _, masks, wt = toy_setup(seed=9)
         model.b[...] = np.nan
-        obj = self.make_obj(ds, stats, part, masks, wt)
+        obj = self.make_obj(ds, stats, masks, wt)
         with pytest.raises(NumericalError):
             composite_value_and_grads(model, ds.X, ds.Y, obj)
 
@@ -305,7 +305,7 @@ class TestTrain:
         for a, b in zip(r1.model.param_arrays().values(),
                         r2.model.param_arrays().values()):
             np.testing.assert_array_equal(a, b)
-        assert r1.partition.subsets == r2.partition.subsets
+        assert r1.masks.subsets == r2.masks.subsets
 
     def test_training_reduces_cross_entropy(self):
         ds, world = self.small_ds(seed=1)
@@ -316,7 +316,7 @@ class TestTrain:
         ds, _ = self.small_ds(seed=2)
         cfg = self.small_cfg(max_epochs=0)
         r = train(ds, cfg)
-        assert r.log == [] and r.partition is None
+        assert r.log == [] and r.masks is None
         ref = init_model(ds.d, ds.L, cfg.hidden, cfg.seed)
         np.testing.assert_array_equal(r.model.W, ref.W)
 
@@ -326,7 +326,7 @@ class TestTrain:
                   planted=world)
         assert r.log[1]["n_players"] == 0       # still warming up
         assert r.log[2]["n_players"] == 2       # players active
-        assert r.partition.N == 2
+        assert len(r.masks.subsets) == 2
 
     def test_w_diagonal_stays_exactly_zero(self, monkeypatch):
         # no loss term, weight decay or projection touches W's diagonal, so
@@ -364,7 +364,7 @@ class TestTrain:
         ds, _ = self.small_ds(seed=6)
         r = train(ds, self.small_cfg(partition_source="cooccur",
                                      lambda_graph=0.0))
-        assert r.partition is not None and r.partition.N == 2
+        assert r.masks is not None and len(r.masks.subsets) == 2
 
     @pytest.mark.parametrize("n,val_frac,on_train", [
         (2, 0.2, True),     # round(0.4) = 0 validation samples
@@ -395,11 +395,11 @@ class TestPersistence:
         r = train(dss[0], cfg, planted=world)
         run_dir = tmp_path / "run"
         save_run(run_dir, r)
-        model, encoders, partition, masks, graph, stats, cfg2 = load_run(run_dir)
+        model, encoders, subsets, masks, graph, stats, cfg2 = load_run(run_dir)
         for a, b in zip(model.param_arrays().values(),
                         r.model.param_arrays().values()):
             np.testing.assert_array_equal(a, b)
-        assert partition.subsets == r.partition.subsets
+        assert subsets == masks.subsets == r.masks.subsets
         for a, b in zip(masks.masks, r.masks.masks):
             np.testing.assert_array_equal(a, b)
         assert graph.edges == r.graph.edges
@@ -445,8 +445,8 @@ class TestPersistence:
         assert untrained.graph is None
         save_run(tmp_path, untrained)
         assert not (tmp_path / "graph.json").exists()
-        _, _, partition, masks, graph, _, _ = load_run(tmp_path)
-        assert graph is partition is masks is None
+        _, _, subsets, masks, graph, _, _ = load_run(tmp_path)
+        assert graph is subsets is masks is None
 
     def test_every_array_has_one_adam_group_and_one_npz_entry(self,
                                                                tmp_path):
