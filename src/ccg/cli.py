@@ -111,11 +111,16 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    # each percentage must lie in the range of TrainConfig.rare_pct
+    try:
+        p_list = [training.TrainConfig(rare_pct=float(p)).rare_pct
+                  for p in args.rare_pcts.split(",")]
+    except ValueError as exc:
+        raise DatasetError(f"--rare-pcts {args.rare_pcts}: {exc}") from None
     model, _, _, masks, graph, stats, _ = training.load_run(args.model)
     ds = _read("--data", args.data, model)
     ds_ood = _read("--ood", args.ood, model)
     planted = _read("--world", args.world, model)
-    p_list = [float(p) for p in args.rare_pcts.split(",")]
     report = evaluation.evaluate(model, None, masks, ds, ds_ood, stats,
                                  p_list, learned_graph=graph, planted=planted)
     os.makedirs(args.out, exist_ok=True)
@@ -196,6 +201,9 @@ def cmd_export_graph(args) -> int:
     names = None
     if args.names:
         names = args.names.split(",")
+        if len(names) != graph.L:
+            raise DatasetError(f"--names gives {len(names)} names for a "
+                               f"graph of {graph.L} labels")
     _write(args.out, export_dot(graph, names))
     print(f"DOT graph written to {args.out}")
     return 0

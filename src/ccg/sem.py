@@ -1,11 +1,16 @@
 """Neural-SEM label predictor with exact analytic gradients.
 
-Each ordered label pair (i, j) owns a tiny 2-layer relu MLP h_ij(x); the
-probability of label i is sigmoid(sum_j W[i,j] * h_ij(x) + b[i]). The pair
-MLPs are stored as stacked arrays. The first layers of all L*L pairs read as
-one (L*L*hidden, d) matrix, so a batch's first-layer forward, its weight
-gradient and its input gradient are BLAS matrix products (`@` on reshaped
-views). Backprop is hand-derived for this fixed architecture (no autodiff).
+Each ordered label pair (i, j), i != j, owns a tiny 2-layer relu MLP
+h_ij(x); the probability of label i is sigmoid(sum_j W[i,j] * h_ij(x) + b[i]).
+A model holds the MLPs of the pairs in its pair index, `SemModel.pairs`,
+stacked along the first axis of `w1`, `b1`, `w2` and `b2`: every off-diagonal
+pair before the partition, and after it only the pairs the players' masks
+read. The first layers of the P held pairs read as one (P*hidden, d) matrix,
+so a batch's first-layer forward, its weight gradient and its input gradient
+are BLAS matrix products (`@` on reshaped views). `pair_features` scatters
+the P outputs into a dense (B, L, L) H, zero at the pairs the model does not
+hold, so the heads and every loss term read H by label pair. Backprop is
+hand-derived for this fixed architecture (no autodiff).
 """
 
 from __future__ import annotations
@@ -17,9 +22,12 @@ from scipy.special import expit
 
 from .errors import DimensionError
 
-# rows of the (L*L*hidden, d) first-layer gradient added per block in
+# rows of the (P*hidden, d) first-layer gradient added per block in
 # pair_backward
 W1_BLOCK_ROWS = 256
+
+# the arrays that hold one entry per pair of the pair index
+PAIR_ARRAYS = ("w1", "b1", "w2", "b2")
 
 
 @dataclass
@@ -29,10 +37,14 @@ class SemModel:
     d: int
     L: int
     hidden: int
-    w1: np.ndarray  # (L, L, hidden, d)
-    b1: np.ndarray  # (L, L, hidden)
-    w2: np.ndarray  # (L, L, hidden)
-    b2: np.ndarray  # (L, L)
+    # (P, 2) int: row p is the label pair (i, j) whose MLP is w1[p], b1[p],
+    # w2[p] and b2[p], in row-major order. It is the layout, not a parameter,
+    # and is never written in place, so copies share it
+    pairs: np.ndarray
+    w1: np.ndarray  # (P, hidden, d)
+    b1: np.ndarray  # (P, hidden)
+    w2: np.ndarray  # (P, hidden)
+    b2: np.ndarray  # (P,)
     # (L, L) causal weights. The diagonal is zero by construction: init sets
     # it to 0, no loss term gives it a gradient and W has no weight decay
     W: np.ndarray
@@ -42,9 +54,10 @@ class SemModel:
     enc_b: np.ndarray  # (N, e)
 
     def param_arrays(self) -> dict[str, np.ndarray]:
-        """The array fields by name, in field order."""
+        """The array fields but pairs by name, in field order."""
         return {f.name: getattr(self, f.name) for f in fields(self)
-                if isinstance(getattr(self, f.name), np.ndarray)}
+                if f.name != "pairs"
+                and isinstance(getattr(self, f.name), np.ndarray)}
 
     def copy(self) -> "SemModel":
         return replace(self, **{k: a.copy()
@@ -55,29 +68,47 @@ class SemModel:
         return replace(self, **{k: np.zeros(a.shape)
                                 for k, a in self.param_arrays().items()})
 
+    def keep_pairs(self, mask: np.ndarray) -> "SemModel":
+        """The model holding only its pairs (i, j) where the (L, L) mask is
+        nonzero: the pair arrays gathered along their first axis, the other
+        arrays shared."""
+        i, j = self.pairs.T
+        keep = np.flatnonzero(mask[i, j])
+        return replace(self, pairs=self.pairs[keep],
+                       **{k: getattr(self, k)[keep] for k in PAIR_ARRAYS})
+
+
+def mask_pairs(mask: np.ndarray) -> np.ndarray:
+    """The pair index of the pairs (i, j), i != j, where the (L, L) mask is
+    nonzero: the pairs a model needs to predict through that mask."""
+    return np.argwhere(mask * full_mask(len(mask)))
+
 
 def init_model(d: int, L: int, hidden: int, seed: int, players: int = 0,
                enc_dim: int = 1) -> SemModel:
-    """Fan-based uniform init for the pair MLPs and, drawn from seed + 1, the
-    `players` encoders of dimension enc_dim; N(0, 0.01) for W; zero biases."""
+    """A model holding every off-diagonal pair. Fan-based uniform init for
+    the pair MLPs and, drawn from seed + 1, the `players` encoders of
+    dimension enc_dim; N(0, 0.01) for W; zero biases. The pair MLPs are
+    drawn for all L*L pairs, diagonal included, and the diagonal then
+    dropped, so the draws of W that follow are those of an (L, L) layout."""
     if min(d, L, hidden, enc_dim) < 1:
         raise ValueError("d, L, hidden, enc_dim must be positive")
     rng = np.random.default_rng(seed)
     a1 = np.sqrt(6.0 / (d + hidden))
     a2 = np.sqrt(6.0 / (hidden + 1))
-    w1 = rng.uniform(-a1, a1, size=(L, L, hidden, d))
-    w2 = rng.uniform(-a2, a2, size=(L, L, hidden))
+    pairs = mask_pairs(full_mask(L))
+    i, j = pairs.T
+    w1 = rng.uniform(-a1, a1, size=(L, L, hidden, d))[i, j]
+    w2 = rng.uniform(-a2, a2, size=(L, L, hidden))[i, j]
     W = rng.normal(0.0, 0.01, size=(L, L))
     np.fill_diagonal(W, 0.0)
-    diag = np.eye(L, dtype=bool)
-    w1[diag] = 0.0
-    w2[diag] = 0.0
     ae = np.sqrt(6.0 / (d + enc_dim))
     enc_w = np.random.default_rng(seed + 1).uniform(
         -ae, ae, size=(players, enc_dim, d))
-    return SemModel(d=d, L=L, hidden=hidden,
-                    w1=w1, b1=np.zeros((L, L, hidden)), w2=w2,
-                    b2=np.zeros((L, L)), W=W, b=np.zeros(L),
+    P = len(pairs)
+    return SemModel(d=d, L=L, hidden=hidden, pairs=pairs,
+                    w1=w1, b1=np.zeros((P, hidden)), w2=w2,
+                    b2=np.zeros(P), W=W, b=np.zeros(L),
                     enc_w=enc_w, enc_b=np.zeros((players, enc_dim)))
 
 
@@ -86,15 +117,18 @@ def full_mask(L: int) -> np.ndarray:
 
 
 def pair_features(model: SemModel, X: np.ndarray):
-    """All h_ij(x) for a batch. Returns H of shape (B, L, L) plus a cache
-    of intermediates for the backward pass."""
+    """Every held h_ij(x) for a batch. Returns H of shape (B, L, L), zero at
+    the pairs the model does not hold, plus a cache of intermediates for the
+    backward pass."""
     if X.ndim != 2 or X.shape[1] != model.d:
         raise DimensionError(f"expected features of dimension {model.d}")
-    L, h = model.L, model.hidden
-    a = (X @ model.w1.reshape(L * L * h, model.d).T).reshape(len(X), L, L, h)
+    B, L, (P, h, d) = len(X), model.L, model.w1.shape
+    a = (X @ model.w1.reshape(P * h, d).T).reshape(B, P, h)
     a += model.b1
     np.maximum(a, 0.0, out=a)  # relu in place; a > 0 exactly where z > 0
-    H = np.einsum("ijh,bijh->bij", model.w2, a) + model.b2
+    H = np.zeros((B, L, L))
+    i, j = model.pairs.T
+    H[:, i, j] = np.einsum("ph,bph->bp", model.w2, a) + model.b2
     return H, (X, a)
 
 
@@ -123,25 +157,30 @@ def pair_backward(model: SemModel, cache, dH: np.ndarray,
                   grads: SemModel | None = None):
     """Backprop accumulated dH through the stacked pair MLPs.
 
-    dH covers the leading B = len(dH) rows of the cache's batch; the rows
+    dH is (B, L, L) and is read at the held pairs only. It covers the leading B = len(dH) rows of the cache's batch; the rows
     after them are ignored, so one stacked forward serves a backward pass
     over any leading slice of it. With a gradient (a zeros_like model),
     accumulates the pair-MLP gradients into it and returns None. With
     grads=None, computes only the input gradient dLoss/dX of shape (B, d).
     """
-    B, L, h, d = len(dH), model.L, model.hidden, model.d
+    B, L, (P, h, d) = len(dH), model.L, model.w1.shape
     X, a = cache[0][:B], cache[1][:B]
-    dz = dH[:, :, :, None] * model.w2[None] * (a > 0.0)
-    dz_flat = dz.reshape(B, L * L * h)
+    # (B, P): dH at the held pairs. take returns it C-contiguous, as the
+    # products below need to run at full speed; dH[:, i, j] would lay it
+    # out pair-major
+    dHp = dH.reshape(B, L * L).take(
+        np.ravel_multi_index(model.pairs.T, (L, L)), axis=1)
+    dz = dHp[:, :, None] * model.w2[None] * (a > 0.0)
+    dz_flat = dz.reshape(B, P * h)
     if grads is None:
-        return dz_flat @ model.w1.reshape(L * L * h, d)
-    grads.b2 += dH.sum(axis=0)
-    grads.w2 += np.einsum("bij,bijh->ijh", dH, a)
+        return dz_flat @ model.w1.reshape(P * h, d)
+    grads.b2 += dHp.sum(axis=0)
+    grads.w2 += np.einsum("bp,bph->ph", dHp, a)
     # zeros_like allocates contiguous arrays, so this reshape is a view;
     # the product is added one block of rows at a time so its temporary
     # stays in cache
-    gw1 = grads.w1.reshape(L * L * h, d)
-    for s in range(0, L * L * h, W1_BLOCK_ROWS):
+    gw1 = grads.w1.reshape(P * h, d)
+    for s in range(0, P * h, W1_BLOCK_ROWS):
         gw1[s:s + W1_BLOCK_ROWS] += dz_flat[:, s:s + W1_BLOCK_ROWS].T @ X
     grads.b1 += dz.sum(axis=0)
     return None

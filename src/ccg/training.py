@@ -58,7 +58,7 @@ from .players import (MaskSet, PlayerEncoder, build_masks, encode_batch,
 from .reward import (anneal, bce_terms, curiosity_surrogate,
                      generate_counterfactual)
 from .sem import (SemModel, full_mask, head, head_backward, init_model,
-                  pair_backward, pair_features)
+                  mask_pairs, pair_backward, pair_features)
 
 
 def _inside(value, interval: str) -> bool:
@@ -331,8 +331,8 @@ class AdamW:
         self.lrs = [getattr(cfg, ADAM_GROUPS[n][0]) for n in self.names]
         self.decays = [cfg.weight_decay if ADAM_GROUPS[n][1] else 0.0
                        for n in self.names]
-        self.m = [np.zeros_like(p) for p in self.params]
-        self.v = [np.zeros_like(p) for p in self.params]
+        # the moments in the model's layout, so keep_pairs gathers them too
+        self.m, self.v = model.zeros_like(), model.zeros_like()
         for p in self.params:
             if not p.flags.c_contiguous:
                 raise ValueError("AdamW updates parameters in place through "
@@ -357,7 +357,9 @@ class AdamW:
         bc2 = 1.0 - self.beta2 ** self.t
         c1 = (1.0 - self.beta1) * scale
         c2 = (1.0 - self.beta2) * scale * scale
-        for p, g, m, v, lr, wd in zip(self.params, gs, self.m, self.v,
+        for p, g, m, v, lr, wd in zip(self.params, gs,
+                                      self.m.param_arrays().values(),
+                                      self.v.param_arrays().values(),
                                       self.lrs, self.decays):
             p, g, m, v = (a.reshape(-1) for a in (p, g, m, v))
             for s in range(0, p.size, ADAM_BLOCK):
@@ -380,6 +382,15 @@ class AdamW:
                     pb *= 1.0 - lr * wd
                 pb -= buf
 
+    def keep_pairs(self, model: SemModel, mask: np.ndarray) -> SemModel:
+        """Keep only the pairs of model, the one this optimizer updates,
+        where mask is nonzero, in the parameters and both moments; t is
+        kept. Returns the trimmed model, which later steps update."""
+        self.m, self.v = self.m.keep_pairs(mask), self.v.keep_pairs(mask)
+        model = model.keep_pairs(mask)
+        self.params = list(model.param_arrays().values())
+        return model
+
 
 @dataclass
 class TrainResult:
@@ -399,8 +410,9 @@ class TrainResult:
 def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
           ood: Dataset | None = None) -> TrainResult:
     """Algorithm-1 training loop: ideal-weight estimation, warm-up of W,
-    graph extraction and player partitioning (frozen thereafter), then
-    full-composite epochs with early stopping on validation mAP. With an
+    graph extraction and player partitioning (frozen thereafter, and
+    trimming the model to the pairs the masks read), then full-composite
+    epochs with early stopping on validation mAP. With an
     ood dataset, each epoch also logs the mAP on it as ood_map; one of
     another d or L raises DimensionError before any epoch."""
     if ds.n == 0:
@@ -441,9 +453,15 @@ def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
                         planted=planted)
 
     def build_partition():
+        """The graph and players from the model's W (or the co-occurrence);
+        from then on the model and optimizer hold only the pairs the players'
+        masks read, since no masked prediction reads any other."""
+        nonlocal model
         src = co_occurrence(train_ds) if cfg.partition_source == "cooccur" else model.W
         g = extract_graph(src, cfg.k_topk)
-        return g, build_masks(partition_labels(g, n_players, stats.freq), g)
+        ms = build_masks(partition_labels(g, n_players, stats.freq), g)
+        model = opt.keep_pairs(model, ms.union())
+        return g, ms
 
     try:
         for epoch in range(cfg.max_epochs):
@@ -491,10 +509,10 @@ def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
         result.aborted = str(exc)
 
     if best["model"] is not None:
-        result.model = model = best["model"]
+        model = best["model"]
     if masks is None and not result.aborted:
         graph, masks = build_partition()
-    result.graph, result.masks = graph, masks
+    result.model, result.graph, result.masks = model, graph, masks
     return result
 
 
@@ -532,10 +550,12 @@ def save_run(run_dir: str, result: TrainResult) -> None:
 
 def load_run(run_dir: str):
     """Rebuild (model, encoders, subsets, masks, graph, stats, config), where
-    subsets is masks.subsets (None without masks). A run file that is not
-    JSON or lacks a key, a bad model.json size or players list, or a
-    model.npz not holding exactly the float64 arrays the manifest and config
-    imply, raises a ValueError naming the file."""
+    subsets is masks.subsets (None without masks). The model's pair index is
+    the pairs the players' masks read, or every off-diagonal pair without
+    players. A run file that is not JSON or lacks a key, a bad model.json
+    size or players list, players without a graph.json of the manifest's L,
+    or a model.npz not holding exactly the float64 arrays the manifest,
+    config and pair index imply, raises a ValueError naming the file."""
     path = os.path.join(run_dir, "model.json")
     obj = read_json(path)
     for key, low in (("d", 1), ("L", 1), ("hidden", 1), ("encoders", 0)):
@@ -554,9 +574,23 @@ def load_run(run_dir: str):
     path = os.path.join(run_dir, "config.json")
     cfg = TrainConfig.from_dict(read_json(path), path)
     d, L, h, n, e = obj["d"], obj["L"], obj["hidden"], obj["encoders"], cfg.enc_dim
-    shapes = {"w1": (L, L, h, d), "b1": (L, L, h), "w2": (L, L, h),
-              "b2": (L, L), "W": (L, L), "b": (L,), "enc_w": (n, e, d),
-              "enc_b": (n, e)}
+    graph = masks = None
+    path = os.path.join(run_dir, "graph.json")
+    if os.path.exists(path):
+        graph = load_graph(path)
+        if graph.L != L or not all(0 <= v < L for edge in graph.edges
+                                   for v in edge[:2]):
+            raise DimensionError(f"{path}: L must be {L} and every edge's "
+                                 f"labels lie in range({L})")
+    if players is not None:
+        if graph is None:
+            raise DimensionError(f"{path} is missing; the players' masks "
+                                 "and so the model's pairs come from it")
+        masks = build_masks([sorted(sub) for sub in players], graph)
+    pairs = mask_pairs(masks.union() if masks else full_mask(L))
+    P = len(pairs)
+    shapes = {"w1": (P, h, d), "b1": (P, h), "w2": (P, h), "b2": (P,),
+              "W": (L, L), "b": (L,), "enc_w": (n, e, d), "enc_b": (n, e)}
     path = os.path.join(run_dir, "model.npz")
     try:
         npz = np.load(path, allow_pickle=False)
@@ -572,17 +606,11 @@ def load_run(run_dir: str):
     want = {k: ("float64", shape) for k, shape in shapes.items()}
     if held != want:
         raise DimensionError(f"{path} holds {held}, expected {want}")
-    model = SemModel(d=d, L=L, hidden=h, **arrays)
+    model = SemModel(d=d, L=L, hidden=h, pairs=pairs, **arrays)
     stats = read_json(os.path.join(run_dir, "stats.json"),
                       lambda st: LabelStats(
                           freq=np.array(st["freq"], dtype=np.int64),
                           rare_set=frozenset(st["rare_set"]),
                           rare_pct=st["rare_pct"]))
-    graph = masks = None
-    gpath = os.path.join(run_dir, "graph.json")
-    if os.path.exists(gpath):
-        graph = load_graph(gpath)
-        if players is not None:
-            masks = build_masks([sorted(sub) for sub in players], graph)
     return (model, player_encoders(model), masks.subsets if masks else None,
             masks, graph, stats, cfg)

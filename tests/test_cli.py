@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from ccg import training
+from ccg import evaluation, training
 from ccg.cli import ABLATION_FLAGS, apply_ablations, build_config, main
 from ccg.data import Dataset, load_dataset, save_dataset
 from ccg.training import TrainConfig
@@ -150,12 +150,16 @@ class TestTrainCommand:
             (bad_run / "config.json").write_text(
                 json.dumps({**config, key: val}))
             cases.append((["eval", "--model", str(bad_run), *data], key))
-        # a model.npz array of the wrong shape, one only pickle reads, and
-        # a file cut short
+        # a model.npz array of the wrong shape, one only pickle reads, a
+        # file cut short, and pair MLPs for all L*L pairs, as runs saved
+        # before models held only the pairs their masks read
         with np.load(run_dir / "model.npz") as npz:
             arrays = dict(npz)
+        dense = {k: np.zeros((4, 4) + arrays[k].shape[1:])
+                 for k in ("w1", "b1", "w2", "b2")}
         for i, change in enumerate(({"W": np.zeros((5, 5))},
-                                    {"b": np.array([None] * 4)}, None)):
+                                    {"b": np.array([None] * 4)}, None,
+                                    dense)):
             bad_run = tmp_path / f"npz{i}"
             shutil.copytree(run_dir, bad_run)
             if change is None:
@@ -224,6 +228,24 @@ class TestTrainCommand:
         cases.append((["eval", "--model", str(run_dir), *data, "--world",
                        str(three / "world.json")],
                       f"--world {three / 'world.json'}"))
+        # players without the graph.json their masks, and so the model's
+        # pairs, come from
+        bad_run = tmp_path / "no_graph"
+        shutil.copytree(run_dir, bad_run)
+        (bad_run / "graph.json").unlink()
+        cases.append((["eval", "--model", str(bad_run), *data], "graph.json"))
+        # a graph.json of another label count, or with an edge outside it
+        graph = json.loads(read(run_dir / "graph.json"))
+        for i, change in enumerate((
+                {"L": 5},
+                {"edges": [{"src": 4, "dst": 0, "strength": 0.5}]},
+                {"edges": [{"src": 0, "dst": -1, "strength": 0.5}]})):
+            bad_run = tmp_path / f"graph{i}"
+            shutil.copytree(run_dir, bad_run)
+            (bad_run / "graph.json").write_text(json.dumps({**graph,
+                                                            **change}))
+            cases.append((["eval", "--model", str(bad_run), *data],
+                          str(bad_run / "graph.json")))
         # a run file that is not JSON, or lacks a key its reader needs
         for i, (name, text) in enumerate(
                 [(name, "{\n") for name in ("model.json", "config.json",
@@ -325,6 +347,46 @@ class TestEvalCommand:
         report = json.loads(read(out / "report.json"))
         assert report["ood_delta"]["map_drop"] == 0.0
 
+    @pytest.mark.parametrize("pcts", ["150", "-5", "x", "20,100.5", "nan"])
+    def test_rare_pct_outside_0_100_exits_1(self, gen_dir, run_dir, tmp_path,
+                                            capsys, pcts):
+        rc = run(["eval", "--model", str(run_dir),
+                  "--data", str(gen_dir / "env0.jsonl"),
+                  "--rare-pcts", pcts, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"--rare-pcts {pcts}" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_partition_after_the_loop_saves_the_pairs_it_reads(
+            self, gen_dir, tmp_path):
+        # with max_epochs <= warmup_epochs train partitions after its last
+        # epoch; the saved run holds only the pairs the players' masks read
+        # and eval scores it as the trained model in memory
+        ds = load_dataset(str(gen_dir / "env0.jsonl"))
+        cfg = TrainConfig(max_epochs=1, warmup_epochs=1, n_players=2,
+                          hidden=4, enc_dim=4, seed=2)
+        r = training.train(ds, cfg)
+        assert [e["n_players"] for e in r.log] == [0]
+        union = r.masks.union()
+        np.testing.assert_array_equal(r.model.pairs, np.argwhere(union))
+        P = int(union.sum())
+        assert 0 < P < 4 * 3
+        training.save_run(str(tmp_path / "run"), r)
+        with np.load(tmp_path / "run" / "model.npz") as npz:
+            assert npz["w1"].shape == (P, 4, ds.d)
+        loaded = training.load_run(str(tmp_path / "run"))
+        np.testing.assert_array_equal(
+            evaluation.predict_dataset(loaded[0], ds, loaded[3].union()),
+            evaluation.predict_dataset(r.model, ds, union))
+        assert run(["eval", "--model", str(tmp_path / "run"),
+                    "--data", str(gen_dir / "env0.jsonl"),
+                    "--rare-pcts", "30", "--out", str(tmp_path / "eval")]) == 0
+        report = json.loads(read(tmp_path / "eval" / "report.json"))
+        want = evaluation.evaluate(r.model, None, r.masks, ds, None, r.stats,
+                                   [30.0]).to_dict()
+        assert report == json.loads(json.dumps(want))
+
     def test_dimension_mismatch_exits_1(self, run_dir, tmp_path):
         other = tmp_path / "other"
         run(["gen", "--labels", "4", "--dim", "8", "--samples", "20",
@@ -384,6 +446,21 @@ class TestHarnessCommands:
             assert lines[0] == f"{param},map,rare_f1"
             assert [line.split(",")[0] for line in lines[1:]] == \
                 values.split(",")
+
+    @pytest.mark.parametrize("names", ["a,b", "a,b,c,d,e"])
+    def test_export_graph_names_of_another_count_exit_1(self, run_dir,
+                                                        tmp_path, capsys,
+                                                        names):
+        rc = run(["export-graph", "--model", str(run_dir), "--names", names,
+                  "--out", str(tmp_path / "g.dot")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--names" in err and "Traceback" not in err
+        assert f"{len(names.split(','))} names" in err and "4 labels" in err
+        assert not (tmp_path / "g.dot").exists()
+        assert run(["export-graph", "--model", str(run_dir),
+                    "--names", "a,b,c,d", "--out", str(tmp_path / "g.dot")]) == 0
+        assert '  "d";' in read(tmp_path / "g.dot")
 
     def test_export_graph_deterministic(self, run_dir, tmp_path):
         a, b = tmp_path / "a.dot", tmp_path / "b.dot"

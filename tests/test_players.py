@@ -5,7 +5,7 @@ from scipy.special import expit
 from ccg.graph import CausalGraph, extract_graph
 from ccg.players import (build_masks, encode_batch, partition_labels,
                          player_encoders)
-from ccg.sem import init_model, pair_features, head
+from ccg.sem import head, init_model, pair_features, predict_batch
 
 
 def random_graph(L, rng, density=0.3):
@@ -161,29 +161,46 @@ class TestPlayerHeads:
     sigmoid(b), what an all-zero mask row leaves."""
 
     @staticmethod
-    def cases(rng):
-        """(union head, sigmoid(b), [(own-label mask, player head)]) on
-        random graphs, partitions and models; every third case has L
-        singleton players."""
+    def players(rng):
+        """(model, players, batch) on random graphs, partitions and models
+        holding every pair; every third case has L singleton players."""
         for trial in range(30):
             L = int(rng.integers(2, 9))
             N = int(rng.integers(1, L + 1)) if trial % 3 else L
             g = random_graph(L, rng, density=0.6)
             subsets = partition_labels(g, N, rng.integers(1, 50, L))
             assert len(subsets) == N
-            masks = build_masks(subsets, g)
             model = init_model(3, L, 4, seed=trial)
             model.W = rng.normal(0.0, 1.0, (L, L))
             np.fill_diagonal(model.W, 0.0)
             model.b = rng.normal(0.0, 1.0, L)
-            H, _ = pair_features(model, rng.normal(size=(6, 3)))
+            yield model, build_masks(subsets, g), rng.normal(size=(6, 3))
+
+    @classmethod
+    def cases(cls, rng):
+        """(union head, sigmoid(b), [(own-label mask, player head)]) for
+        each of players(rng)."""
+        for model, masks, X in cls.players(rng):
+            H, _ = pair_features(model, X)
+            L = model.L
             players = []
-            for sub, M in zip(subsets, masks.masks):
+            for sub, M in zip(masks.subsets, masks.masks):
                 own = np.zeros(L, dtype=bool)
                 own[sub] = True
                 players.append((own, head(model, H, M)))
             yield (head(model, H, masks.union()),
                    np.broadcast_to(expit(model.b), (len(H), L)), players)
+
+    def test_trimmed_model_predicts_bit_for_bit(self, rng):
+        # trimmed to the pairs the union mask reads, a model's masked
+        # predictions equal those of the model holding every pair
+        for model, masks, X in self.players(rng):
+            union = masks.union()
+            trimmed = model.keep_pairs(union)
+            np.testing.assert_array_equal(trimmed.pairs,
+                                          np.argwhere(union))
+            np.testing.assert_array_equal(predict_batch(trimmed, X, union),
+                                          predict_batch(model, X, union))
 
     def test_own_labels_equal_union_head(self, rng):
         for union, _, players in self.cases(rng):

@@ -19,6 +19,11 @@ def predict_one(m, x, mask=None):
     return predict_batch(m, np.asarray(x)[None, :], mask)[0]
 
 
+def pair_pos(m, i, j):
+    """The position of the pair (i, j) in m's pair index."""
+    return int(np.flatnonzero((m.pairs == (i, j)).all(axis=1))[0])
+
+
 class TestPredict:
     def test_all_zero_parameters_give_half(self):
         m = tiny_model()
@@ -29,14 +34,15 @@ class TestPredict:
     def test_hand_evaluated_forward_pass(self):
         m = tiny_model(d=2, L=2, hidden=2, seed=1)
         x = np.array([0.3, -0.7])
-        m.w1[0, 1] = [[1.0, 2.0], [-1.0, 0.5]]
-        m.b1[0, 1] = [0.1, -0.2]
-        m.w2[0, 1] = [0.5, 2.0]
-        m.b2[0, 1] = 0.3
-        m.w1[1, 0] = [[0.0, 1.0], [1.0, 1.0]]
-        m.b1[1, 0] = [0.0, 0.0]
-        m.w2[1, 0] = [1.0, -1.0]
-        m.b2[1, 0] = 0.0
+        p01, p10 = pair_pos(m, 0, 1), pair_pos(m, 1, 0)
+        m.w1[p01] = [[1.0, 2.0], [-1.0, 0.5]]
+        m.b1[p01] = [0.1, -0.2]
+        m.w2[p01] = [0.5, 2.0]
+        m.b2[p01] = 0.3
+        m.w1[p10] = [[0.0, 1.0], [1.0, 1.0]]
+        m.b1[p10] = [0.0, 0.0]
+        m.w2[p10] = [1.0, -1.0]
+        m.b2[p10] = 0.0
         m.W = np.array([[0.0, 0.8], [-0.4, 0.0]])
         m.b = np.array([0.05, -0.1])
         # hand-computed forward
@@ -126,9 +132,13 @@ class TestInit:
             assert not g.any()
 
 
-def random_model(L, hidden, d, seed):
-    """Model with every pair slot (diagonal included) and bias random."""
+def random_model(L, hidden, d, seed, subset):
+    """Model with every held pair slot and bias random. It holds every
+    off-diagonal pair, or with subset two pairs of every three."""
     m = init_model(d, L, hidden, seed)
+    if subset:
+        m = m.keep_pairs(np.arange(L * L).reshape(L, L) % 3 != 1)
+        assert 0 < len(m.pairs) < L * (L - 1)
     rng = np.random.default_rng(seed)
     for arr in m.param_arrays().values():
         arr[...] = rng.normal(size=arr.shape)
@@ -137,30 +147,46 @@ def random_model(L, hidden, d, seed):
 
 def einsum_pair_oracle(m, X, dH):
     """Pair-MLP forward, parameter gradients and input gradient written as
-    plain einsums over the stacked (L, L, hidden, d) arrays."""
-    z = np.einsum("ijhd,bd->bijh", m.w1, X) + m.b1
+    plain einsums over the stacked (P, hidden, d) arrays, with H written and
+    dH read one held pair at a time."""
+    z = np.einsum("phd,bd->bph", m.w1, X) + m.b1
     a = np.maximum(z, 0.0)
-    H = np.einsum("ijh,bijh->bij", m.w2, a) + m.b2
-    dz = dH[:, :, :, None] * m.w2[None] * (z > 0.0)
-    grads = {"w1": np.einsum("bijh,bd->ijhd", dz, X), "b1": dz.sum(axis=0),
-             "w2": np.einsum("bij,bijh->ijh", dH, a), "b2": dH.sum(axis=0)}
-    dx = np.einsum("bijh,ijhd->bd", dz, m.w1)
+    Hp = np.einsum("ph,bph->bp", m.w2, a) + m.b2
+    H = np.zeros((len(X), m.L, m.L))
+    for p, (i, j) in enumerate(m.pairs):
+        H[:, i, j] = Hp[:, p]
+    dHp = np.stack([dH[:, i, j] for i, j in m.pairs], axis=1)
+    dz = dHp[:, :, None] * m.w2[None] * (z > 0.0)
+    grads = {"w1": np.einsum("bph,bd->phd", dz, X), "b1": dz.sum(axis=0),
+             "w2": np.einsum("bp,bph->ph", dHp, a), "b2": dHp.sum(axis=0)}
+    dx = np.einsum("bph,phd->bd", dz, m.w1)
     return H, grads, dx
 
 
-# the second shape has L*L*hidden = 275 first-layer rows, more than one
-# block of the w1-gradient accumulation
-@pytest.mark.parametrize("L,hidden,d,B", [(3, 4, 5, 7), (5, 11, 6, 7)])
+# id -> (L, hidden, d, B, subset). At 6-14-6-7 there are P*hidden = 420
+# first-layer rows, or 280 holding a subset, more than one block of the
+# w1-gradient accumulation
+KERNEL_CASES = {"3-4-5-7": (3, 4, 5, 7, False),
+                "5-11-6-7": (5, 11, 6, 7, False),
+                "6-14-6-7": (6, 14, 6, 7, False),
+                "3-4-5-7-subset": (3, 4, 5, 7, True),
+                "6-14-6-7-subset": (6, 14, 6, 7, True)}
+
+
+@pytest.mark.parametrize("L,hidden,d,B,subset", list(KERNEL_CASES.values()),
+                         ids=list(KERNEL_CASES))
 class TestPairKernels:
-    def test_forward_matches_einsum_oracle(self, L, hidden, d, B):
-        m = random_model(L, hidden, d, seed=L)
+    def test_forward_matches_einsum_oracle(self, L, hidden, d, B,
+                                           subset):
+        m = random_model(L, hidden, d, L, subset)
         X = np.random.default_rng(1).normal(size=(B, d))
         H, _ = pair_features(m, X)
         H_ref, _, _ = einsum_pair_oracle(m, X, np.zeros((B, L, L)))
         np.testing.assert_allclose(H, H_ref, rtol=1e-12, atol=1e-12)
 
-    def test_backward_matches_einsum_oracle(self, L, hidden, d, B):
-        m = random_model(L, hidden, d, seed=L + 1)
+    def test_backward_matches_einsum_oracle(self, L, hidden, d, B,
+                                            subset):
+        m = random_model(L, hidden, d, L + 1, subset)
         rng = np.random.default_rng(2)
         X = rng.normal(size=(B, d))
         dH = rng.normal(size=(B, L, L))
@@ -180,9 +206,9 @@ class TestPairKernels:
                                    rtol=1e-12, atol=1e-12)
 
     def test_backward_reads_leading_rows_of_stacked_cache(self, L, hidden, d,
-                                                          B):
+                                                          B, subset):
         # one forward over stacked views serves a backward over view 0 only
-        m = random_model(L, hidden, d, seed=L + 3)
+        m = random_model(L, hidden, d, L + 3, subset)
         rng = np.random.default_rng(4)
         X = rng.normal(size=(B, d))
         dH = rng.normal(size=(B, L, L))
@@ -199,8 +225,9 @@ class TestPairKernels:
                                    pair_backward(m, cache, dH),
                                    rtol=1e-12, atol=1e-12)
 
-    def test_input_gradient_matches_finite_differences(self, L, hidden, d, B):
-        m = random_model(L, hidden, d, seed=L + 2)
+    def test_input_gradient_matches_finite_differences(self, L, hidden, d, B,
+                                                       subset):
+        m = random_model(L, hidden, d, L + 2, subset)
         rng = np.random.default_rng(3)
         X = rng.normal(size=(B, d))
         c = rng.normal(size=(B, L, L))  # loss = sum(c * H)

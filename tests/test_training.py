@@ -259,9 +259,50 @@ class TestAdamW:
         with pytest.raises(ValueError):
             AdamW(model, TrainConfig())
 
+    @pytest.mark.parametrize("grad_clip", [0.0, 1.0])
+    def test_step_after_keep_pairs_equals_the_full_step(self, grad_clip):
+        # keep_pairs trims both moments with the parameters and keeps t, so
+        # the trimmed optimizer's step is the full one's on the kept pairs
+        # when the other pairs' gradients are zero, as after a partition
+        rng = np.random.default_rng(9)
+        mask = np.zeros((4, 4))
+        mask[[0, 1, 3, 3], [2, 0, 1, 2]] = 1.0
+        cfg = TrainConfig(lr_main=0.05, lr_aux=0.2, weight_decay=0.3,
+                          grad_clip=grad_clip)
+        full, trimmed = (init_model(5, 4, 3, seed=4, players=2, enc_dim=2)
+                         for _ in range(2))
+        opt_full, opt_trim = AdamW(full, cfg), AdamW(trimmed, cfg)
+
+        def random_grads():
+            g = full.zeros_like()
+            for arr in g.param_arrays().values():
+                arr[...] = rng.normal(0.0, 3.0, arr.shape)
+            return g
+
+        for _ in range(2):
+            g = random_grads()
+            opt_full.step(g)
+            opt_trim.step(g)
+        trimmed = opt_trim.keep_pairs(trimmed, mask)
+        assert len(trimmed.pairs) == 4 and opt_trim.t == 2
+        g = random_grads()
+        i, j = g.pairs.T
+        for name in ("w1", "b1", "w2", "b2"):
+            getattr(g, name)[mask[i, j] == 0] = 0.0
+        opt_full.step(g)
+        opt_trim.step(g.keep_pairs(mask))
+        assert opt_trim.t == opt_full.t == 3
+        for got, want in ((trimmed, full), (opt_trim.m, opt_full.m),
+                          (opt_trim.v, opt_full.v)):
+            for name, a in want.keep_pairs(mask).param_arrays().items():
+                np.testing.assert_array_equal(got.param_arrays()[name], a)
+        # later steps update the trimmed model in place
+        assert all(p is a for p, a in zip(opt_trim.params,
+                                          trimmed.param_arrays().values()))
+
     def test_clipped_steps_match_textbook_formula(self):
-        # w1 has 6*6*8*64 = 18432 elements, more than one update block
-        model = init_model(64, 6, 8, seed=3, players=2, enc_dim=4)
+        # w1 has 7*6*8*64 = 21504 elements, more than one update block
+        model = init_model(64, 7, 8, seed=3, players=2, enc_dim=4)
         cfg = TrainConfig(lr_main=0.05, lr_aux=0.2, weight_decay=0.3,
                           grad_clip=1.0)
         opt = AdamW(model, cfg)
@@ -399,6 +440,9 @@ class TestPersistence:
         for a, b in zip(model.param_arrays().values(),
                         r.model.param_arrays().values()):
             np.testing.assert_array_equal(a, b)
+        # the pair index is rebuilt from graph.json and the players
+        np.testing.assert_array_equal(model.pairs, r.model.pairs)
+        np.testing.assert_array_equal(model.pairs, np.argwhere(masks.union()))
         assert subsets == masks.subsets == r.masks.subsets
         for a, b in zip(masks.masks, r.masks.masks):
             np.testing.assert_array_equal(a, b)
