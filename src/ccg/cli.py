@@ -60,6 +60,19 @@ def _write(path, text):
         fh.write(text)
 
 
+def _settings(flag, text, field) -> list:
+    """The comma list text that flag gives, as values of the TrainConfig
+    field, each checked against its FIELD_RULES entry; a value that is not
+    one raises an error naming flag and field."""
+    kind = training.FIELD_RULES[field][0]
+    try:
+        return [getattr(training.TrainConfig(**{field: kind(v)}), field)
+                for v in text.split(",")]
+    except ValueError as exc:
+        raise DatasetError(f"{flag} {text}: each must be a {field} value "
+                           f"({exc})") from None
+
+
 def build_config(args) -> training.TrainConfig:
     """The TrainConfig defaults, then the --config file's keys, then the
     training flags, whose argparse dest is the field they set."""
@@ -111,21 +124,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    # each percentage must lie in the range of TrainConfig.rare_pct
-    try:
-        p_list = [training.TrainConfig(rare_pct=float(p)).rare_pct
-                  for p in args.rare_pcts.split(",")]
-    except ValueError as exc:
-        raise DatasetError(f"--rare-pcts {args.rare_pcts}: {exc}") from None
+    p_list = _settings("--rare-pcts", args.rare_pcts, "rare_pct")
     model, _, _, masks, graph, stats, _ = training.load_run(args.model)
     ds = _read("--data", args.data, model)
     ds_ood = _read("--ood", args.ood, model)
     planted = _read("--world", args.world, model)
     report = evaluation.evaluate(model, None, masks, ds, ds_ood, stats,
                                  p_list, learned_graph=graph, planted=planted)
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "report.json"), "w") as fh:
-        json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
+    _write(os.path.join(args.out, "report.json"),
+           json.dumps(report.to_dict(), sort_keys=True, indent=2))
     _write(os.path.join(args.out, "report.csv"), report.to_csv())
     print(f"report written to {args.out}")
     return 0
@@ -159,7 +166,7 @@ def _sweep(args, header: str, runs, what: str) -> int:
 def cmd_sweep_players(args) -> int:
     cfg0 = build_config(args)
     runs = [(N, replace(cfg0, n_players=N))
-            for N in [int(x) for x in args.ns.split(",")]]
+            for N in _settings("--ns", args.ns, "n_players")]
     return _sweep(args, "n_players,map,rare_f1", runs, "sweep")
 
 
@@ -181,14 +188,8 @@ SENSITIVITY_GRID = {
 
 def cmd_sensitivity(args) -> int:
     cfg0 = build_config(args)
-    values = SENSITIVITY_GRID[args.param]
-    if args.values:
-        kind = training.FIELD_RULES[args.param][0]
-        try:
-            values = [kind(v) for v in args.values.split(",")]
-        except ValueError:
-            raise DatasetError(f"--values for {args.param} must be "
-                               f"{kind.__name__}s: {args.values}") from None
+    values = (_settings("--values", args.values, args.param) if args.values
+              else SENSITIVITY_GRID[args.param])
     runs = [(v, replace(cfg0, **{args.param: v})) for v in values]
     return _sweep(args, f"{args.param},map,rare_f1", runs,
                   "sensitivity sweep")

@@ -119,10 +119,12 @@ PREDICT_BATCH = 256  # samples per predict_batch call
 
 
 def predict_dataset(model: SemModel, ds: Dataset,
-                    union_mask: np.ndarray | None = None) -> np.ndarray:
-    """Full-model probabilities: the union of per-player masked predictions
-    (equivalently, one pass with the summed mask)."""
-    chunks = [predict_batch(model, ds.X[i:i + PREDICT_BATCH], union_mask)
+                    mask: np.ndarray | None = None) -> np.ndarray:
+    """The model's probabilities on ds, through its held pairs or, given an
+    (L, L) mask, only those of them where mask is nonzero."""
+    if mask is not None:
+        model = model.keep_pairs(mask)
+    chunks = [predict_batch(model, ds.X[i:i + PREDICT_BATCH])
               for i in range(0, ds.n, PREDICT_BATCH)]
     return np.concatenate(chunks, axis=0)
 
@@ -131,12 +133,11 @@ def evaluate(model: SemModel, partition, masks, ds_id: Dataset,
              ds_ood: Dataset | None, stats: LabelStats,
              p_list: list[float], learned_graph: CausalGraph | None = None,
              planted: PlantedWorld | None = None) -> MetricsReport:
-    """Per-label AP, mAP and rare-F1 at each p of p_list of the union-mask
-    predictions on ds_id (unmasked without masks), ds_ood's own scores as
-    report.ood, and the structure scores given both graphs. partition is
-    not read."""
-    union = masks.union() if masks is not None else None
-    probs = predict_dataset(model, ds_id, union)
+    """Per-label AP, mAP and rare-F1 at each p of p_list of the model's
+    predictions on ds_id, ds_ood's own scores as report.ood, and the
+    structure scores given both graphs. The model's pair index is its mask,
+    so neither partition nor masks is read."""
+    probs = predict_dataset(model, ds_id)
     aps = per_label_average_precision(probs, ds_id.Y)
     report = MetricsReport(
         map=_map_of(aps),

@@ -8,6 +8,7 @@ and W has no weight decay), so the paper's l0 self-loop penalty is always
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +30,22 @@ class CausalGraph:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CausalGraph":
-        return cls(L=int(obj["L"]),
-                   edges=[(int(e["src"]), int(e["dst"]), float(e["strength"]))
-                          for e in obj["edges"]])
+        """The graph a graph.json object gives. An L that is not an int >= 1,
+        or an edge whose src or dst is not an int of range(L) or whose
+        strength is not a finite real, raises ValueError."""
+        L = obj["L"]
+        # type(...) leaves out bool
+        if type(L) is not int or L < 1:
+            raise ValueError(f"L must be an int >= 1, got {L!r}")
+        edges = [(e["src"], e["dst"], e["strength"]) for e in obj["edges"]]
+        for j, i, s in edges:
+            if not (type(j) is int and type(i) is int and 0 <= j < L
+                    and 0 <= i < L and type(s) in (int, float)
+                    and math.isfinite(s)):
+                raise ValueError(f"edge ({j!r}, {i!r}, {s!r}): src and dst "
+                                 f"must be ints in range({L}) and strength "
+                                 "a finite real")
+        return cls(L=L, edges=[(j, i, float(s)) for j, i, s in edges])
 
 
 def rare_indicator_matrix(L: int, rare_set) -> np.ndarray:

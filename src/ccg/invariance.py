@@ -59,10 +59,10 @@ def env_consistency_loss(P, Y: np.ndarray):
     """(1/M) sum over the M environment views of the binary cross-entropy
     against the true labels, summed over labels, mean over the batch.
 
-    P is (M, B, L): P[m] holds the union-mask probabilities of view m. Row i
-    of the union mask is row i of the mask of the player that owns label i,
-    so this equals the sum over players of each player's loss on its own
-    labels. Returns (value, dP), dP the gradient for P.
+    P is (M, B, L): P[m] holds the probabilities of view m through every
+    player's pairs, which on label i are those of the player owning it, so
+    this is the sum over players of each player's loss on its own labels.
+    Returns (value, dP), dP the gradient for P.
     """
     P = np.asarray(P, dtype=np.float64)
     if len(P) < 1:

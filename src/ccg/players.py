@@ -1,4 +1,5 @@
-"""Label partitioning into players, causal masks, and per-player encoders."""
+"""Label partitioning into players, their causal masks as one pair index,
+and per-player encoders."""
 
 from __future__ import annotations
 
@@ -11,13 +12,18 @@ from .graph import CausalGraph
 
 @dataclass
 class MaskSet:
-    """The players: player k owns the labels subsets[k] and predicts them
-    through its causal mask masks[k]."""
-    subsets: list[list[int]]  # N disjoint, sorted label subsets
-    masks: list[np.ndarray]   # N binary (L, L) matrices
+    """The players: player k owns the labels subsets[k], and pairs holds
+    every player's causal mask as the row-major (P, 2) index of the (i, j)
+    of each graph edge j -> i with both ends in one subset."""
+    subsets: list[list[int]]  # N disjoint, sorted subsets covering range(L)
+    pairs: np.ndarray
 
     def union(self) -> np.ndarray:
-        return np.sum(self.masks, axis=0)
+        """The (L, L) 0/1 matrix that is 1 at the pairs."""
+        L = sum(map(len, self.subsets))
+        union = np.zeros((L, L))
+        union[tuple(self.pairs.T)] = 1.0
+        return union
 
 
 @dataclass
@@ -90,14 +96,9 @@ def partition_labels(g: CausalGraph, N: int,
 
 
 def build_masks(subsets: list[list[int]], g: CausalGraph) -> MaskSet:
-    """The players owning subsets, with m_ij^(k) = 1 iff edge (l_j -> l_i) is
-    in the graph and both endpoints lie in subset k."""
-    masks = []
-    for sub in subsets:
-        s = set(sub)
-        M = np.zeros((g.L, g.L))
-        for (j, i, _) in g.edges:
-            if j in s and i in s:
-                M[i, j] = 1.0
-        masks.append(M)
-    return MaskSet(subsets=subsets, masks=masks)
+    """The players owning subsets, which cover range(g.L): m_ij^(k) = 1 iff
+    edge (l_j -> l_i) is in the graph, i != j and both lie in subset k."""
+    owner = {lab: k for k, sub in enumerate(subsets) for lab in sub}
+    pairs = sorted({(i, j) for j, i, _ in g.edges
+                    if i != j and owner[i] == owner[j]})
+    return MaskSet(subsets, np.array(pairs, dtype=np.int64).reshape(-1, 2))

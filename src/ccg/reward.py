@@ -82,10 +82,9 @@ def curiosity_surrogate(P: np.ndarray, P_cf: np.ndarray, P_rest: np.ndarray,
     on one batch.
 
     Each label's mask row belongs to one player, so on its own labels
-    subsets[k] player k outputs the (B, L) union-mask probabilities, P on
-    the batch and P_cf on its counterfactuals, and on every other label it
-    outputs P_rest, sigmoid(b) in every row, since its mask row there is
-    all zero. diversity is the mean over players of KL(player || mean of the
+    subsets[k] player k outputs the (B, L) probabilities through every
+    player's pairs, P on the batch and P_cf on its counterfactuals, and on
+    every other label P_rest, sigmoid(b) in every row. diversity is the mean over players of KL(player || mean of the
     other players), i.e. of KL(P || P_rest), on the player's labels (0 for a
     single player); JS_cf is the mean over players of JS(P || P_cf) there.
     Both are averaged over the batch and the player's labels. rare_acc

@@ -1,15 +1,15 @@
 """Neural-SEM label predictor with exact analytic gradients.
 
 Each ordered label pair (i, j), i != j, owns a tiny 2-layer relu MLP
-h_ij(x); the probability of label i is sigmoid(sum_j W[i,j] * h_ij(x) + b[i]).
-A model holds the MLPs of the pairs in its pair index, `SemModel.pairs`,
-stacked along the first axis of `w1`, `b1`, `w2` and `b2`: every off-diagonal
-pair before the partition, and after it only the pairs the players' masks
-read. The first layers of the P held pairs read as one (P*hidden, d) matrix,
-so a batch's first-layer forward, its weight gradient and its input gradient
-are BLAS matrix products (`@` on reshaped views). `pair_features` scatters
-the P outputs into a dense (B, L, L) H, zero at the pairs the model does not
-hold, so the heads and every loss term read H by label pair. Backprop is
+h_ij(x). A model holds the MLPs of the pairs in its pair index,
+`SemModel.pairs`, stacked along the first axis of `w1`, `b1`, `w2` and `b2`:
+every off-diagonal pair before the partition, and after it only the pairs
+the players' masks read. The pair index is the model's mask: the probability
+of label i is sigmoid(b[i] + sum of W[i, j] * h_ij(x) over its held pairs).
+The first layers of the P held pairs read as one (P*hidden, d) matrix, so a
+batch's first-layer forward and both its gradients are BLAS matrix products.
+The pair outputs and their gradients keep a (B, P) layout, which the head
+sums into the L labels with one (B, P) @ (P, L) product. Backprop is
 hand-derived for this fixed architecture (no autodiff).
 """
 
@@ -78,10 +78,9 @@ class SemModel:
                        **{k: getattr(self, k)[keep] for k in PAIR_ARRAYS})
 
 
-def mask_pairs(mask: np.ndarray) -> np.ndarray:
-    """The pair index of the pairs (i, j), i != j, where the (L, L) mask is
-    nonzero: the pairs a model needs to predict through that mask."""
-    return np.argwhere(mask * full_mask(len(mask)))
+def all_pairs(L: int) -> np.ndarray:
+    """The row-major pair index of every off-diagonal pair (i, j)."""
+    return np.argwhere(~np.eye(L, dtype=bool))
 
 
 def init_model(d: int, L: int, hidden: int, seed: int, players: int = 0,
@@ -96,7 +95,7 @@ def init_model(d: int, L: int, hidden: int, seed: int, players: int = 0,
     rng = np.random.default_rng(seed)
     a1 = np.sqrt(6.0 / (d + hidden))
     a2 = np.sqrt(6.0 / (hidden + 1))
-    pairs = mask_pairs(full_mask(L))
+    pairs = all_pairs(L)
     i, j = pairs.T
     w1 = rng.uniform(-a1, a1, size=(L, L, hidden, d))[i, j]
     w2 = rng.uniform(-a2, a2, size=(L, L, hidden))[i, j]
@@ -112,64 +111,55 @@ def init_model(d: int, L: int, hidden: int, seed: int, players: int = 0,
                     enc_w=enc_w, enc_b=np.zeros((players, enc_dim)))
 
 
-def full_mask(L: int) -> np.ndarray:
-    return 1.0 - np.eye(L)
-
-
 def pair_features(model: SemModel, X: np.ndarray):
-    """Every held h_ij(x) for a batch. Returns H of shape (B, L, L), zero at
-    the pairs the model does not hold, plus a cache of intermediates for the
+    """Every held h_ij(x) for a batch. Returns Hp of shape (B, P), column p
+    the output of pair model.pairs[p], plus a cache of intermediates for the
     backward pass."""
     if X.ndim != 2 or X.shape[1] != model.d:
         raise DimensionError(f"expected features of dimension {model.d}")
-    B, L, (P, h, d) = len(X), model.L, model.w1.shape
+    B, (P, h, d) = len(X), model.w1.shape
     a = (X @ model.w1.reshape(P * h, d).T).reshape(B, P, h)
     a += model.b1
     np.maximum(a, 0.0, out=a)  # relu in place; a > 0 exactly where z > 0
-    H = np.zeros((B, L, L))
+    Hp = np.einsum("ph,bph->bp", model.w2, a) + model.b2
+    return Hp, (X, a)
+
+
+def head(model: SemModel, Hp: np.ndarray) -> np.ndarray:
+    """Probabilities sigmoid(b + Hp @ S), where the (P, L) matrix S holds
+    W[i, j] at row p, column i for each held pair p = (i, j)."""
     i, j = model.pairs.T
-    H[:, i, j] = np.einsum("ph,bph->bp", model.w2, a) + model.b2
-    return H, (X, a)
+    S = np.zeros((len(i), model.L))
+    S[np.arange(len(i)), i] = model.W[i, j]
+    return expit(Hp @ S + model.b)
 
 
-def head(model: SemModel, H: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Probabilities sigmoid((W * mask) H + b); mask is (L, L) binary."""
-    Wm = model.W * mask
-    logits = np.einsum("ij,bij->bi", Wm, H) + model.b
-    return expit(logits)
-
-
-def head_backward(model: SemModel, H: np.ndarray, mask: np.ndarray,
-                  probs: np.ndarray, dprobs: np.ndarray,
-                  grads: SemModel | None, dH: np.ndarray) -> None:
-    """Accumulate grads for one masked head; dH collects dLoss/dH. With
-    grads=None only dH is accumulated."""
+def head_backward(model: SemModel, Hp: np.ndarray, probs: np.ndarray,
+                  dprobs: np.ndarray, grads: SemModel | None,
+                  dHp: np.ndarray) -> None:
+    """Accumulate grads for one head, into b and W at the held pairs; dHp
+    collects dLoss/dHp. With grads=None only dHp is accumulated."""
     dlogits = dprobs * probs * (1.0 - probs)
+    i, j = model.pairs.T
+    dl_pairs = dlogits[:, i]  # (B, P): each pair's target label's dlogits
     if grads is not None:
         grads.b += dlogits.sum(axis=0)
-        gW = np.einsum("bi,bij->ij", dlogits, H) * mask
-        np.fill_diagonal(gW, 0.0)
-        grads.W += gW
-    dH += dlogits[:, :, None] * (model.W * mask)[None, :, :]
+        grads.W[i, j] += np.einsum("bp,bp->p", dl_pairs, Hp)
+    dHp += dl_pairs * model.W[i, j]
 
 
-def pair_backward(model: SemModel, cache, dH: np.ndarray,
+def pair_backward(model: SemModel, cache, dHp: np.ndarray,
                   grads: SemModel | None = None):
-    """Backprop accumulated dH through the stacked pair MLPs.
+    """Backprop the accumulated (B, P) dHp through the stacked pair MLPs.
 
-    dH is (B, L, L) and is read at the held pairs only. It covers the leading B = len(dH) rows of the cache's batch; the rows
+    dHp covers the leading B = len(dHp) rows of the cache's batch; the rows
     after them are ignored, so one stacked forward serves a backward pass
     over any leading slice of it. With a gradient (a zeros_like model),
     accumulates the pair-MLP gradients into it and returns None. With
     grads=None, computes only the input gradient dLoss/dX of shape (B, d).
     """
-    B, L, (P, h, d) = len(dH), model.L, model.w1.shape
+    B, (P, h, d) = len(dHp), model.w1.shape
     X, a = cache[0][:B], cache[1][:B]
-    # (B, P): dH at the held pairs. take returns it C-contiguous, as the
-    # products below need to run at full speed; dH[:, i, j] would lay it
-    # out pair-major
-    dHp = dH.reshape(B, L * L).take(
-        np.ravel_multi_index(model.pairs.T, (L, L)), axis=1)
     dz = dHp[:, :, None] * model.w2[None] * (a > 0.0)
     dz_flat = dz.reshape(B, P * h)
     if grads is None:
@@ -186,9 +176,6 @@ def pair_backward(model: SemModel, cache, dH: np.ndarray,
     return None
 
 
-def predict_batch(model: SemModel, X: np.ndarray,
-                  mask: np.ndarray | None = None) -> np.ndarray:
-    if mask is None:
-        mask = full_mask(model.L)
-    H, _ = pair_features(model, np.asarray(X, dtype=np.float64))
-    return head(model, H, mask)
+def predict_batch(model: SemModel, X: np.ndarray) -> np.ndarray:
+    Hp, _ = pair_features(model, np.asarray(X, dtype=np.float64))
+    return head(model, Hp)

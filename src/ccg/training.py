@@ -16,18 +16,19 @@ with respect to its direct inputs:
 
 `composite_value_and_grads` runs the model's forwards, calls each active
 term, adds lambda * value to the total, and chains lambda * gradient back
-through the heads, the pair MLPs and the player encoders. The M environment
-views are stacked as the rows of one batch, so the pair MLPs and the union
-head run once over all of them, one stacked `encode_batch` call encodes
-them for every player, and one backward pass carries every term's gradient;
-the terms that read only the raw batch use its leading rows. Each label's
-mask row belongs to one player, so every head it runs is a union-mask head;
-what players output on labels they do not own is sigmoid(b), which needs no
-head. The coefficients and view settings are
-read from the run's `TrainConfig`, which checks every setting's type and
-range against `FIELD_RULES` when it is built; `ObjectiveSpec` holds the rest
-of a step's context. A step without masks is a warm-up step, which runs
-only the CE, rare and graph terms. The environment views
+through the heads, the pair MLPs and the player encoders. After the
+partition the model holds exactly the pairs the players' masks read, and
+each label's mask row belongs to one player, so one head gives every
+player's predictions on its own labels; on the labels it does not own a
+player outputs sigmoid(b), which needs no head. The M environment views are
+stacked as the rows of one batch, so the pair MLPs and the head run once
+over all of them, one stacked `encode_batch` call encodes them for every
+player, and one backward pass carries every term's gradient; the terms that
+read only the raw batch use its leading rows. The coefficients and view
+settings are read from the run's `TrainConfig`, which checks every setting's
+type and range against `FIELD_RULES` when it is built; `ObjectiveSpec` holds
+the rest of a step's context. A step without masks is a warm-up step, which
+runs only the CE, rare and graph terms. The environment views
 (`invariance.make_env_views_batch`) and the counterfactual inputs
 (`reward.generate_counterfactual`, ranked by the salience of the raw rows)
 are each built in one whole-batch pass and enter as constants. Gradients are
@@ -57,8 +58,8 @@ from .players import (MaskSet, PlayerEncoder, build_masks, encode_batch,
                       partition_labels, player_encoders)
 from .reward import (anneal, bce_terms, curiosity_surrogate,
                      generate_counterfactual)
-from .sem import (SemModel, full_mask, head, head_backward, init_model,
-                  mask_pairs, pair_backward, pair_features)
+from .sem import (SemModel, all_pairs, head, head_backward, init_model,
+                  pair_backward, pair_features)
 
 
 def _inside(value, interval: str) -> bool:
@@ -211,9 +212,10 @@ def composite_value_and_grads(model: SemModel, X: np.ndarray, Y: np.ndarray,
     cfg = obj.cfg
     # the invariance, env and curiosity terms need the players
     full = obj.masks is not None
-    union = obj.masks.union() if full else full_mask(model.L)
     grads = model.zeros_like()
-    bd: dict[str, float] = {}
+    # a term that does not run logs 0
+    bd = dict.fromkeys(("rare", "env", "graph", "inv", "diversity", "cf_js",
+                        "rare_acc"), 0.0)
     total = 0.0
 
     # the M environment views (view 0 is the raw batch) stacked as the M*B
@@ -224,9 +226,9 @@ def composite_value_and_grads(model: SemModel, X: np.ndarray, Y: np.ndarray,
     rng_views = np.random.default_rng(list(obj.rng_seed) + [1])
     views = make_env_views_batch(X, M, obj.planted, rng_views)
     Xs = views.reshape(M * B, model.d)
-    H, cache = pair_features(model, Xs)
-    dH = np.zeros_like(H)
-    P = head(model, H, union)
+    Hp, cache = pair_features(model, Xs)
+    dHp = np.zeros_like(Hp)
+    P = head(model, Hp)
     dP = np.zeros_like(P)
 
     ce, d_ce = weighted_ce(P[:B], Y, obj.alpha)
@@ -234,28 +236,24 @@ def composite_value_and_grads(model: SemModel, X: np.ndarray, Y: np.ndarray,
     total += ce
     dP[:B] += d_ce
 
-    bd["rare"] = 0.0
     if cfg.lambda_rare != 0.0:
         rr, d_rr = rare_reg_loss(P[:B], Y, sorted(obj.stats.rare_set))
         bd["rare"] = _check_finite("rare_reg", rr)
         total += cfg.lambda_rare * rr
         dP[:B] += cfg.lambda_rare * d_rr
 
-    bd["env"] = 0.0
     if full and cfg.lambda_env != 0.0:
         env, d_env = env_consistency_loss(P.reshape(M, B, model.L), Y)
         bd["env"] = _check_finite("env_consistency", env)
         total += cfg.lambda_env * env
         dP += cfg.lambda_env * d_env.reshape(M * B, model.L)
 
-    bd["graph"] = 0.0
     if cfg.lambda_graph != 0.0:
         gl, gW = graph_loss(model.W, obj.wtilde, cfg.eta, obj.stats.rare_set)
         bd["graph"] = _check_finite("graph_loss", gl)
         total += cfg.lambda_graph * gl
         grads.W += cfg.lambda_graph * gW
 
-    bd["inv"] = 0.0
     if full and cfg.lambda_inv != 0.0 and M >= 2:
         N, e = model.enc_b.shape
         inv, dE = contrastive_inv_loss(encode_batch(
@@ -266,21 +264,18 @@ def composite_value_and_grads(model: SemModel, X: np.ndarray, Y: np.ndarray,
         grads.enc_w += dE.transpose(0, 2, 1) @ Xs
         grads.enc_b += dE.sum(axis=1)
 
-    bd["diversity"] = 0.0
-    bd["cf_js"] = 0.0
-    bd["rare_acc"] = 0.0
     if full and cfg.lambda_rwd != 0.0:
-        # salience is |d(mean union prediction)/dx| of the raw batch; the
+        # salience is |d(mean prediction)/dx| of the raw batch; the
         # counterfactuals perturb its least salient features and count as
         # constants, since the ranking that picks them has no derivative
-        dHs = np.zeros_like(H[:B])
-        head_backward(model, H[:B], union, P[:B],
+        dHs = np.zeros_like(Hp[:B])
+        head_backward(model, Hp[:B], P[:B],
                       np.full_like(P[:B], 1.0 / model.L), None, dHs)
         Xcf = generate_counterfactual(
             X, pair_backward(model, cache, dHs), cfg.perturb_frac,
             np.random.default_rng(list(obj.rng_seed) + [2]))
         Hcf, cache_cf = pair_features(model, Xcf)
-        P_cf = head(model, Hcf, union)
+        P_cf = head(model, Hcf)
         # what a player outputs on labels it does not own: its mask row is
         # all zero there, which leaves sigmoid(b), so only b has a gradient
         P_rest = np.broadcast_to(expit(model.b), P_cf.shape)
@@ -297,12 +292,11 @@ def composite_value_and_grads(model: SemModel, X: np.ndarray, Y: np.ndarray,
         grads.b += (cfg.lambda_rwd * dP_rest * P_rest
                     * (1.0 - P_rest)).sum(axis=0)
         dHcf = np.zeros_like(Hcf)
-        head_backward(model, Hcf, union, P_cf, cfg.lambda_rwd * dP_cf, grads,
-                      dHcf)
+        head_backward(model, Hcf, P_cf, cfg.lambda_rwd * dP_cf, grads, dHcf)
         pair_backward(model, cache_cf, dHcf, grads)
 
-    head_backward(model, H, union, P, dP, grads, dH)
-    pair_backward(model, cache, dH, grads)
+    head_backward(model, Hp, P, dP, grads, dHp)
+    pair_backward(model, cache, dHp, grads)
 
     bd["total"] = _check_finite("total", total)
     return total, grads, bd
@@ -554,8 +548,9 @@ def load_run(run_dir: str):
     the pairs the players' masks read, or every off-diagonal pair without
     players. A run file that is not JSON or lacks a key, a bad model.json
     size or players list, players without a graph.json of the manifest's L,
-    or a model.npz not holding exactly the float64 arrays the manifest,
-    config and pair index imply, raises a ValueError naming the file."""
+    a model.npz not holding exactly the float64 arrays the manifest, config
+    and pair index imply, or bad stats.json values raise a ValueError naming
+    the file."""
     path = os.path.join(run_dir, "model.json")
     obj = read_json(path)
     for key, low in (("d", 1), ("L", 1), ("hidden", 1), ("encoders", 0)):
@@ -578,16 +573,14 @@ def load_run(run_dir: str):
     path = os.path.join(run_dir, "graph.json")
     if os.path.exists(path):
         graph = load_graph(path)
-        if graph.L != L or not all(0 <= v < L for edge in graph.edges
-                                   for v in edge[:2]):
-            raise DimensionError(f"{path}: L must be {L} and every edge's "
-                                 f"labels lie in range({L})")
+        if graph.L != L:
+            raise DimensionError(f"{path}: L must be {L}, got {graph.L}")
     if players is not None:
         if graph is None:
             raise DimensionError(f"{path} is missing; the players' masks "
                                  "and so the model's pairs come from it")
         masks = build_masks([sorted(sub) for sub in players], graph)
-    pairs = mask_pairs(masks.union() if masks else full_mask(L))
+    pairs = masks.pairs if masks else all_pairs(L)
     P = len(pairs)
     shapes = {"w1": (P, h, d), "b1": (P, h), "w2": (P, h), "b2": (P,),
               "W": (L, L), "b": (L,), "enc_w": (n, e, d), "enc_b": (n, e)}
@@ -607,10 +600,13 @@ def load_run(run_dir: str):
     if held != want:
         raise DimensionError(f"{path} holds {held}, expected {want}")
     model = SemModel(d=d, L=L, hidden=h, pairs=pairs, **arrays)
-    stats = read_json(os.path.join(run_dir, "stats.json"),
-                      lambda st: LabelStats(
-                          freq=np.array(st["freq"], dtype=np.int64),
-                          rare_set=frozenset(st["rare_set"]),
-                          rare_pct=st["rare_pct"]))
+    path = os.path.join(run_dir, "stats.json")
+    stats = read_json(path, lambda st: LabelStats(
+        freq=np.array(st["freq"]), rare_set=frozenset(st["rare_set"]),
+        rare_pct=TrainConfig(rare_pct=st["rare_pct"]).rare_pct))
+    if (stats.freq.shape != (L,) or stats.freq.dtype.kind != "i"
+            or (stats.freq < 0).any() or not stats.rare_set <= set(range(L))):
+        raise DimensionError(f"{path}: freq must be {L} non-negative ints "
+                             f"and rare_set labels of range({L})")
     return (model, player_encoders(model), masks.subsets if masks else None,
             masks, graph, stats, cfg)

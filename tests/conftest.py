@@ -17,8 +17,8 @@ def toy_dataset(n=12, d=6, L=4, seed=0, pos_rate=0.5):
 
 
 def toy_setup(L=4, d=6, hidden=5, B=5, N=2, seed=0):
-    """Random model with N encoders + dataset + graph + players (MaskSet) for
-    gradient tests."""
+    """Random model with N encoders, holding the pairs its players' masks
+    read, + dataset + graph + players (MaskSet) for gradient tests."""
     rng = np.random.default_rng(seed)
     ds = toy_dataset(n=B, d=d, L=L, seed=seed + 1)
     stats = compute_label_stats(ds, 50)
@@ -27,6 +27,7 @@ def toy_setup(L=4, d=6, hidden=5, B=5, N=2, seed=0):
     np.fill_diagonal(model.W, 0.0)
     g = extract_graph(rng.normal(0.5, 0.3, (L, L)), 2)
     masks = build_masks(partition_labels(g, N, stats.freq), g)
+    model = model.keep_pairs(masks.union())
     wt = np.clip(rng.normal(0.3, 0.2, (L, L)), 0.0, 1.0)
     np.fill_diagonal(wt, 0.0)
     return ds, stats, model, g, masks, wt
@@ -47,6 +48,8 @@ def fd_probe(value_fn, arrays, n_probes=20, step=1e-5, seed=0,
     value_fn() -> (scalar, list of gradient arrays aligned with `arrays`).
     Returns the worst relative error; absolute differences below 1e-8
     (finite-difference roundoff on near-zero gradients) count as exact.
+    Empty arrays, such as the pair arrays of a model holding no pair, are
+    never probed.
     """
     _, grads = value_fn()
     rng = np.random.default_rng(seed)
@@ -55,6 +58,8 @@ def fd_probe(value_fn, arrays, n_probes=20, step=1e-5, seed=0,
     while probes < n_probes:
         pi = int(rng.integers(len(arrays)))
         arr = arrays[pi]
+        if arr.size == 0:
+            continue
         idx = tuple(int(rng.integers(s)) for s in arr.shape)
         if skip is not None and skip(pi, idx):
             continue

@@ -16,7 +16,7 @@ from ccg.evaluation import (average_precision, mean_average_precision,
 from ccg.graph import extract_graph, graph_loss, rare_indicator_matrix
 from ccg.players import build_masks, partition_labels
 from ccg.reward import anneal, clamp_probs, js_bernoulli, kl_bernoulli
-from ccg.sem import head, init_model, pair_features, predict_batch
+from ccg.sem import init_model, predict_batch
 from ccg.training import (ObjectiveSpec, TrainConfig, alpha_weights,
                           composite_value_and_grads, train)
 
@@ -47,6 +47,7 @@ def _gradient_setup(seed):
     np.fill_diagonal(model.W, 0.0)
     g = extract_graph(rng.normal(0.4, 0.3, (L, L)), 2)
     masks = build_masks(partition_labels(g, min(2, L), stats.freq), g)
+    model = model.keep_pairs(masks.union())
     wt = np.clip(rng.normal(0.3, 0.2, (L, L)), 0.0, 1.0)
     np.fill_diagonal(wt, 0.0)
     alpha = rng.uniform(0.5, 2.0, L)
@@ -176,27 +177,24 @@ def test_criterion_04_partition_mask_suite():
         flat = sorted(x for sub in subsets for x in sub)
         ok &= len(subsets) == N and flat == list(range(L))
 
-        # mask definition by re-evaluation
+        # mask definition by re-evaluation: the pairs (i, j) of the edges
+        # j -> i inside one subset, in row-major order
         masks = build_masks(subsets, g)
         edge_set = g.edge_set()
-        for sub, M in zip(subsets, masks.masks):
-            s = set(sub)
-            expect = np.zeros((L, L))
-            for (j, i) in edge_set:
-                if j in s and i in s:
-                    expect[i, j] = 1.0
-            ok &= np.array_equal(M, expect)
+        expect = sorted((i, j) for sub in subsets for i in sub for j in sub
+                        if (j, i) in edge_set)
+        ok &= masks.pairs.tolist() == [list(p) for p in expect]
 
-        # masked prediction exactly invariant to cross-subset W entries
+        # the prediction of a model kept to the players' pairs is exactly
+        # invariant to cross-subset W entries
         if trial % 10 == 0 and N >= 2:
-            model = init_model(5, L, 3, seed=trial)
+            model = init_model(5, L, 3, seed=trial).keep_pairs(masks.union())
             x = rng.normal(size=5)
-            before = [predict_batch(model, x[None], M) for M in masks.masks]
+            before = predict_batch(model, x[None])
             i = subsets[0][0]
             j = subsets[1][0]
             model.W[i, j] += 100.0
-            after = [predict_batch(model, x[None], M) for M in masks.masks]
-            ok &= all(np.array_equal(a, b) for a, b in zip(before, after))
+            ok &= np.array_equal(predict_batch(model, x[None]), before)
     elapsed = time.perf_counter() - t0
     _report(4, "partition/mask suite", ok and elapsed < 10, f"{elapsed:.1f}s")
 
@@ -282,8 +280,7 @@ def _ood_drop(seed, flags):
     cfg = TrainConfig(max_epochs=12, warmup_epochs=4, seed=seed, n_players=3)
     cfg = apply_ablations(cfg, flags)
     result = train(dss[0], cfg, planted=world)
-    union = result.masks.union() if result.masks else None
-    f1 = [rare_f1(predict_dataset(result.model, ds, union), ds.Y,
+    f1 = [rare_f1(predict_dataset(result.model, ds), ds.Y,
                   result.stats, cfg.rare_pct) for ds in dss]
     return f1[0] - f1[1]
 
@@ -313,8 +310,7 @@ def test_criterion_08_player_sweep_direction():
     for N in (1, 2, 3, 4):
         cfg = TrainConfig(max_epochs=8, warmup_epochs=3, seed=4, n_players=N)
         result = train(dss[0], cfg, planted=world)
-        union = result.masks.union() if result.masks else None
-        probs = predict_dataset(result.model, dss[0], union)
+        probs = predict_dataset(result.model, dss[0])
         maps[N] = mean_average_precision(probs, dss[0].Y)
     best = max(maps.values())
     _report(8, "player-sweep direction (best over N >= N=1)",
@@ -376,8 +372,7 @@ def test_criterion_10_ablation_harness(tmp_path):
                                n_players=3)
             tcfg = apply_ablations(tcfg, flags)
             result = train(dss[0], tcfg, planted=world)
-            union = result.masks.union() if result.masks else None
-            probs = predict_dataset(result.model, test_ds, union)
+            probs = predict_dataset(result.model, test_ds)
             f1[name] = rare_f1(probs, test_ds.Y, result.stats, tcfg.rare_pct)
         passes += f1["full"] >= f1["rle"]
         details.append(f"seed{seed} full={f1['full']:.3f} "

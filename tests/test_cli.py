@@ -234,18 +234,38 @@ class TestTrainCommand:
         shutil.copytree(run_dir, bad_run)
         (bad_run / "graph.json").unlink()
         cases.append((["eval", "--model", str(bad_run), *data], "graph.json"))
-        # a graph.json of another label count, or with an edge outside it
+        # a graph.json of another label count, with an edge outside it, or
+        # with a value that is not of its type: eval and export-graph read
+        # it through load_run
         graph = json.loads(read(run_dir / "graph.json"))
         for i, change in enumerate((
-                {"L": 5},
+                {"L": 5}, {"L": 4.7},
                 {"edges": [{"src": 4, "dst": 0, "strength": 0.5}]},
-                {"edges": [{"src": 0, "dst": -1, "strength": 0.5}]})):
+                {"edges": [{"src": 0, "dst": -1, "strength": 0.5}]},
+                {"edges": [{"src": 0.4, "dst": 1, "strength": 0.5}]},
+                {"edges": [{"src": 2.9, "dst": 1, "strength": 0.5}]},
+                {"edges": [{"src": 0, "dst": 1, "strength": "0.5"}]})):
             bad_run = tmp_path / f"graph{i}"
             shutil.copytree(run_dir, bad_run)
             (bad_run / "graph.json").write_text(json.dumps({**graph,
                                                             **change}))
+            for argv in (["eval", "--model", str(bad_run), *data],
+                         ["export-graph", "--model", str(bad_run)]):
+                cases.append((argv, str(bad_run / "graph.json")))
+        # a stats.json whose freq is not one count per label, or whose
+        # rare_set or rare_pct lies outside its range
+        stats = json.loads(read(run_dir / "stats.json"))
+        for i, change in enumerate((
+                {"freq": stats["freq"][:2]}, {"freq": [1, 2, 3, -1]},
+                {"freq": [1, 2, 3, 4.5]}, {"rare_set": [0, 4]},
+                {"rare_set": [-1]}, {"rare_pct": 150.0},
+                {"rare_pct": "30"})):
+            bad_run = tmp_path / f"stats{i}"
+            shutil.copytree(run_dir, bad_run)
+            (bad_run / "stats.json").write_text(json.dumps({**stats,
+                                                            **change}))
             cases.append((["eval", "--model", str(bad_run), *data],
-                          str(bad_run / "graph.json")))
+                          str(bad_run / "stats.json")))
         # a run file that is not JSON, or lacks a key its reader needs
         for i, (name, text) in enumerate(
                 [(name, "{\n") for name in ("model.json", "config.json",
@@ -368,17 +388,16 @@ class TestEvalCommand:
                           hidden=4, enc_dim=4, seed=2)
         r = training.train(ds, cfg)
         assert [e["n_players"] for e in r.log] == [0]
-        union = r.masks.union()
-        np.testing.assert_array_equal(r.model.pairs, np.argwhere(union))
-        P = int(union.sum())
+        np.testing.assert_array_equal(r.model.pairs, r.masks.pairs)
+        P = len(r.masks.pairs)
         assert 0 < P < 4 * 3
         training.save_run(str(tmp_path / "run"), r)
         with np.load(tmp_path / "run" / "model.npz") as npz:
             assert npz["w1"].shape == (P, 4, ds.d)
         loaded = training.load_run(str(tmp_path / "run"))
         np.testing.assert_array_equal(
-            evaluation.predict_dataset(loaded[0], ds, loaded[3].union()),
-            evaluation.predict_dataset(r.model, ds, union))
+            evaluation.predict_dataset(loaded[0], ds),
+            evaluation.predict_dataset(r.model, ds))
         assert run(["eval", "--model", str(tmp_path / "run"),
                     "--data", str(gen_dir / "env0.jsonl"),
                     "--rare-pcts", "30", "--out", str(tmp_path / "eval")]) == 0
@@ -417,6 +436,19 @@ class TestHarnessCommands:
         assert rc == 0
         last = json.loads(read(tmp_path / "run" / "log.jsonl").splitlines()[-1])
         assert lines[2] == f"2,{last['val_map']},{last['val_rare_f1']}"
+
+    @pytest.mark.parametrize("ns", ["1,x", "0", "2,-1", "1.5", ""])
+    def test_sweep_players_bad_ns_exits_1(self, gen_dir, tmp_path, capsys,
+                                          monkeypatch, ns):
+        monkeypatch.setattr(training.AdamW, "step", _no_step)
+        out = tmp_path / "sweep.csv"
+        rc = run(["sweep-players", "--data", str(gen_dir / "env0.jsonl"),
+                  "--ns", ns, "--epochs", "2", "--warmup", "1",
+                  "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"--ns {ns}" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_ablate_only_rle(self, gen_dir, tmp_path, tmp_path_factory):
         out = tmp_path / "ablate.csv"

@@ -1,7 +1,11 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
 from ccg.data import co_occurrence, semantic_similarity
+from ccg.errors import DatasetError
 from ccg.graph import (CausalGraph, export_dot, extract_graph, graph_loss,
                        ideal_weights, load_graph,
                        rare_indicator_matrix, save_graph)
@@ -189,3 +193,28 @@ class TestExportAndPersistence:
         save_graph(g, path)
         g2 = load_graph(path)
         assert g2.L == g.L and g2.edges == g.edges
+
+    def test_json_strength_may_be_an_int(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(
+            {"L": 3, "edges": [{"src": 2, "dst": 0, "strength": 1}]}))
+        assert load_graph(path).edges == [(2, 0, 1.0)]
+
+    # L an int >= 1; src and dst ints of range(L), bool refused; strength a
+    # finite real. Bare int() and float() would truncate 4.7 and 2.9 and
+    # read "0.5"
+    @pytest.mark.parametrize("change", [
+        {"L": 4.7}, {"L": 0}, {"L": True}, {"L": "4"},
+        {"src": 0.4}, {"src": 2.9}, {"src": True}, {"src": "1"},
+        {"dst": 4}, {"dst": -1}, {"dst": False},
+        {"strength": "0.5"}, {"strength": float("nan")},
+        {"strength": float("inf")}, {"strength": True}, {"strength": None}],
+        ids=repr)
+    def test_load_graph_rejects_bad_values(self, tmp_path, change):
+        edge = {"src": 0, "dst": 2, "strength": 0.25}
+        obj = {"L": 4, "edges": [edge]}
+        (obj if "L" in change else edge).update(change)
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(DatasetError, match=re.escape(str(path))):
+            load_graph(path)

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from ccg.data import Dataset
+from ccg.evaluation import predict_dataset
 from ccg.graph import CausalGraph, extract_graph
 from ccg.players import (build_masks, encode_batch, partition_labels,
                          player_encoders)
-from ccg.sem import head, init_model, pair_features, predict_batch
+from ccg.sem import init_model, predict_batch
 
 
 def random_graph(L, rng, density=0.3):
@@ -101,13 +103,16 @@ class TestBuildMasks:
             ms = build_masks(subsets, g)
             assert ms.subsets == subsets
             edge_set = g.edge_set()
-            for sub, M in zip(subsets, ms.masks):
-                s = set(sub)
-                for i in range(L):
-                    for j in range(L):
-                        expected = 1.0 if ((j, i) in edge_set
-                                           and i in s and j in s) else 0.0
-                        assert M[i, j] == expected
+            # (i, j) for every edge j -> i inside a subset, row-major
+            expected = [(i, j) for i in range(L) for j in range(L)
+                        if (j, i) in edge_set
+                        and any(i in sub and j in sub for sub in subsets)]
+            assert ms.pairs.shape == (len(expected), 2)
+            assert ms.pairs.tolist() == [list(p) for p in expected]
+            union = np.zeros((L, L))
+            for i, j in expected:
+                union[i, j] = 1.0
+            np.testing.assert_array_equal(ms.union(), union)
 
     def test_union_has_no_overlap(self, rng):
         g = random_graph(9, np.random.default_rng(7))
@@ -120,7 +125,9 @@ class TestBuildMasks:
         subsets = partition_labels(g, 2, np.ones(4))
         ms = build_masks(subsets, g)
         # edge (1 -> 2) crosses the split, so no mask may contain it
-        assert all(M[2, 1] == 0.0 for M in ms.masks)
+        assert subsets == [[0, 1], [2, 3]]
+        assert ms.pairs.tolist() == [[1, 0], [3, 2]]
+        assert ms.union()[2, 1] == 0.0
 
 
 class TestEncoders:
@@ -157,8 +164,9 @@ class TestEncoders:
 
 class TestPlayerHeads:
     """Each label's mask row belongs to exactly one player, which is what
-    lets the composite score every player from the union-mask head and
-    sigmoid(b), what an all-zero mask row leaves."""
+    lets the composite score every player from the head of the model kept
+    to every player's pairs and sigmoid(b), what a label without a pair
+    predicts."""
 
     @staticmethod
     def players(rng):
@@ -179,28 +187,36 @@ class TestPlayerHeads:
     @classmethod
     def cases(cls, rng):
         """(union head, sigmoid(b), [(own-label mask, player head)]) for
-        each of players(rng)."""
+        each of players(rng): the union head is the model's kept to every
+        player's pairs, and player k's head the model's kept to the pairs
+        of subset k."""
         for model, masks, X in cls.players(rng):
-            H, _ = pair_features(model, X)
             L = model.L
+            union = masks.union()
             players = []
-            for sub, M in zip(masks.subsets, masks.masks):
+            for sub in masks.subsets:
                 own = np.zeros(L, dtype=bool)
                 own[sub] = True
-                players.append((own, head(model, H, M)))
-            yield (head(model, H, masks.union()),
-                   np.broadcast_to(expit(model.b), (len(H), L)), players)
+                players.append((own, predict_batch(
+                    model.keep_pairs(union * own[:, None]), X)))
+            yield (predict_batch(model.keep_pairs(union), X),
+                   np.broadcast_to(expit(model.b), (len(X), L)), players)
 
     def test_trimmed_model_predicts_bit_for_bit(self, rng):
-        # trimmed to the pairs the union mask reads, a model's masked
-        # predictions equal those of the model holding every pair
+        # trimmed to the players' pairs, a model predicts as the model
+        # holding every pair with W zero off them, and as predict_dataset
+        # given the union mask
         for model, masks, X in self.players(rng):
             union = masks.union()
             trimmed = model.keep_pairs(union)
-            np.testing.assert_array_equal(trimmed.pairs,
-                                          np.argwhere(union))
-            np.testing.assert_array_equal(predict_batch(trimmed, X, union),
-                                          predict_batch(model, X, union))
+            np.testing.assert_array_equal(trimmed.pairs, masks.pairs)
+            zeroed = model.copy()
+            zeroed.W = model.W * union
+            probs = predict_batch(trimmed, X)
+            np.testing.assert_array_equal(probs, predict_batch(zeroed, X))
+            ds = Dataset(X, np.zeros((len(X), model.L)))
+            np.testing.assert_array_equal(
+                predict_dataset(model, ds, union), probs)
 
     def test_own_labels_equal_union_head(self, rng):
         for union, _, players in self.cases(rng):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from ccg.sem import (full_mask, init_model, pair_backward, pair_features,
-                     predict_batch)
+from ccg.sem import (head, head_backward, init_model, pair_backward,
+                     pair_features, predict_batch)
 from ccg.training import ObjectiveSpec, composite_value_and_grads
 
 from conftest import (fd_probe, freeze_counterfactuals, objective_config,
@@ -14,9 +14,9 @@ def tiny_model(d=3, L=2, hidden=2, seed=0):
     return init_model(d, L, hidden, seed)
 
 
-def predict_one(m, x, mask=None):
+def predict_one(m, x):
     """predict_batch on the one-sample batch x."""
-    return predict_batch(m, np.asarray(x)[None, :], mask)[0]
+    return predict_batch(m, np.asarray(x)[None, :])[0]
 
 
 def pair_pos(m, i, j):
@@ -66,20 +66,27 @@ class TestPredict:
 
 
 class TestPredictMasked:
+    """A model predicts through the mask its pair index is; keep_pairs puts
+    an (L, L) mask on a model holding every pair."""
+
     def test_identity_mask_equals_predict(self, rng):
-        # the full off-diagonal mask is predict_batch's default
+        # a model holding every off-diagonal pair keeps all of them
         m = tiny_model(d=4, L=3, hidden=3, seed=2)
         m.W += rng.normal(0, 0.5, (3, 3))
         np.fill_diagonal(m.W, 0.0)
         X = rng.normal(size=(5, 4))
-        np.testing.assert_array_equal(predict_batch(m, X, full_mask(3)),
+        kept = m.keep_pairs(1.0 - np.eye(3))
+        np.testing.assert_array_equal(kept.pairs, m.pairs)
+        np.testing.assert_array_equal(predict_batch(kept, X),
                                       predict_batch(m, X))
 
     def test_zero_mask_gives_bias_sigmoid(self, rng):
         m = tiny_model(d=4, L=3, hidden=3, seed=3)
         m.b = rng.normal(size=3)
         X = rng.normal(size=(5, 4))
-        np.testing.assert_allclose(predict_batch(m, X, np.zeros((3, 3))),
+        kept = m.keep_pairs(np.zeros((3, 3)))
+        assert kept.pairs.shape == (0, 2) and kept.w1.shape == (0, 3, 4)
+        np.testing.assert_allclose(predict_batch(kept, X),
                                    np.tile(expit(m.b), (5, 1)), atol=1e-14)
 
     def test_equivalence_with_premultiplied_weights(self, rng):
@@ -90,7 +97,7 @@ class TestPredictMasked:
         m2 = m.copy()
         m2.W = m.W * mask
         X = rng.normal(size=(5, 4))
-        np.testing.assert_array_equal(predict_batch(m, X, mask),
+        np.testing.assert_array_equal(predict_batch(m.keep_pairs(mask), X),
                                       predict_batch(m2, X))
 
     def test_invariant_to_cross_mask_entries(self, rng):
@@ -98,9 +105,10 @@ class TestPredictMasked:
         mask = np.zeros((3, 3))
         mask[1, 0] = 1.0
         X = rng.normal(size=(5, 4))
-        before = predict_batch(m, X, mask)
-        m.W[2, 0] = 99.0  # outside the mask
-        np.testing.assert_array_equal(predict_batch(m, X, mask), before)
+        kept = m.keep_pairs(mask)
+        before = predict_batch(kept, X)
+        kept.W[2, 0] = 99.0  # outside the mask
+        np.testing.assert_array_equal(predict_batch(kept, X), before)
 
 
 class TestInit:
@@ -145,22 +153,18 @@ def random_model(L, hidden, d, seed, subset):
     return m
 
 
-def einsum_pair_oracle(m, X, dH):
-    """Pair-MLP forward, parameter gradients and input gradient written as
-    plain einsums over the stacked (P, hidden, d) arrays, with H written and
-    dH read one held pair at a time."""
+def einsum_pair_oracle(m, X, dHp):
+    """Pair-MLP forward (B, P) Hp, parameter gradients and input gradient
+    for a (B, P) dHp, written as plain einsums over the stacked
+    (P, hidden, d) arrays."""
     z = np.einsum("phd,bd->bph", m.w1, X) + m.b1
     a = np.maximum(z, 0.0)
     Hp = np.einsum("ph,bph->bp", m.w2, a) + m.b2
-    H = np.zeros((len(X), m.L, m.L))
-    for p, (i, j) in enumerate(m.pairs):
-        H[:, i, j] = Hp[:, p]
-    dHp = np.stack([dH[:, i, j] for i, j in m.pairs], axis=1)
     dz = dHp[:, :, None] * m.w2[None] * (z > 0.0)
     grads = {"w1": np.einsum("bph,bd->phd", dz, X), "b1": dz.sum(axis=0),
              "w2": np.einsum("bp,bph->ph", dHp, a), "b2": dHp.sum(axis=0)}
     dx = np.einsum("bph,phd->bd", dz, m.w1)
-    return H, grads, dx
+    return Hp, grads, dx
 
 
 # id -> (L, hidden, d, B, subset). At 6-14-6-7 there are P*hidden = 420
@@ -180,16 +184,17 @@ class TestPairKernels:
                                            subset):
         m = random_model(L, hidden, d, L, subset)
         X = np.random.default_rng(1).normal(size=(B, d))
-        H, _ = pair_features(m, X)
-        H_ref, _, _ = einsum_pair_oracle(m, X, np.zeros((B, L, L)))
-        np.testing.assert_allclose(H, H_ref, rtol=1e-12, atol=1e-12)
+        Hp, _ = pair_features(m, X)
+        assert Hp.shape == (B, len(m.pairs))
+        Hp_ref, _, _ = einsum_pair_oracle(m, X, np.zeros(Hp.shape))
+        np.testing.assert_allclose(Hp, Hp_ref, rtol=1e-12, atol=1e-12)
 
     def test_backward_matches_einsum_oracle(self, L, hidden, d, B,
                                             subset):
         m = random_model(L, hidden, d, L + 1, subset)
         rng = np.random.default_rng(2)
         X = rng.normal(size=(B, d))
-        dH = rng.normal(size=(B, L, L))
+        dH = rng.normal(size=(B, len(m.pairs)))
         _, g_ref, dx_ref = einsum_pair_oracle(m, X, dH)
         _, cache = pair_features(m, X)
         # gradients accumulate into what the gradient already holds
@@ -211,7 +216,7 @@ class TestPairKernels:
         m = random_model(L, hidden, d, L + 3, subset)
         rng = np.random.default_rng(4)
         X = rng.normal(size=(B, d))
-        dH = rng.normal(size=(B, L, L))
+        dH = rng.normal(size=(B, len(m.pairs)))
         _, cache = pair_features(m, X)
         others = rng.normal(size=(2 * B, d))
         _, stacked = pair_features(m, np.vstack([X, others]))
@@ -230,7 +235,7 @@ class TestPairKernels:
         m = random_model(L, hidden, d, L + 2, subset)
         rng = np.random.default_rng(3)
         X = rng.normal(size=(B, d))
-        c = rng.normal(size=(B, L, L))  # loss = sum(c * H)
+        c = rng.normal(size=(B, len(m.pairs)))  # loss = sum(c * Hp)
         _, cache = pair_features(m, X)
         dx = pair_backward(m, cache, c)
         step = 1e-6
@@ -241,6 +246,55 @@ class TestPairKernels:
             fd = ((c * pair_features(m, Xp)[0]).sum()
                   - (c * pair_features(m, Xm)[0]).sum()) / (2 * step)
             assert dx[b, f] == pytest.approx(fd, rel=1e-6, abs=1e-8)
+
+
+class TestHead:
+    def test_pair_head_matches_dense_oracle(self, rng):
+        # the pair-space head and its gradients against the masked dense
+        # head sigmoid((W * mask) H + b) over a (B, L, L) H that is zero
+        # off the held pairs; label 2 holds no pair
+        L, B = 5, 6
+        mask = (rng.random((L, L)) < 0.6).astype(float)
+        mask[2] = 0.0
+        m = init_model(3, L, 2, seed=8).keep_pairs(mask)
+        m.W = rng.normal(size=(L, L))  # read only at the held pairs
+        m.b = rng.normal(size=L)
+        i, j = m.pairs.T
+        assert 2 not in i and 0 < len(i)
+        Hp = rng.normal(size=(B, len(i)))
+        H = np.zeros((B, L, L))
+        H[:, i, j] = Hp
+        held = np.zeros((L, L))
+        held[i, j] = 1.0
+        Wm = m.W * held
+        probs_ref = expit(np.einsum("ij,bij->bi", Wm, H) + m.b)
+        probs = head(m, Hp)
+        np.testing.assert_allclose(probs, probs_ref, rtol=1e-13, atol=1e-15)
+        np.testing.assert_array_equal(probs[:, 2], expit(m.b[2]))
+
+        dprobs = rng.normal(size=(B, L))
+        dlogits = dprobs * probs * (1.0 - probs)
+        dHp_ref = (dlogits[:, :, None] * Wm[None])[:, i, j]
+        # gradients accumulate into what the gradient already holds
+        grads = m.zeros_like()
+        grads.W[...] = W0 = rng.normal(size=(L, L))
+        grads.b[...] = b0 = rng.normal(size=L)
+        dHp = rng.normal(size=Hp.shape)
+        dHp0 = dHp.copy()
+        head_backward(m, Hp, probs, dprobs, grads, dHp)
+        np.testing.assert_allclose(
+            grads.W, W0 + np.einsum("bi,bij->ij", dlogits, H) * held,
+            rtol=1e-13, atol=1e-15)
+        np.testing.assert_array_equal(grads.W[held == 0], W0[held == 0])
+        np.testing.assert_allclose(grads.b, b0 + dlogits.sum(axis=0),
+                                   rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(dHp, dHp0 + dHp_ref, rtol=1e-13,
+                                   atol=1e-15)
+        # without a gradient only dHp is accumulated
+        dHp = dHp0.copy()
+        head_backward(m, Hp, probs, dprobs, None, dHp)
+        np.testing.assert_allclose(dHp, dHp0 + dHp_ref, rtol=1e-13,
+                                   atol=1e-15)
 
 
 def ce_objective(stats, alpha=1.0, **cfg_kw):
