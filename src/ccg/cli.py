@@ -13,8 +13,8 @@ import sys
 from dataclasses import replace
 
 from . import evaluation, training
-from .data import (PlantedWorld, generate_synthetic, load_dataset, read_json,
-                   save_dataset)
+from .data import (PlantedWorld, checked, generate_synthetic, load_dataset,
+                   read_json, save_dataset)
 from .errors import DatasetError, DimensionError, NumericalError
 from .graph import export_dot
 
@@ -64,10 +64,9 @@ def _settings(flag, text, field) -> list:
     """The comma list text that flag gives, as values of the TrainConfig
     field, each checked against its FIELD_RULES entry; a value that is not
     one raises an error naming flag and field."""
-    kind = training.FIELD_RULES[field][0]
+    rule = training.FIELD_RULES[field]
     try:
-        return [getattr(training.TrainConfig(**{field: kind(v)}), field)
-                for v in text.split(",")]
+        return [checked(rule[0](v), rule, field) for v in text.split(",")]
     except ValueError as exc:
         raise DatasetError(f"{flag} {text}: each must be a {field} value "
                            f"({exc})") from None
@@ -97,6 +96,7 @@ def apply_ablations(cfg: training.TrainConfig, flags) -> training.TrainConfig:
 
 
 def cmd_gen(args) -> int:
+    checked(args.edge_density, (float, "[0, 1]"), "--edge-density")
     datasets, world = generate_synthetic(args.labels, args.dim, args.samples,
                                          args.envs, args.seed,
                                          edge_density=args.edge_density)

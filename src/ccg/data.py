@@ -9,6 +9,7 @@ recovery and OOD robustness can be scored against known ground truth.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -102,7 +103,13 @@ def load_dataset(path) -> Dataset:
             labs.append([int(v) for v in y])
     if not feats:
         raise DatasetError("empty dataset")
-    return Dataset(feats, labs)
+    try:
+        return Dataset(feats, labs)
+    except DatasetError:  # a non-finite feature: only now find its line
+        row = np.flatnonzero(~np.isfinite(feats).all(axis=1))[0]
+        with open(path) as fh:
+            lineno = [n for n, line in enumerate(fh, 1) if line.strip()][row]
+        raise DatasetError(f"line {lineno}: non-finite feature value") from None
 
 
 def read_json(path, build=lambda obj: obj, where=None):
@@ -121,12 +128,50 @@ def read_json(path, build=lambda obj: obj, where=None):
     raise DatasetError(f"{where or path}: {why}")
 
 
+@functools.cache
+def _inside(interval: str):
+    """The test of a value against an interval such as "[0, 1)", built once
+    per interval (the program's few literals); NaN lies in none."""
+    lo, hi = (float(x) for x in interval[1:-1].split(","))
+    return lambda v: ((lo <= v if interval[0] == "[" else lo < v)
+                      and (v <= hi if interval[-1] == "]" else v < hi))
+
+
+def checked(value, rule, what: str):
+    """value if it has the type of rule = (type, allowed) and lies in allowed,
+    an interval such as "[0, 1)" or choices such as range(L); else ValueError
+    naming what. An int will do for a float, a bool never does for a number."""
+    kind, allowed = rule
+    if (isinstance(value, bool) != (kind is bool) or not isinstance(
+            value, (int, float) if kind is float else kind)):
+        raise ValueError(f"{what} must be of type {kind.__name__}, "
+                         f"got {value!r}")
+    if not (_inside(allowed)(value) if isinstance(allowed, str)
+            else value in allowed):
+        raise ValueError(f"{what} must be in {allowed}, got {value!r}")
+    return value
+
+
+def read_edges(obj) -> tuple[int, list[tuple[int, int, float]]]:
+    """L and the (src, dst, strength) edges that a JSON object holds, as
+    graph.json does; ValueError unless L is an int >= 1, src and dst are
+    ints of range(L) and strength is a finite real (a bool is neither)."""
+    L = checked(obj["L"], (int, "[1, inf)"), "L")
+    edges = [(e["src"], e["dst"], e["strength"]) for e in obj["edges"]]
+    for j, i, s in edges:
+        # one test per edge, not checked per value; type(...) leaves out bool
+        if not (type(j) is int and type(i) is int and 0 <= j < L
+                and 0 <= i < L and type(s) in (int, float)
+                and math.isfinite(s)):
+            raise ValueError(f"edge {j!r} -> {i!r} ({s!r}) needs ints in "
+                             f"range({L}) and a finite real strength")
+    return L, [(j, i, float(s)) for j, i, s in edges]
+
+
 def save_dataset(ds: Dataset, path) -> None:
     with open(path, "w") as fh:
-        for i in range(ds.n):
-            rec = {"features": [float(v) for v in ds.X[i]],
-                   "labels": [int(v) for v in ds.Y[i]]}
-            fh.write(json.dumps(rec) + "\n")
+        for x, y in zip(ds.X.tolist(), ds.Y.tolist()):
+            fh.write(json.dumps({"features": x, "labels": y}) + "\n")
 
 
 @dataclass
@@ -158,12 +203,23 @@ class PlantedWorld:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PlantedWorld":
+        """The world a world.json object gives; ValueError unless read_edges
+        takes its L and edges, d is an int >= 1, and each block's labels lie
+        in range(L) and its features are ints of range(d)."""
+        L, edges = read_edges(obj)
+        d = checked(obj["d"], (int, "[1, inf)"), "d")
+
+        def label(key):
+            return checked(int(key), (int, range(L)), "a block label")
+
+        def block(feats):
+            return [checked(f, (int, range(d)), "a block feature")
+                    for f in feats]
         return cls(
-            L=int(obj["L"]),
-            d=int(obj["d"]),
-            edges=[(int(e["src"]), int(e["dst"]), float(e["strength"])) for e in obj["edges"]],
-            causal_blocks={int(k): [int(x) for x in v] for k, v in obj["causal_blocks"].items()},
-            spurious_blocks={tuple(int(x) for x in k.split("-")): [int(x) for x in v]
+            L=L, d=d, edges=edges,
+            causal_blocks={label(k): block(v)
+                           for k, v in obj["causal_blocks"].items()},
+            spurious_blocks={tuple(map(label, k.split("-"))): block(v)
                              for k, v in obj["spurious_blocks"].items()},
             env_params=list(obj["env_params"]),
         )

@@ -8,12 +8,12 @@ and W has no weight decay), so the paper's l0 self-loop penalty is always
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, co_occurrence, read_json, semantic_similarity
+from .data import (Dataset, co_occurrence, read_edges, read_json,
+                   semantic_similarity)
 
 
 @dataclass
@@ -27,25 +27,6 @@ class CausalGraph:
     def to_json(self) -> dict:
         return {"L": self.L,
                 "edges": [{"src": j, "dst": i, "strength": s} for (j, i, s) in self.edges]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CausalGraph":
-        """The graph a graph.json object gives. An L that is not an int >= 1,
-        or an edge whose src or dst is not an int of range(L) or whose
-        strength is not a finite real, raises ValueError."""
-        L = obj["L"]
-        # type(...) leaves out bool
-        if type(L) is not int or L < 1:
-            raise ValueError(f"L must be an int >= 1, got {L!r}")
-        edges = [(e["src"], e["dst"], e["strength"]) for e in obj["edges"]]
-        for j, i, s in edges:
-            if not (type(j) is int and type(i) is int and 0 <= j < L
-                    and 0 <= i < L and type(s) in (int, float)
-                    and math.isfinite(s)):
-                raise ValueError(f"edge ({j!r}, {i!r}, {s!r}): src and dst "
-                                 f"must be ints in range({L}) and strength "
-                                 "a finite real")
-        return cls(L=L, edges=[(j, i, float(s)) for j, i, s in edges])
 
 
 def rare_indicator_matrix(L: int, rare_set) -> np.ndarray:
@@ -123,4 +104,5 @@ def save_graph(g: CausalGraph, path) -> None:
 
 
 def load_graph(path) -> CausalGraph:
-    return read_json(path, CausalGraph.from_json)
+    """The graph of a graph.json file, as read_edges reads it."""
+    return read_json(path, lambda obj: CausalGraph(*read_edges(obj)))

@@ -47,7 +47,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import evaluation
-from .data import (Dataset, LabelStats, PlantedWorld, co_occurrence,
+from .data import (Dataset, LabelStats, PlantedWorld, checked, co_occurrence,
                    compute_label_stats, read_json)
 from .errors import DimensionError, NumericalError
 from .graph import (CausalGraph, extract_graph, graph_loss, ideal_weights,
@@ -62,15 +62,8 @@ from .sem import (SemModel, all_pairs, head, head_backward, init_model,
                   pair_backward, pair_features)
 
 
-def _inside(value, interval: str) -> bool:
-    """Whether value lies in an interval such as "[0, 1)"; NaN lies in none."""
-    lo, hi = (float(x) for x in interval[1:-1].split(","))
-    return ((lo <= value if interval[0] == "[" else lo < value)
-            and (value <= hi if interval[-1] == "]" else value < hi))
-
-
 # each TrainConfig field's JSON type and the interval or choices its value
-# must lie in; grad_clip 0 turns clipping off
+# must lie in, the rule data.checked reads; grad_clip 0 turns clipping off
 FIELD_RULES = {
     **dict.fromkeys(("batch_size", "n_players", "k_topk", "m_envs", "hidden",
                      "enc_dim"), (int, "[1, inf)")),
@@ -128,16 +121,8 @@ class TrainConfig:
     uniform_alpha: bool = False        # w/o RLE sets alpha(l) = 1
 
     def __post_init__(self):
-        for name, (kind, allowed) in FIELD_RULES.items():
-            value = getattr(self, name)
-            # an int will do for a float; a bool never does for a number
-            if (isinstance(value, bool) != (kind is bool) or not isinstance(
-                    value, (int, float) if kind is float else kind)):
-                raise ValueError(f"{name} must be of type {kind.__name__}, "
-                                 f"got {value!r}")
-            if not (value in allowed if isinstance(allowed, tuple)
-                    else _inside(value, allowed)):
-                raise ValueError(f"{name} must be in {allowed}, got {value!r}")
+        for name, rule in FIELD_RULES.items():
+            checked(getattr(self, name), rule, name)
 
     @classmethod
     def from_dict(cls, obj, where: str) -> "TrainConfig":
@@ -546,29 +531,27 @@ def load_run(run_dir: str):
     """Rebuild (model, encoders, subsets, masks, graph, stats, config), where
     subsets is masks.subsets (None without masks). The model's pair index is
     the pairs the players' masks read, or every off-diagonal pair without
-    players. A run file that is not JSON or lacks a key, a bad model.json
-    size or players list, players without a graph.json of the manifest's L,
-    a model.npz not holding exactly the float64 arrays the manifest, config
-    and pair index imply, or bad stats.json values raise a ValueError naming
-    the file."""
-    path = os.path.join(run_dir, "model.json")
-    obj = read_json(path)
-    for key, low in (("d", 1), ("L", 1), ("hidden", 1), ("encoders", 0)):
-        # type(...) is int leaves out bool
-        if (not isinstance(obj, dict) or type(obj.get(key)) is not int
-                or obj[key] < low):
-            raise DimensionError(f"{path}: {key} must be an int >= {low}")
-    players = obj.get("players")
-    if players is not None and not (
-            isinstance(players, list)
-            and all(isinstance(sub, list) and sub
-                    and all(type(x) is int for x in sub) for sub in players)
-            and sorted(sum(players, [])) == list(range(obj["L"]))):
-        raise DimensionError(f"{path}: players must be disjoint non-empty "
-                             f"label lists covering range({obj['L']})")
+    players. A run file that is not JSON, lacks a key, holds a value of the
+    wrong type or range, or disagrees with the others raises a ValueError
+    naming it."""
+    def manifest(obj):
+        sizes = [checked(obj[k], (int, low), k) for k, low in (
+            ("d", "[1, inf)"), ("L", "[1, inf)"), ("hidden", "[1, inf)"),
+            ("encoders", "[0, inf)"))]
+        L, players = sizes[1], obj.get("players")
+        if players is not None:
+            players = [sorted(checked(x, (int, range(L)), "a player's label")
+                              for x in sub) for sub in players]
+            if not all(players) or sorted(sum(players, [])) != list(range(L)):
+                raise ValueError("players must be disjoint non-empty label "
+                                 f"lists covering range({L})")
+        return *sizes, players
+
+    d, L, h, n, players = read_json(os.path.join(run_dir, "model.json"),
+                                    manifest)
     path = os.path.join(run_dir, "config.json")
     cfg = TrainConfig.from_dict(read_json(path), path)
-    d, L, h, n, e = obj["d"], obj["L"], obj["hidden"], obj["encoders"], cfg.enc_dim
+    e = cfg.enc_dim
     graph = masks = None
     path = os.path.join(run_dir, "graph.json")
     if os.path.exists(path):
@@ -579,7 +562,7 @@ def load_run(run_dir: str):
         if graph is None:
             raise DimensionError(f"{path} is missing; the players' masks "
                                  "and so the model's pairs come from it")
-        masks = build_masks([sorted(sub) for sub in players], graph)
+        masks = build_masks(players, graph)
     pairs = masks.pairs if masks else all_pairs(L)
     P = len(pairs)
     shapes = {"w1": (P, h, d), "b1": (P, h), "w2": (P, h), "b2": (P,),
@@ -600,13 +583,14 @@ def load_run(run_dir: str):
     if held != want:
         raise DimensionError(f"{path} holds {held}, expected {want}")
     model = SemModel(d=d, L=L, hidden=h, pairs=pairs, **arrays)
-    path = os.path.join(run_dir, "stats.json")
-    stats = read_json(path, lambda st: LabelStats(
-        freq=np.array(st["freq"]), rare_set=frozenset(st["rare_set"]),
-        rare_pct=TrainConfig(rare_pct=st["rare_pct"]).rare_pct))
-    if (stats.freq.shape != (L,) or stats.freq.dtype.kind != "i"
-            or (stats.freq < 0).any() or not stats.rare_set <= set(range(L))):
-        raise DimensionError(f"{path}: freq must be {L} non-negative ints "
-                             f"and rare_set labels of range({L})")
+
+    def label_stats(st):
+        freq = [checked(f, (int, "[0, inf)"), "freq") for f in st["freq"]]
+        checked(len(freq), (int, (L,)), "len(freq)")
+        rare = [checked(i, (int, range(L)), "rare_set") for i in st["rare_set"]]
+        pct = checked(st["rare_pct"], FIELD_RULES["rare_pct"], "rare_pct")
+        return LabelStats(np.array(freq), frozenset(rare), pct)
+
+    stats = read_json(os.path.join(run_dir, "stats.json"), label_stats)
     return (model, player_encoders(model), masks.subsets if masks else None,
             masks, graph, stats, cfg)

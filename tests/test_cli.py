@@ -72,6 +72,17 @@ class TestGen:
                   "--out", str(tmp_path / "x")])
         assert rc == 1
 
+    @pytest.mark.parametrize("density", ["7", "-3", "nan"])
+    def test_edge_density_outside_0_1_exits_1(self, tmp_path, capsys,
+                                              density):
+        # 7 would make every pair an edge and -3 none
+        rc = run(["gen", "--labels", "4", "--dim", "16", "--samples", "5",
+                  "--edge-density", density, "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--edge-density" in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
 
 class TestTrainCommand:
     def test_run_artifacts(self, run_dir):
@@ -228,6 +239,23 @@ class TestTrainCommand:
         cases.append((["eval", "--model", str(run_dir), *data, "--world",
                        str(three / "world.json")],
                       f"--world {three / 'world.json'}"))
+        # a --world whose L or d is not an int, with an edge graph.json
+        # refuses, or with a block label outside range(L) or a block feature
+        # that is not an int of range(d), which would index past the features
+        world = json.loads(read(gen_dir / "world.json"))
+        for i, change in enumerate((
+                {"L": 4.7}, {"d": 16.9},
+                {"edges": [{"src": 0.4, "dst": 1, "strength": 0.5}]},
+                {"edges": [{"src": 0, "dst": 2.9, "strength": 0.5}]},
+                {"edges": [{"src": 0, "dst": 1, "strength": "0.5"}]},
+                {"spurious_blocks": {"0-1": [99]}},
+                {"spurious_blocks": {"0-1": [1.5]}},
+                {"causal_blocks": {"7": [0]}})):
+            bad = tmp_path / f"world{i}.json"
+            bad.write_text(json.dumps({**world, **change}))
+            for argv in (["train", *data], ["eval", "--model", str(run_dir),
+                                            *data]):
+                cases.append(([*argv, "--world", str(bad)], f"--world {bad}"))
         # players without the graph.json their masks, and so the model's
         # pairs, come from
         bad_run = tmp_path / "no_graph"
@@ -257,8 +285,9 @@ class TestTrainCommand:
         stats = json.loads(read(run_dir / "stats.json"))
         for i, change in enumerate((
                 {"freq": stats["freq"][:2]}, {"freq": [1, 2, 3, -1]},
-                {"freq": [1, 2, 3, 4.5]}, {"rare_set": [0, 4]},
-                {"rare_set": [-1]}, {"rare_pct": 150.0},
+                {"freq": [1, 2, 3, 4.5]}, {"freq": [True, 1, 2, 3]},
+                {"rare_set": [0, 4]}, {"rare_set": [-1]},
+                {"rare_set": [2.0]}, {"rare_pct": 150.0},
                 {"rare_pct": "30"})):
             bad_run = tmp_path / f"stats{i}"
             shutil.copytree(run_dir, bad_run)

@@ -44,11 +44,23 @@ class TestLoadDataset:
                     '{"features": ["abc"], "labels": [0]}',
                     '{"features": "abc", "labels": [0]}',
                     '{"features": 1.0, "labels": [0]}',
-                    '{"features": [1.0], "labels": 0}'):
+                    '{"features": [1.0], "labels": 0}',
+                    '{"features": [NaN], "labels": [0]}',
+                    '{"features": [-Infinity], "labels": [0]}'):
             path.write_text('{"features": [1.0], "labels": [0]}\n' + bad
                             + "\n")
             with pytest.raises(DatasetError, match="line 2"):
                 load_dataset(path)
+
+    def test_non_finite_feature_names_its_line_past_blank_lines(self,
+                                                                tmp_path):
+        path = tmp_path / "nan.jsonl"
+        good = '{"features": [1.0, 2.0], "labels": [0]}'
+        path.write_text(f"{good}\n\n{good}\n"
+                        '{"features": [1.0, NaN], "labels": [1]}\n')
+        with pytest.raises(DatasetError,
+                           match="^line 4: non-finite feature value$"):
+            load_dataset(path)
 
     def test_inconsistent_dims(self, tmp_path):
         path = write_lines(tmp_path, [
@@ -57,6 +69,12 @@ class TestLoadDataset:
         ])
         with pytest.raises(DatasetError, match="inconsistent"):
             load_dataset(path)
+
+    def test_saved_line_format(self, tmp_path):
+        ds = Dataset(np.array([[1.5, -0.1, 3.0, 1e-05]]), np.array([[1, 0]]))
+        save_dataset(ds, tmp_path / "one.jsonl")
+        assert (tmp_path / "one.jsonl").read_text() == (
+            '{"features": [1.5, -0.1, 3.0, 1e-05], "labels": [1, 0]}\n')
 
     def test_roundtrip(self, tmp_path):
         ds = Dataset(np.array([[1.5, -0.5], [0.0, 2.0]]),
@@ -168,6 +186,24 @@ class TestGenerateSynthetic:
         assert w2.edges == world.edges
         assert w2.spurious_blocks == world.spurious_blocks
         assert w2.env_params == world.env_params
+
+    # L and d ints >= 1, edges as graph.json's, block labels in range(L) and
+    # block features ints of range(d), so no value is truncated and no
+    # feature indexes past d
+    @pytest.mark.parametrize("change", [
+        {"L": 4.7}, {"L": 0}, {"d": 16.9}, {"d": True},
+        {"edges": [{"src": 0.4, "dst": 1, "strength": 0.5}]},
+        {"edges": [{"src": 0, "dst": 5, "strength": 0.5}]},
+        {"edges": [{"src": 0, "dst": 1, "strength": "0.5"}]},
+        {"causal_blocks": {"5": [0]}}, {"causal_blocks": {"0": [-1]}},
+        {"causal_blocks": {"0": [24]}}, {"spurious_blocks": {"0-1": [99]}},
+        {"spurious_blocks": {"0-5": [20]}},
+        {"spurious_blocks": {"0-1": [20.0]}}], ids=repr)
+    def test_world_json_rejects_bad_values(self, change):
+        _, world = generate_synthetic(L=5, d=24, n=5, n_envs=1, seed=1,
+                                      edge_density=0.2)
+        with pytest.raises(ValueError, match="must|needs"):
+            PlantedWorld.from_json({**world.to_json(), **change})
 
 
 class TestCoOccurrence:
