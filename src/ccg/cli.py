@@ -96,7 +96,13 @@ def apply_ablations(cfg: training.TrainConfig, flags) -> training.TrainConfig:
 
 
 def cmd_gen(args) -> int:
-    checked(args.edge_density, (float, "[0, 1]"), "--edge-density")
+    for flag, rule in (("labels", (int, "[2, inf)")),
+                       ("dim", (int, "[1, inf)")),
+                       ("samples", (int, "[1, inf)")),
+                       ("envs", (int, "[1, inf)")),
+                       ("seed", training.FIELD_RULES["seed"]),
+                       ("edge_density", (float, "[0, 1]"))):
+        checked(getattr(args, flag), rule, "--" + flag.replace("_", "-"))
     datasets, world = generate_synthetic(args.labels, args.dim, args.samples,
                                          args.envs, args.seed,
                                          edge_density=args.edge_density)
@@ -198,13 +204,15 @@ def cmd_sensitivity(args) -> int:
 def cmd_export_graph(args) -> int:
     _, _, _, _, graph, _, _ = training.load_run(args.model)
     if graph is None:
-        raise DatasetError("run directory has no graph.json")
+        raise DatasetError(f"--model {args.model} has no graph.json")
     names = None
     if args.names:
         names = args.names.split(",")
         if len(names) != graph.L:
             raise DatasetError(f"--names gives {len(names)} names for a "
                                f"graph of {graph.L} labels")
+        if len(set(names)) < len(names):
+            raise DatasetError(f"--names {args.names} gives a name twice")
     _write(args.out, export_dot(graph, names))
     print(f"DOT graph written to {args.out}")
     return 0

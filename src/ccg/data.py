@@ -25,14 +25,19 @@ class Dataset:
     Y: np.ndarray  # (n, L) int8
 
     def __post_init__(self):
-        self.X = np.asarray(self.X, dtype=np.float64)
-        self.Y = np.asarray(self.Y, dtype=np.int8)
-        if self.X.ndim != 2 or self.Y.ndim != 2 or len(self.X) != len(self.Y):
+        # the one test of a dataset; labels are tested before the int8 cast
+        X, Y = np.asarray(self.X, dtype=np.float64), np.asarray(self.Y)
+        if X.size == 0 or Y.size == 0:
+            raise DatasetError("empty dataset: no sample, feature or label")
+        if X.ndim != 2 or Y.ndim != 2 or len(X) != len(Y):
             raise DatasetError("features/labels shape mismatch")
-        if not np.isin(self.Y, (0, 1)).all():
-            raise DatasetError("label not binary")
-        if not np.isfinite(self.X).all():
-            raise DatasetError("non-finite feature value")
+        for ok, what in ((np.isin(Y, (0, 1)), "label not binary"),
+                         (np.isfinite(X), "non-finite feature value")):
+            if not ok.all():
+                exc = DatasetError(what)
+                exc.row = int(ok.all(axis=1).argmin())
+                raise exc
+        self.X, self.Y = X, Y.astype(np.int8, copy=False)
 
     @property
     def n(self) -> int:
@@ -75,41 +80,36 @@ def compute_label_stats(ds: Dataset, rare_pct: float) -> LabelStats:
 
 
 def load_dataset(path) -> Dataset:
-    """Read a JSONL dataset: one {"features": [...], "labels": [...]} per line."""
-    feats, labs = [], []
+    """Read a JSONL dataset: one {"features": [...], "labels": [...]} per
+    line, JSON numbers and JSON ints (a bool is neither), every line as wide
+    as the first. Dataset tests the values; an error at a line names it."""
+    feats, labs, linenos = [], [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
-                f = obj["features"]
-                y = obj["labels"]
-                if not (isinstance(f, list) and isinstance(y, list)):
-                    raise TypeError("features and labels must be lists")
-                row = [float(v) for v in f]
+                f, y = obj["features"], obj["labels"]
             except (KeyError, TypeError, ValueError) as exc:
-                # ValueError covers json.JSONDecodeError and float("abc")
+                # ValueError covers json.JSONDecodeError
                 raise DatasetError(f"line {lineno}: parse error ({exc})") from exc
-            if any(v not in (0, 1) for v in y):
-                raise DatasetError(f"line {lineno}: label not binary")
-            if feats:
-                if len(f) != len(feats[0]):
-                    raise DatasetError(f"line {lineno}: inconsistent feature dimension")
-                if len(y) != len(labs[0]):
-                    raise DatasetError(f"line {lineno}: inconsistent label dimension")
-            feats.append(row)
-            labs.append([int(v) for v in y])
-    if not feats:
-        raise DatasetError("empty dataset")
+            if not (type(f) is type(y) is list and set(map(type, y)) <= {int}
+                    and set(map(type, f)) <= {int, float}):
+                raise DatasetError(f"line {lineno}: features must be a list "
+                                   f"of JSON numbers, labels of JSON ints")
+            if feats and (len(f), len(y)) != (len(feats[0]), len(labs[0])):
+                raise DatasetError(f"line {lineno}: inconsistent width, "
+                                   f"not that of line {linenos[0]}")
+            feats.append(f)
+            labs.append(y)
+            linenos.append(lineno)
     try:
         return Dataset(feats, labs)
-    except DatasetError:  # a non-finite feature: only now find its line
-        row = np.flatnonzero(~np.isfinite(feats).all(axis=1))[0]
-        with open(path) as fh:
-            lineno = [n for n, line in enumerate(fh, 1) if line.strip()][row]
-        raise DatasetError(f"line {lineno}: non-finite feature value") from None
+    except DatasetError as exc:
+        if exc.row is None:
+            raise
+        raise DatasetError(f"line {linenos[exc.row]}: {exc}") from None
 
 
 def read_json(path, build=lambda obj: obj, where=None):
@@ -330,8 +330,6 @@ def generate_synthetic(L: int, d: int, n: int, n_envs: int, seed: int,
 
 def co_occurrence(ds: Dataset) -> np.ndarray:
     """Directed conditional frequency: entry (i, j) = P(label i | label j)."""
-    if ds.n == 0:
-        raise DatasetError("empty dataset")
     Y = ds.Y.astype(np.float64)
     joint = Y.T @ Y
     col = Y.sum(axis=0)
@@ -342,8 +340,6 @@ def co_occurrence(ds: Dataset) -> np.ndarray:
 
 def semantic_similarity(ds: Dataset) -> np.ndarray:
     """Cosine similarity of per-label feature centroids, clamped to [0, 1]."""
-    if ds.n == 0:
-        raise DatasetError("empty dataset")
     L = ds.L
     cents = np.zeros((L, ds.d))
     has = np.zeros(L, dtype=bool)

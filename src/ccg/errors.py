@@ -2,7 +2,9 @@
 
 
 class DatasetError(ValueError):
-    """Malformed or inconsistent dataset input."""
+    """Malformed or inconsistent dataset input; row is the index of the
+    sample at fault when one is."""
+    row = None
 
 
 class CapacityError(ValueError):

@@ -86,8 +86,9 @@ def extract_graph(W: np.ndarray, K: int) -> CausalGraph:
 
 
 def export_dot(g: CausalGraph, label_names: list[str] | None = None) -> str:
-    """Deterministic DOT rendering with 2-decimal edge strengths."""
-    names = label_names if label_names is not None else [f"L{i}" for i in range(g.L)]
+    """Deterministic DOT rendering, 2-decimal edge strengths, escaped IDs."""
+    names = [n.replace("\\", "\\\\").replace('"', '\\"')
+             for n in label_names or [f"L{i}" for i in range(g.L)]]
     lines = ["digraph G {"]
     for name in names:
         lines.append(f'  "{name}";')

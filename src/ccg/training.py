@@ -394,8 +394,6 @@ def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
     epochs with early stopping on validation mAP. With an
     ood dataset, each epoch also logs the mAP on it as ood_map; one of
     another d or L raises DimensionError before any epoch."""
-    if ds.n == 0:
-        raise ValueError("dataset is empty")
     if ood is not None and (ood.d, ood.L) != (ds.d, ds.L):
         raise DimensionError(f"ood data has (d, L) = ({ood.d}, {ood.L}), the "
                              f"training data ({ds.d}, {ds.L})")

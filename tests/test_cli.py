@@ -72,15 +72,20 @@ class TestGen:
                   "--out", str(tmp_path / "x")])
         assert rc == 1
 
-    @pytest.mark.parametrize("density", ["7", "-3", "nan"])
+    # --edge-density 7 would make every pair an edge and -3 none; each case
+    # of another flag is named by it
+    @pytest.mark.parametrize("flag,value", [
+        *(pytest.param("--edge-density", v, id=v) for v in ("7", "-3", "nan")),
+        ("--seed", "-1"), ("--samples", "0"), ("--envs", "0"),
+        ("--labels", "1"), ("--dim", "0")])
     def test_edge_density_outside_0_1_exits_1(self, tmp_path, capsys,
-                                              density):
-        # 7 would make every pair an edge and -3 none
-        rc = run(["gen", "--labels", "4", "--dim", "16", "--samples", "5",
-                  "--edge-density", density, "--out", str(tmp_path / "x")])
+                                              flag, value):
+        opts = {"--labels": "4", "--dim": "16", "--samples": "5", flag: value}
+        rc = run(["gen", *(t for kv in opts.items() for t in kv),
+                  "--out", str(tmp_path / "x")])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "--edge-density" in err and "Traceback" not in err
+        assert flag in err and "Traceback" not in err
         assert not (tmp_path / "x").exists()
 
 
@@ -118,6 +123,20 @@ class TestTrainCommand:
         rc = run(["train", "--data", str(tmp_path / "nope.jsonl"),
                   "--out", str(tmp_path / "o")])
         assert rc == 1
+
+    @pytest.mark.parametrize("line,why", [
+        ('{"features": [], "labels": []}', "empty dataset"),
+        ('{"features": ["1.5", true], "labels": [true, 1.0]}', "line 1: ")],
+        ids=["no-width", "no-numbers"])
+    def test_dataset_of_no_width_or_of_no_numbers_exits_1(self, tmp_path,
+                                                          capsys, line, why):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(line + "\n")
+        rc = run(["train", "--data", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"--data {path}: {why}" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_m_envs_zero_exits_1(self, gen_dir, run_dir, tmp_path, capsys,
                                  monkeypatch):
@@ -522,6 +541,33 @@ class TestHarnessCommands:
         assert run(["export-graph", "--model", str(run_dir),
                     "--names", "a,b,c,d", "--out", str(tmp_path / "g.dot")]) == 0
         assert '  "d";' in read(tmp_path / "g.dot")
+
+    def test_export_graph_escapes_names_and_refuses_a_name_twice(
+            self, run_dir, tmp_path, capsys):
+        out = tmp_path / "g.dot"
+        assert run(["export-graph", "--model", str(run_dir),
+                    "--names", 'a"b,c\\,d,e', "--out", str(out)]) == 0
+        assert '  "a\\"b";\n  "c\\\\";\n' in read(out)
+        out.unlink()
+        rc = run(["export-graph", "--model", str(run_dir),
+                  "--names", "a,a,b,c", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--names a,a,b,c" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_export_graph_without_a_graph_names_the_run(self, gen_dir,
+                                                        tmp_path, capsys):
+        # a run of no epochs extracts no graph
+        run_no_graph = tmp_path / "run0"
+        assert run(["train", "--data", str(gen_dir / "env0.jsonl"),
+                    "--epochs", "0", "--out", str(run_no_graph)]) == 0
+        capsys.readouterr()
+        assert run(["export-graph", "--model", str(run_no_graph),
+                    "--out", str(tmp_path / "g.dot")]) == 1
+        err = capsys.readouterr().err
+        assert f"--model {run_no_graph}" in err and "graph.json" in err
+        assert not (tmp_path / "g.dot").exists()
 
     def test_export_graph_deterministic(self, run_dir, tmp_path):
         a, b = tmp_path / "a.dot", tmp_path / "b.dot"

@@ -46,7 +46,18 @@ class TestLoadDataset:
                     '{"features": 1.0, "labels": [0]}',
                     '{"features": [1.0], "labels": 0}',
                     '{"features": [NaN], "labels": [0]}',
-                    '{"features": [-Infinity], "labels": [0]}'):
+                    '{"features": [-Infinity], "labels": [0]}',
+                    # a string or bool is no number, a bool or 1.0 no label
+                    '{"features": ["1.5", true], "labels": [true, 1.0]}',
+                    '{"features": ["1.5"], "labels": [0]}',
+                    '{"features": [true], "labels": [0]}',
+                    '{"features": [null], "labels": [0]}',
+                    '{"features": [[1.0]], "labels": [0]}',
+                    '{"features": [1.0], "labels": [true]}',
+                    '{"features": [1.0], "labels": [1.0]}',
+                    # as wide as line 1 or not at all
+                    '{"features": [], "labels": [0]}',
+                    '{"features": [1.0], "labels": []}'):
             path.write_text('{"features": [1.0], "labels": [0]}\n' + bad
                             + "\n")
             with pytest.raises(DatasetError, match="line 2"):
@@ -84,6 +95,36 @@ class TestLoadDataset:
         ds2 = load_dataset(path)
         np.testing.assert_array_equal(ds.X, ds2.X)
         np.testing.assert_array_equal(ds.Y, ds2.Y)
+
+
+class TestDataset:
+    @pytest.mark.parametrize("Y", [[[0.5, 1.7]], [[300, 1]]])
+    def test_label_not_binary_before_the_int8_cast(self, Y):
+        with pytest.raises(DatasetError, match="label not binary"):
+            Dataset(np.zeros((1, 2)), Y)
+
+    @pytest.mark.parametrize("X,Y", [
+        (np.zeros((0, 2)), np.zeros((0, 1))),
+        (np.zeros((2, 0)), np.zeros((2, 1))),
+        (np.zeros((2, 2)), np.zeros((2, 0))),
+        ([], []),
+    ])
+    def test_empty_rejected(self, X, Y):
+        with pytest.raises(DatasetError, match="empty dataset"):
+            Dataset(X, Y)
+
+    def test_bad_value_carries_its_row(self):
+        X = np.zeros((4, 2))
+        X[2, 1] = np.inf
+        with pytest.raises(DatasetError) as exc:
+            Dataset(X, np.zeros((4, 1)))
+        assert exc.value.row == 2
+        with pytest.raises(DatasetError) as exc:
+            Dataset(np.zeros((4, 2)), [[0], [1], [1], [2]])
+        assert exc.value.row == 3
+        with pytest.raises(DatasetError) as exc:
+            Dataset(np.zeros((2, 2)), np.zeros((3, 1)))
+        assert exc.value.row is None
 
 
 class TestLabelStats:

@@ -187,6 +187,11 @@ class TestExportAndPersistence:
         dot = export_dot(g, ["cat", "dog"])
         assert '"cat" -> "dog" [label="0.50"];' in dot
 
+    def test_dot_escapes_quotes_and_backslashes(self):
+        g = CausalGraph(L=2, edges=[(0, 1, 0.5)])
+        dot = export_dot(g, ['a"b', "c\\"])
+        assert '  "a\\"b" -> "c\\\\" [label="0.50"];' in dot
+
     def test_json_roundtrip(self, tmp_path):
         g = CausalGraph(L=4, edges=[(0, 2, 0.25), (3, 1, 0.75)])
         path = tmp_path / "g.json"
