@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +27,12 @@ class Dataset:
 
     def __post_init__(self):
         # the one test of a dataset; labels are tested before the int8 cast
-        X, Y = np.asarray(self.X, dtype=np.float64), np.asarray(self.Y)
+        Y = np.asarray(self.Y)
+        try:
+            X = np.asarray(self.X, dtype=np.float64)
+        except OverflowError:  # an int above the largest float reads as inf
+            X = np.asarray(self.X, dtype=object)
+            X = np.where(abs(X) > sys.float_info.max, np.inf, X).astype(float)
         if X.size == 0 or Y.size == 0:
             raise DatasetError("empty dataset: no sample, feature or label")
         if X.ndim != 2 or Y.ndim != 2 or len(X) != len(Y):

@@ -10,7 +10,8 @@ The first layers of the P held pairs read as one (P*hidden, d) matrix, so a
 batch's first-layer forward and both its gradients are BLAS matrix products.
 The pair outputs and their gradients keep a (B, P) layout, which the head
 sums into the L labels with one (B, P) @ (P, L) product. Backprop is
-hand-derived for this fixed architecture (no autodiff).
+hand-derived for this fixed architecture (no autodiff). The sigmoid is
+`expit`, on numpy alone, so the package needs no scipy at run time.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DimensionError
 
@@ -78,6 +78,13 @@ class SemModel:
                        **{k: getattr(self, k)[keep] for k in PAIR_ARRAYS})
 
 
+def expit(x):
+    """sigmoid(x) = 1 / (1 + exp(-x)), within 2 ulp of scipy.special.expit;
+    below about -709.78 exp(-x) overflows to inf and both give 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def all_pairs(L: int) -> np.ndarray:
     """The row-major pair index of every off-diagonal pair (i, j)."""
     return np.argwhere(~np.eye(L, dtype=bool))
@@ -88,8 +95,8 @@ def init_model(d: int, L: int, hidden: int, seed: int, players: int = 0,
     """A model holding every off-diagonal pair. Fan-based uniform init for
     the pair MLPs and, drawn from seed + 1, the `players` encoders of
     dimension enc_dim; N(0, 0.01) for W; zero biases. The pair MLPs are
-    drawn for all L*L pairs, diagonal included, and the diagonal then
-    dropped, so the draws of W that follow are those of an (L, L) layout."""
+    drawn for all L*L pairs, one row i at a time with (i, i) dropped, so
+    the draws of W that follow are those of an (L, L) layout."""
     if min(d, L, hidden, enc_dim) < 1:
         raise ValueError("d, L, hidden, enc_dim must be positive")
     rng = np.random.default_rng(seed)
@@ -97,7 +104,9 @@ def init_model(d: int, L: int, hidden: int, seed: int, players: int = 0,
     a2 = np.sqrt(6.0 / (hidden + 1))
     pairs = all_pairs(L)
     i, j = pairs.T
-    w1 = rng.uniform(-a1, a1, size=(L, L, hidden, d))[i, j]
+    w1 = np.empty((len(pairs), hidden, d))
+    for r, rows in enumerate(np.split(w1, L)):  # the pairs (r, j), j != r
+        rows[...] = np.delete(rng.uniform(-a1, a1, size=(L, hidden, d)), r, 0)
     w2 = rng.uniform(-a2, a2, size=(L, L, hidden))[i, j]
     W = rng.normal(0.0, 0.01, size=(L, L))
     np.fill_diagonal(W, 0.0)

@@ -44,7 +44,6 @@ import zipfile
 from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
-from scipy.special import expit
 
 from . import evaluation
 from .data import (Dataset, LabelStats, PlantedWorld, checked, co_occurrence,
@@ -58,8 +57,8 @@ from .players import (MaskSet, PlayerEncoder, build_masks, encode_batch,
                       partition_labels, player_encoders)
 from .reward import (anneal, bce_terms, curiosity_surrogate,
                      generate_counterfactual)
-from .sem import (SemModel, all_pairs, head, head_backward, init_model,
-                  pair_backward, pair_features)
+from .sem import (SemModel, all_pairs, expit, head, head_backward,
+                  init_model, pair_backward, pair_features)
 
 
 # each TrainConfig field's JSON type and the interval or choices its value
@@ -456,6 +455,7 @@ def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
                     replace(obj, beta=beta, gamma_r=gamma_r,
                             rng_seed=(cfg.seed, 13, epoch, bi)))
                 opt.step(grads)
+                del grads  # so the next step's gradient is the only one live
                 global_step += 1
                 for key, val in bd.items():
                     ep_terms[key] = ep_terms.get(key, 0.0) + val

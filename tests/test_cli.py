@@ -2,6 +2,8 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +16,15 @@ from ccg.training import TrainConfig
 
 def run(argv):
     return main(argv)
+
+
+def test_import_loads_no_scipy():
+    # ccg runs on numpy alone; scipy is the tests' sigmoid oracle only
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    code = "import ccg.cli, sys; sys.exit('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0
 
 
 def read(path):
@@ -126,8 +137,10 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("line,why", [
         ('{"features": [], "labels": []}', "empty dataset"),
-        ('{"features": ["1.5", true], "labels": [true, 1.0]}', "line 1: ")],
-        ids=["no-width", "no-numbers"])
+        ('{"features": ["1.5", true], "labels": [true, 1.0]}', "line 1: "),
+        ('{"features": [%s], "labels": [1]}' % ("9" * 400),
+         "line 1: non-finite feature value")],
+        ids=["no-width", "no-numbers", "400-digits"])
     def test_dataset_of_no_width_or_of_no_numbers_exits_1(self, tmp_path,
                                                           capsys, line, why):
         path = tmp_path / "bad.jsonl"

@@ -55,6 +55,8 @@ class TestLoadDataset:
                     '{"features": [[1.0]], "labels": [0]}',
                     '{"features": [1.0], "labels": [true]}',
                     '{"features": [1.0], "labels": [1.0]}',
+                    # an int too large for a float
+                    '{"features": [%s], "labels": [0]}' % ("9" * 400),
                     # as wide as line 1 or not at all
                     '{"features": [], "labels": [0]}',
                     '{"features": [1.0], "labels": []}'):
@@ -125,6 +127,18 @@ class TestDataset:
         with pytest.raises(DatasetError) as exc:
             Dataset(np.zeros((2, 2)), np.zeros((3, 1)))
         assert exc.value.row is None
+
+    @pytest.mark.parametrize("big", [10 ** 400, -10 ** 400,
+                                     2 ** 1024 - 2 ** 970])
+    def test_int_too_large_for_a_float_carries_its_row(self, big):
+        # 2**1024 - 2**970 is the least int float() refuses, and
+        # 2**1024 - 2**971 the largest float; numpy scalars may sit beside
+        with pytest.raises(DatasetError, match="non-finite") as exc:
+            Dataset([[1.0, np.float64(2)], [3, 4.5], [5, big]],
+                    [[0], [1], [0]])
+        assert exc.value.row == 2
+        ds = Dataset([[1.0, 2], [2 ** 1024 - 2 ** 971, 4]], [[0], [1]])
+        assert ds.X[1, 0] == np.finfo(np.float64).max
 
 
 class TestLabelStats:

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
-from scipy.special import expit
 
 from ccg.data import Dataset
 from ccg.evaluation import predict_dataset
 from ccg.graph import CausalGraph, extract_graph
 from ccg.players import (build_masks, encode_batch, partition_labels,
                          player_encoders)
-from ccg.sem import init_model, predict_batch
+from ccg.sem import expit, init_model, predict_batch
 
 
 def random_graph(L, rng, density=0.3):

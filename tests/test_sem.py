@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import expit
 
+from ccg import sem
 from ccg.sem import (head, head_backward, init_model, pair_backward,
                      pair_features, predict_batch)
 from ccg.training import ObjectiveSpec, composite_value_and_grads
@@ -111,7 +114,41 @@ class TestPredictMasked:
         np.testing.assert_array_equal(predict_batch(kept, X), before)
 
 
+class TestExpit:
+    """sem.expit against scipy.special.expit, the oracle. Both compute
+    1 / (1 + exp(-x)), but numpy's SIMD exp is not libm's, so on a normal
+    draw about 2 % of the values differ by 1 ulp and 0.4 % by 2."""
+
+    def test_normal_draw_within_two_ulp(self, rng):
+        x = rng.normal(0.0, 3.0, size=(200, 50))
+        np.testing.assert_array_max_ulp(sem.expit(x), expit(x), maxulp=2)
+
+    def test_extremes_nan_and_no_warning(self):
+        x = np.array([-np.inf, -1000, -745, -709, 0, 709, 1000, np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            p, p_nan = sem.expit(x), sem.expit(np.array([np.nan]))
+        np.testing.assert_array_max_ulp(p, expit(x), maxulp=1)
+        assert p[0] == p[1] == p[2] == 0.0 and p[-1] == 1.0
+        assert np.isnan(p_nan).all()
+
+
 class TestInit:
+    @pytest.mark.parametrize("d,L,hidden,seed", [(3, 2, 1, 0), (7, 5, 3, 4),
+                                                 (96, 12, 16, 9)])
+    def test_equals_the_whole_draw_oracle(self, d, L, hidden, seed):
+        # init_model draws w1 one row of the (L, L, hidden, d) layout at a
+        # time; the oracle draws it whole and gathers the off-diagonal
+        rng = np.random.default_rng(seed)
+        a1, a2 = np.sqrt(6.0 / (d + hidden)), np.sqrt(6.0 / (hidden + 1))
+        off = ~np.eye(L, dtype=bool)
+        w1 = rng.uniform(-a1, a1, size=(L, L, hidden, d))[off]
+        w2 = rng.uniform(-a2, a2, size=(L, L, hidden))[off]
+        W = np.where(off, rng.normal(0.0, 0.01, size=(L, L)), 0.0)
+        m = init_model(d, L, hidden, seed)
+        for got, want in ((m.w1, w1), (m.w2, w2), (m.W, W)):
+            assert got.tobytes() == want.tobytes()
+
     def test_deterministic(self):
         a = init_model(5, 3, 4, seed=42)
         b = init_model(5, 3, 4, seed=42)
@@ -270,7 +307,7 @@ class TestHead:
         probs_ref = expit(np.einsum("ij,bij->bi", Wm, H) + m.b)
         probs = head(m, Hp)
         np.testing.assert_allclose(probs, probs_ref, rtol=1e-13, atol=1e-15)
-        np.testing.assert_array_equal(probs[:, 2], expit(m.b[2]))
+        np.testing.assert_array_equal(probs[:, 2], sem.expit(m.b[2]))
 
         dprobs = rng.normal(size=(B, L))
         dlogits = dprobs * probs * (1.0 - probs)

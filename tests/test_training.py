@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from ccg.errors import DimensionError, NumericalError
 from ccg.invariance import contrastive_inv_loss, env_consistency_loss
 from ccg.reward import curiosity_surrogate
 from ccg import training
-from ccg.sem import init_model
+from ccg.sem import PAIR_ARRAYS, init_model
 from ccg.training import (ADAM_GROUPS, FIELD_RULES, AdamW, ObjectiveSpec,
                           TrainConfig, alpha_weights,
                           composite_value_and_grads, load_run, rare_reg_loss,
@@ -352,6 +353,23 @@ class TestTrain:
         ds, world = self.small_ds(seed=1)
         r = train(ds, self.small_cfg(max_epochs=6), planted=world)
         assert r.log[-1]["ce"] < r.log[0]["ce"]
+
+    def test_peak_memory_below_five_copies_of_the_pair_arrays(self):
+        # the model, AdamW's two moments and one gradient are four copies of
+        # the L(L-1) pair arrays: init draws w1 a row at a time, and a step's
+        # gradient is freed before the next step makes its own
+        ds = generate_synthetic(L=20, d=96, n=120, n_envs=1, seed=3)[0][0]
+        cfg = TrainConfig(max_epochs=2, warmup_epochs=1, n_players=3)
+        model = init_model(ds.d, ds.L, cfg.hidden, cfg.seed)
+        pair_bytes = sum(getattr(model, k).nbytes for k in PAIR_ARRAYS)
+        del model
+        tracemalloc.start()
+        try:
+            train(ds, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * pair_bytes, peak / pair_bytes
 
     def test_max_epochs_zero_returns_initial_model(self):
         ds, _ = self.small_ds(seed=2)
