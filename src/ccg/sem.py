@@ -7,7 +7,9 @@ every off-diagonal pair before the partition, and after it only the pairs
 the players' masks read. The pair index is the model's mask: the probability
 of label i is sigmoid(b[i] + sum of W[i, j] * h_ij(x) over its held pairs).
 The first layers of the P held pairs read as one (P*hidden, d) matrix, so a
-batch's first-layer forward and both its gradients are BLAS matrix products.
+batch's first-layer forward and its input gradient are BLAS matrix products;
+a gradient holds that matrix's gradient dz.T @ X as R backward rows of
+factors (dz, X), R*(P*hidden + d) numbers against P*hidden*d (`FactoredGrad`).
 The pair outputs and their gradients keep a (B, P) layout, which the head
 sums into the L labels with one (B, P) @ (P, L) product. Backprop is
 hand-derived for this fixed architecture (no autodiff). The sigmoid is
@@ -22,18 +24,15 @@ import numpy as np
 
 from .errors import DimensionError
 
-# rows of the (P*hidden, d) first-layer gradient added per block in
-# pair_backward
-W1_BLOCK_ROWS = 256
-
 # the arrays that hold one entry per pair of the pair index
 PAIR_ARRAYS = ("w1", "b1", "w2", "b2")
 
 
 @dataclass
 class SemModel:
-    """Every trained array: the SEM and the N player encoders. A gradient
-    (zeros_like) and a checkpoint (copy) have the same layout."""
+    """Every trained array: the SEM and the N player encoders. A checkpoint
+    (copy) and AdamW's moments (zeros_like) have the same layout, and so
+    does a gradient (gradient) but for w1, a FactoredGrad."""
     d: int
     L: int
     hidden: int
@@ -54,18 +53,23 @@ class SemModel:
     enc_b: np.ndarray  # (N, e)
 
     def param_arrays(self) -> dict[str, np.ndarray]:
-        """The array fields but pairs by name, in field order."""
+        """Every field but the sizes and pairs by name, in field order."""
         return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name != "pairs"
-                and isinstance(getattr(self, f.name), np.ndarray)}
+                if f.name not in ("d", "L", "hidden", "pairs")}
 
     def copy(self) -> "SemModel":
         return replace(self, **{k: a.copy()
                                 for k, a in self.param_arrays().items()})
 
     def zeros_like(self) -> "SemModel":
-        """A gradient: every array zero, C-contiguous, of the same shape."""
+        """Every array zero, C-contiguous, of the same shape."""
         return replace(self, **{k: np.zeros(a.shape)
+                                for k, a in self.param_arrays().items()})
+
+    def gradient(self) -> "SemModel":
+        """A zero gradient: w1's an empty FactoredGrad, the rest zeros."""
+        return replace(self, **{k: np.zeros(a.shape) if k != "w1" else
+                                FactoredGrad(a[..., 0].size, self.d)
                                 for k, a in self.param_arrays().items()})
 
     def keep_pairs(self, mask: np.ndarray) -> "SemModel":
@@ -76,6 +80,37 @@ class SemModel:
         keep = np.flatnonzero(mask[i, j])
         return replace(self, pairs=self.pairs[keep],
                        **{k: getattr(self, k)[keep] for k in PAIR_ARRAYS})
+
+
+class FactoredGrad:
+    """An (n, d) gradient held as its factors, D.T @ X for D (R, n) and
+    X (R, d): R*(n + d) numbers against the product's n*d. Its R rows stack
+    those of every backward pass added."""
+
+    def __init__(self, n: int, d: int):
+        self.D, self.X = np.empty((0, n)), np.empty((0, d))
+
+    def add(self, D: np.ndarray, X: np.ndarray) -> None:
+        if len(self.D):
+            D, X = np.vstack([self.D, D]), np.vstack([self.X, X])
+        self.D, self.X = D, X
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows start:stop of the gradient."""
+        return self.D[:, start:stop].T @ self.X
+
+    def sqnorm(self, block: int) -> float:
+        """The squared norm: while R < d, vdot(D D.T, X X.T), Grams of
+        R*R*(n + d) multiply-adds against the product's R*n*d; else rows(s,
+        s + block)'s squares summed. Overflow gives inf or nan silently, as a
+        vdot does; max lifts rounding below 0 and keeps a nan."""
+        (R, n), d = self.D.shape, self.X.shape[1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            if R < d:
+                return max(float(np.vdot(self.D @ self.D.T,
+                                         self.X @ self.X.T)), 0.0)
+            return sum(float(np.vdot(g, g)) for g in
+                       (self.rows(s, s + block) for s in range(0, n, block)))
 
 
 def expit(x):
@@ -163,9 +198,9 @@ def pair_backward(model: SemModel, cache, dHp: np.ndarray,
 
     dHp covers the leading B = len(dHp) rows of the cache's batch; the rows
     after them are ignored, so one stacked forward serves a backward pass
-    over any leading slice of it. With a gradient (a zeros_like model),
-    accumulates the pair-MLP gradients into it and returns None. With
-    grads=None, computes only the input gradient dLoss/dX of shape (B, d).
+    over any leading slice of it. With a gradient (SemModel.gradient), adds
+    the pair-MLP gradients to it, w1's as B rows of factors (dz, X), and
+    returns None. With grads=None, returns only dLoss/dX of shape (B, d).
     """
     B, (P, h, d) = len(dHp), model.w1.shape
     X, a = cache[0][:B], cache[1][:B]
@@ -175,12 +210,7 @@ def pair_backward(model: SemModel, cache, dHp: np.ndarray,
         return dz_flat @ model.w1.reshape(P * h, d)
     grads.b2 += dHp.sum(axis=0)
     grads.w2 += np.einsum("bp,bph->ph", dHp, a)
-    # zeros_like allocates contiguous arrays, so this reshape is a view;
-    # the product is added one block of rows at a time so its temporary
-    # stays in cache
-    gw1 = grads.w1.reshape(P * h, d)
-    for s in range(0, P * h, W1_BLOCK_ROWS):
-        gw1[s:s + W1_BLOCK_ROWS] += dz_flat[:, s:s + W1_BLOCK_ROWS].T @ X
+    grads.w1.add(dz_flat, X)
     grads.b1 += dz.sum(axis=0)
     return None
 

@@ -32,7 +32,8 @@ runs only the CE, rare and graph terms. The environment views
 (`invariance.make_env_views_batch`) and the counterfactual inputs
 (`reward.generate_counterfactual`, ranked by the salience of the raw rows)
 are each built in one whole-batch pass and enter as constants. Gradients are
-exact reverse-mode for every term.
+exact reverse-mode for every term; w1's is held as its factors
+(`sem.FactoredGrad`), so no step holds a dense first-layer gradient.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ from .players import (MaskSet, PlayerEncoder, build_masks, encode_batch,
                       partition_labels, player_encoders)
 from .reward import (anneal, bce_terms, curiosity_surrogate,
                      generate_counterfactual)
-from .sem import (SemModel, all_pairs, expit, head, head_backward,
-                  init_model, pair_backward, pair_features)
+from .sem import (FactoredGrad, SemModel, all_pairs, expit, head,
+                  head_backward, init_model, pair_backward, pair_features)
 
 
 # each TrainConfig field's JSON type and the interval or choices its value
@@ -196,7 +197,7 @@ def composite_value_and_grads(model: SemModel, X: np.ndarray, Y: np.ndarray,
     cfg = obj.cfg
     # the invariance, env and curiosity terms need the players
     full = obj.masks is not None
-    grads = model.zeros_like()
+    grads = model.gradient()
     # a term that does not run logs 0
     bd = dict.fromkeys(("rare", "env", "graph", "inv", "diversity", "cf_js",
                         "rare_acc"), 0.0)
@@ -315,21 +316,24 @@ class AdamW:
             if not p.flags.c_contiguous:
                 raise ValueError("AdamW updates parameters in place through "
                                  "flat views; they must be C-contiguous")
-        self.scratch = np.empty(min(ADAM_BLOCK,
-                                    max(p.size for p in self.params)))
+        # a w1 block is one row of d elements when d > ADAM_BLOCK
+        self.scratch = np.empty(max(model.d, min(ADAM_BLOCK, max(
+            p.size for p in self.params))))
 
-    def step(self, grads: SemModel) -> None:
-        """One update, in place. The global-norm clip scale s multiplies the
-        gradient inside the moment updates (m += (1-beta1)*s*g,
-        v += (1-beta2)*s^2*g^2), so no clipped copy of the gradients is made.
-        Each array is walked in blocks of ADAM_BLOCK elements, so the dozen
-        elementwise passes over a block run from cache."""
+    def step(self, grads: SemModel) -> tuple[float, bool]:
+        """One update, in place; returns the global norm before clipping and
+        whether it clipped (norm > grad_clip > 0), scaling the gradient by s
+        in the moment updates (m += (1-beta1)*s*g, v += (1-beta2)*s^2*g^2)
+        rather than copying it. Arrays are walked in blocks of ADAM_BLOCK
+        elements, whose dozen passes run from cache; w1's blocks of
+        ADAM_BLOCK // d rows are multiplied out from its FactoredGrad."""
         gs = list(grads.param_arrays().values())
-        scale = 1.0
-        if self.cfg.grad_clip > 0:
-            norm = math.sqrt(sum(float(np.vdot(g, g)) for g in gs))
-            if norm > self.cfg.grad_clip:
-                scale = self.cfg.grad_clip / norm
+        rows = max(1, ADAM_BLOCK // grads.d)
+        norm = math.sqrt(sum(
+            g.sqnorm(rows) if isinstance(g, FactoredGrad)
+            else float(np.vdot(g, g)) for g in gs))
+        clipped = 0 < self.cfg.grad_clip < norm
+        scale = self.cfg.grad_clip / norm if clipped else 1.0
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
@@ -339,9 +343,16 @@ class AdamW:
                                       self.m.param_arrays().values(),
                                       self.v.param_arrays().values(),
                                       self.lrs, self.decays):
-            p, g, m, v = (a.reshape(-1) for a in (p, g, m, v))
-            for s in range(0, p.size, ADAM_BLOCK):
-                pb, gb, mb, vb = (a[s:s + ADAM_BLOCK] for a in (p, g, m, v))
+            p, m, v = (a.reshape(-1) for a in (p, m, v))
+            if isinstance(g, FactoredGrad):
+                blocks = ((s * grads.d, g.rows(s, s + rows).reshape(-1))
+                          for s in range(0, p.size // grads.d, rows))
+            else:
+                g = g.reshape(-1)
+                blocks = ((s, g[s:s + ADAM_BLOCK])
+                          for s in range(0, p.size, ADAM_BLOCK))
+            for s, gb in blocks:
+                pb, mb, vb = (a[s:s + gb.size] for a in (p, m, v))
                 buf = self.scratch[:pb.size]
                 mb *= self.beta1
                 np.multiply(gb, c1, out=buf)
@@ -359,6 +370,7 @@ class AdamW:
                 if wd:
                     pb *= 1.0 - lr * wd
                 pb -= buf
+        return norm, clipped
 
     def keep_pairs(self, model: SemModel, mask: np.ndarray) -> SemModel:
         """Keep only the pairs of model, the one this optimizer updates,
@@ -454,7 +466,8 @@ def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
                     model, train_ds.X[idx], train_ds.Y[idx],
                     replace(obj, beta=beta, gamma_r=gamma_r,
                             rng_seed=(cfg.seed, 13, epoch, bi)))
-                opt.step(grads)
+                bd["grad_norm"], clipped = opt.step(grads)
+                bd["clip_rate"] = float(clipped)
                 del grads  # so the next step's gradient is the only one live
                 global_step += 1
                 for key, val in bd.items():
@@ -521,8 +534,10 @@ def save_run(run_dir: str, result: TrainResult) -> None:
     elif os.path.exists(gpath):
         os.remove(gpath)
     with open(os.path.join(run_dir, "log.jsonl"), "w") as fh:
-        for entry in result.log:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+        for entry in result.log:  # strict JSON: null for inf and nan
+            fh.write(json.dumps({k: v if math.isfinite(v) else None
+                                 for k, v in entry.items()},
+                                sort_keys=True) + "\n")
 
 
 def load_run(run_dir: str):

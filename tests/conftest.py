@@ -45,23 +45,30 @@ def fd_probe(value_fn, arrays, n_probes=20, step=1e-5, seed=0,
              skip=None):
     """Central finite differences on random parameter coordinates.
 
-    value_fn() -> (scalar, list of gradient arrays aligned with `arrays`).
-    Returns the worst relative error; absolute differences below 1e-8
-    (finite-difference roundoff on near-zero gradients) count as exact.
-    Empty arrays, such as the pair arrays of a model holding no pair, are
-    never probed.
+    `arrays` is a list, or a dict by name such as a model's param_arrays();
+    value_fn() -> (scalar, gradient arrays in the same form), which must
+    hold the same names, or as many arrays, so that none drops out of the
+    probes. skip(key, idx) is given a name or a list position. Returns the
+    worst relative error; absolute differences below 1e-8 (finite-difference
+    roundoff on near-zero gradients) count as exact. Empty arrays, such as
+    the pair arrays of a model holding no pair, are never probed.
     """
+    def names(a):
+        return list(a) if isinstance(a, dict) else list(range(len(a)))
+
     _, grads = value_fn()
+    keys = names(arrays)
+    assert names(grads) == keys
     rng = np.random.default_rng(seed)
     worst = 0.0
     probes = 0
     while probes < n_probes:
-        pi = int(rng.integers(len(arrays)))
-        arr = arrays[pi]
+        key = keys[int(rng.integers(len(keys)))]
+        arr = arrays[key]
         if arr.size == 0:
             continue
         idx = tuple(int(rng.integers(s)) for s in arr.shape)
-        if skip is not None and skip(pi, idx):
+        if skip is not None and skip(key, idx):
             continue
         old = arr[idx]
         arr[idx] = old + step
@@ -70,12 +77,33 @@ def fd_probe(value_fn, arrays, n_probes=20, step=1e-5, seed=0,
         fm, _ = value_fn()
         arr[idx] = old
         fd = (fp - fm) / (2 * step)
-        an = grads[pi][idx]
+        an = grads[key][idx]
         diff = abs(an - fd)
         if diff >= 1e-8:
             worst = max(worst, diff / max(abs(fd), abs(an)))
         probes += 1
     return worst
+
+
+def dense_grads(grads):
+    """A gradient model's arrays by name, w1's multiplied out by
+    FactoredGrad.rows, the product AdamW.step reads."""
+    arrays = grads.param_arrays()
+    P, h, d = len(grads.pairs), grads.hidden, grads.d
+    arrays["w1"] = grads.w1.rows(0, P * h).reshape(P, h, d)
+    return arrays
+
+
+def gradient_of(model, arrays):
+    """model.gradient() holding the dense arrays by name; w1's (P, h, d)
+    array G enters as the exact factors (G.reshape(P*h, d).T, eye(d))."""
+    g = model.gradient()
+    for name, a in arrays.items():
+        if name == "w1":
+            g.w1.add(a.reshape(-1, model.d).T, np.eye(model.d))
+        else:
+            getattr(g, name)[...] = a
+    return g
 
 
 def freeze_counterfactuals(monkeypatch):

@@ -396,6 +396,10 @@ class TestTrainCommand:
                   "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "term '" in capsys.readouterr().err
+        # the epochs before the abort are saved as strict JSON
+        log = (tmp_path / "o" / "log.jsonl").read_text().splitlines()
+        assert [json.loads(line, parse_constant=pytest.fail)["epoch"]
+                for line in log] == [0]
 
     def test_unknown_config_key_exits_1(self, gen_dir, tmp_path):
         bad = tmp_path / "bad.json"

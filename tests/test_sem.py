@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -9,8 +10,8 @@ from ccg.sem import (head, head_backward, init_model, pair_backward,
                      pair_features, predict_batch)
 from ccg.training import ObjectiveSpec, composite_value_and_grads
 
-from conftest import (fd_probe, freeze_counterfactuals, objective_config,
-                      toy_setup)
+from conftest import (dense_grads, fd_probe, freeze_counterfactuals,
+                      gradient_of, objective_config, toy_setup)
 
 
 def tiny_model(d=3, L=2, hidden=2, seed=0):
@@ -234,15 +235,15 @@ class TestPairKernels:
         dH = rng.normal(size=(B, len(m.pairs)))
         _, g_ref, dx_ref = einsum_pair_oracle(m, X, dH)
         _, cache = pair_features(m, X)
-        # gradients accumulate into what the gradient already holds
-        grads = m.zeros_like()
-        start = {k: rng.normal(size=getattr(grads, k).shape)
+        # gradients accumulate into what the gradient already holds: w1's
+        # factors stack below the exact factors of a dense start
+        start = {k: rng.normal(size=getattr(m, k).shape)
                  for k in ("w1", "b1", "w2", "b2")}
-        for k, v in start.items():
-            getattr(grads, k)[...] = v
+        grads = gradient_of(m, start)
         assert pair_backward(m, cache, dH, grads) is None
+        got = dense_grads(grads)
         for k in start:
-            np.testing.assert_allclose(getattr(grads, k), start[k] + g_ref[k],
+            np.testing.assert_allclose(got[k], start[k] + g_ref[k],
                                        rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(pair_backward(m, cache, dH), dx_ref,
                                    rtol=1e-12, atol=1e-12)
@@ -257,12 +258,12 @@ class TestPairKernels:
         _, cache = pair_features(m, X)
         others = rng.normal(size=(2 * B, d))
         _, stacked = pair_features(m, np.vstack([X, others]))
-        g_own, g_stacked = m.zeros_like(), m.zeros_like()
+        g_own, g_stacked = m.gradient(), m.gradient()
         pair_backward(m, cache, dH, g_own)
         pair_backward(m, stacked, dH, g_stacked)
-        for a, b in zip(g_own.param_arrays().values(),
-                        g_stacked.param_arrays().values()):
-            np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-12)
+        want = dense_grads(g_own)
+        for k, b in dense_grads(g_stacked).items():
+            np.testing.assert_allclose(b, want[k], rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(pair_backward(m, stacked, dH),
                                    pair_backward(m, cache, dH),
                                    rtol=1e-12, atol=1e-12)
@@ -283,6 +284,46 @@ class TestPairKernels:
             fd = ((c * pair_features(m, Xp)[0]).sum()
                   - (c * pair_features(m, Xm)[0]).sum()) / (2 * step)
             assert dx[b, f] == pytest.approx(fd, rel=1e-6, abs=1e-8)
+
+
+# id -> the batch sizes of two backward passes into one gradient, at d = 8:
+# R = 5 rows of factors take the Gram branch of the norm, R = 13 the
+# row-block one
+STACKED_CASES = {"R5-Gram": (2, 3), "R13-row-blocks": (6, 7)}
+
+
+@pytest.mark.parametrize("B1,B2", list(STACKED_CASES.values()),
+                         ids=list(STACKED_CASES))
+class TestFactoredGrad:
+    def two_passes(self, B1, B2):
+        """w1's gradient from two pair_backward calls into one gradient,
+        and the einsum oracle's sum of theirs."""
+        m = random_model(4, 5, 8, 6, True)
+        rng = np.random.default_rng(7)
+        grads, want = m.gradient(), 0.0
+        for B in (B1, B2):
+            X = rng.normal(size=(B, m.d))
+            dH = rng.normal(size=(B, len(m.pairs)))
+            want = want + einsum_pair_oracle(m, X, dH)[1]["w1"]
+            pair_backward(m, pair_features(m, X)[1], dH, grads)
+        assert grads.w1.D.shape == (B1 + B2, want[..., 0].size)
+        return grads, want
+
+    def test_stacked_factors_match_einsum_oracle(self, B1, B2):
+        grads, want = self.two_passes(B1, B2)
+        n = want[..., 0].size
+        np.testing.assert_allclose(
+            dense_grads(grads)["w1"], want, rtol=1e-12, atol=1e-12)
+        # any row block is the same rows of the product
+        np.testing.assert_allclose(grads.w1.rows(3, 17),
+                                   want.reshape(n, -1)[3:17],
+                                   rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("block", [1, 7, 1000])
+    def test_norm_from_factors_matches_dense_norm(self, B1, B2, block):
+        grads, want = self.two_passes(B1, B2)
+        assert math.sqrt(grads.w1.sqnorm(block)) == pytest.approx(
+            np.linalg.norm(want), rel=1e-12)
 
 
 class TestHead:
@@ -354,14 +395,13 @@ class TestLossAndGradients:
         # finite differences probe the smooth surrogate on frozen
         # counterfactual inputs
         freeze_counterfactuals(monkeypatch)
-        arrays = list(model.param_arrays().values())
 
         def value_fn():
             loss, grads, _ = composite_value_and_grads(model, ds.X, ds.Y, obj)
-            return loss, list(grads.param_arrays().values())
+            return loss, dense_grads(grads)
 
-        worst = fd_probe(value_fn, arrays, n_probes=20,
-                         skip=lambda pi, idx: pi == 4 and idx[0] == idx[1])
+        worst = fd_probe(value_fn, model.param_arrays(), n_probes=20,
+                         skip=lambda k, idx: k == "W" and idx[0] == idx[1])
         assert worst < 1e-4
 
     def test_duplicated_batch_mean_invariance(self):
@@ -372,14 +412,14 @@ class TestLossAndGradients:
         Y2 = np.vstack([ds.Y, ds.Y])
         l2, g2, _ = composite_value_and_grads(model, X2, Y2, obj)
         assert l1 == pytest.approx(l2, rel=1e-12)
-        for a, b in zip(g1.param_arrays().values(),
-                        g2.param_arrays().values()):
-            np.testing.assert_allclose(a, b, atol=1e-12)
+        g1 = dense_grads(g1)
+        for k, b in dense_grads(g2).items():
+            np.testing.assert_allclose(g1[k], b, atol=1e-12)
 
     def test_all_zero_coefficients(self):
         ds, stats, model, _, masks, wt = toy_setup(seed=3)
         obj = ce_objective(stats, alpha=0.0)
         loss, grads, _ = composite_value_and_grads(model, ds.X, ds.Y, obj)
         assert loss == 0.0
-        for a in grads.param_arrays().values():
+        for a in dense_grads(grads).values():
             assert np.abs(a).sum() == 0.0

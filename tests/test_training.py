@@ -17,7 +17,8 @@ from ccg.training import (ADAM_GROUPS, FIELD_RULES, AdamW, ObjectiveSpec,
                           composite_value_and_grads, load_run, rare_reg_loss,
                           save_run, train, weighted_ce)
 
-from conftest import fd_probe, objective_config, toy_setup
+from conftest import (dense_grads, fd_probe, gradient_of,
+                      objective_config, toy_setup)
 
 
 def stats_for(freq, rare=()):
@@ -161,9 +162,9 @@ class TestCompositeObjective:
         t1, g1, _ = composite_value_and_grads(model, ds.X, ds.Y, obj)
         t2, g2, _ = composite_value_and_grads(model, ds.X, ds.Y, obj)
         assert t1 == t2
-        for a, b in zip(g1.param_arrays().values(),
-                        g2.param_arrays().values()):
-            np.testing.assert_array_equal(a, b)
+        g1 = dense_grads(g1)
+        for k, b in dense_grads(g2).items():
+            np.testing.assert_array_equal(g1[k], b)
 
     @pytest.mark.parametrize("M", [3, 5])
     def test_full_step_kernel_calls_do_not_grow_with_views(self, M,
@@ -220,7 +221,7 @@ class TestAdamW:
         cfg = TrainConfig(lr_main=0.1, lr_aux=0.2, weight_decay=0.0,
                           grad_clip=0.0)
         opt = AdamW(model, cfg)
-        grads = model.zeros_like()
+        grads = model.gradient()
         g = 0.5
         grads.b[...] = g
         b_before = model.b.copy()
@@ -238,7 +239,7 @@ class TestAdamW:
         # zero lr means only decay could act, and lr scales decay too
         opt = AdamW(model, cfg)
         w1_before = model.w1.copy()
-        opt.step(model.zeros_like())
+        opt.step(model.gradient())
         np.testing.assert_array_equal(model.w1, w1_before)
 
     def test_global_norm_clipping(self):
@@ -246,7 +247,7 @@ class TestAdamW:
         cfg = TrainConfig(lr_main=1.0, lr_aux=1.0, weight_decay=0.0,
                           grad_clip=1.0)
         opt = AdamW(model, cfg)
-        g1 = model.zeros_like()
+        g1 = model.gradient()
         g1.W[...] = 1e6
         before = model.W.copy()
         opt.step(g1)
@@ -275,23 +276,23 @@ class TestAdamW:
         opt_full, opt_trim = AdamW(full, cfg), AdamW(trimmed, cfg)
 
         def random_grads():
-            g = full.zeros_like()
-            for arr in g.param_arrays().values():
-                arr[...] = rng.normal(0.0, 3.0, arr.shape)
-            return g
+            return {k: rng.normal(0.0, 3.0, a.shape)
+                    for k, a in full.param_arrays().items()}
 
         for _ in range(2):
-            g = random_grads()
+            g = gradient_of(full, random_grads())
             opt_full.step(g)
             opt_trim.step(g)
         trimmed = opt_trim.keep_pairs(trimmed, mask)
         assert len(trimmed.pairs) == 4 and opt_trim.t == 2
         g = random_grads()
-        i, j = g.pairs.T
-        for name in ("w1", "b1", "w2", "b2"):
-            getattr(g, name)[mask[i, j] == 0] = 0.0
-        opt_full.step(g)
-        opt_trim.step(g.keep_pairs(mask))
+        i, j = full.pairs.T
+        kept = mask[i, j] != 0
+        for name in PAIR_ARRAYS:
+            g[name][~kept] = 0.0
+        opt_full.step(gradient_of(full, g))
+        opt_trim.step(gradient_of(trimmed, {
+            k: a[kept] if k in PAIR_ARRAYS else a for k, a in g.items()}))
         assert opt_trim.t == opt_full.t == 3
         for got, want in ((trimmed, full), (opt_trim.m, opt_full.m),
                           (opt_trim.v, opt_full.v)):
@@ -302,7 +303,10 @@ class TestAdamW:
                                           trimmed.param_arrays().values()))
 
     def test_clipped_steps_match_textbook_formula(self):
-        # w1 has 7*6*8*64 = 21504 elements, more than one update block
+        # w1 has 7*6*8 = 336 rows of d = 64, more than the 256 rows of one
+        # update block. Even steps give w1's gradient as d = 64 rows of
+        # factors, whose norm is summed over the row blocks; odd steps as
+        # R = 5 rows, whose norm comes from the Grams
         model = init_model(64, 7, 8, seed=3, players=2, enc_dim=4)
         cfg = TrainConfig(lr_main=0.05, lr_aux=0.2, weight_decay=0.3,
                           grad_clip=1.0)
@@ -310,18 +314,52 @@ class TestAdamW:
         before = [p.copy() for p in opt.params]
         rng = np.random.default_rng(5)
         steps = []
-        for _ in range(4):
-            g = model.zeros_like()
-            for arr in g.param_arrays().values():
-                arr[...] = rng.normal(0.0, 3.0, arr.shape)
+        for t in range(4):
+            arrays = {k: rng.normal(0.0, 3.0, a.shape)
+                      for k, a in model.param_arrays().items()}
+            if t % 2:
+                D, X = rng.normal(size=(5, 336)), rng.normal(size=(5, 64))
+                arrays["w1"] = (D.T @ X).reshape(model.w1.shape)
+                g = gradient_of(model, {k: a for k, a in arrays.items()
+                                        if k != "w1"})
+                g.w1.add(D, X)
+            else:
+                g = gradient_of(model, arrays)
             assert math.sqrt(sum(float((a ** 2).sum()) for a in
-                                 g.param_arrays().values())) > cfg.grad_clip
-            steps.append([a.copy() for a in g.param_arrays().values()])
+                                 arrays.values())) > cfg.grad_clip
+            steps.append(list(arrays.values()))
             opt.step(g)
         expected = textbook_clipped_adamw(before, steps, opt.lrs, opt.decays,
                                           cfg.grad_clip)
         # atol covers entries where a parameter and its update nearly cancel:
         # both are O(0.1) and differ from the reference by a few ulp
+        for got, want in zip(opt.params, expected):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+    def test_rows_wider_than_one_block_match_textbook_formula(self):
+        # with d > ADAM_BLOCK each w1 block is one row of d elements, more
+        # than an elementwise block of any other array
+        d = training.ADAM_BLOCK + 1
+        model = init_model(d, 2, 1, seed=8)
+        cfg = TrainConfig(lr_main=0.05, lr_aux=0.2, weight_decay=0.3,
+                          grad_clip=1.0)
+        opt = AdamW(model, cfg)
+        before = [p.copy() for p in opt.params]
+        rng = np.random.default_rng(6)
+        steps, clips = [], []
+        for _ in range(2):
+            arrays = {k: rng.normal(0.0, 3.0, a.shape)
+                      for k, a in model.param_arrays().items()}
+            D, X = rng.normal(size=(3, 2)), rng.normal(size=(3, d))
+            arrays["w1"] = (D.T @ X).reshape(model.w1.shape)
+            g = gradient_of(model, {k: a for k, a in arrays.items()
+                                    if k != "w1"})
+            g.w1.add(D, X)
+            steps.append(list(arrays.values()))
+            clips.append(opt.step(g)[1])
+        assert clips == [True, True]
+        expected = textbook_clipped_adamw(before, steps, opt.lrs, opt.decays,
+                                          cfg.grad_clip)
         for got, want in zip(opt.params, expected):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
@@ -355,9 +393,10 @@ class TestTrain:
         assert r.log[-1]["ce"] < r.log[0]["ce"]
 
     def test_peak_memory_below_five_copies_of_the_pair_arrays(self):
-        # the model, AdamW's two moments and one gradient are four copies of
-        # the L(L-1) pair arrays: init draws w1 a row at a time, and a step's
-        # gradient is freed before the next step makes its own
+        # the model, AdamW's two moments and one gradient would be four
+        # copies of the L(L-1) pair arrays: init draws w1 a row at a time,
+        # and a step's gradient is freed before the next step makes its own.
+        # w1's gradient is held as its factors, so the peak stays below four
         ds = generate_synthetic(L=20, d=96, n=120, n_envs=1, seed=3)[0][0]
         cfg = TrainConfig(max_epochs=2, warmup_epochs=1, n_players=3)
         model = init_model(ds.d, ds.L, cfg.hidden, cfg.seed)
@@ -370,6 +409,30 @@ class TestTrain:
         finally:
             tracemalloc.stop()
         assert peak < 5 * pair_bytes, peak / pair_bytes
+        assert peak < 4 * pair_bytes, peak / pair_bytes
+
+    def test_log_holds_the_pre_clip_norm_and_clip_rate(self, monkeypatch):
+        # one warm-up step over all 64 training rows: its logged norm is the
+        # norm of the step's gradient, multiplied out, and a norm above
+        # grad_clip is clipped on that step
+        ds, _ = self.small_ds(seed=7)
+        dense = []
+        step = AdamW.step
+
+        def recorded_step(opt, grads):
+            dense.append(np.linalg.norm(np.concatenate(
+                [a.ravel() for a in dense_grads(grads).values()])))
+            return step(opt, grads)
+
+        monkeypatch.setattr(AdamW, "step", recorded_step)
+        cfg = self.small_cfg(max_epochs=1, batch_size=64, grad_clip=1e-3)
+        (entry,) = train(ds, cfg).log
+        assert entry["grad_norm"] == pytest.approx(dense[0], rel=1e-12)
+        assert dense[0] > cfg.grad_clip and entry["clip_rate"] == 1.0
+        # with the clip off no step is clipped, and the norm is still logged
+        log = train(ds, self.small_cfg(max_epochs=3, grad_clip=0.0)).log
+        assert [e["clip_rate"] for e in log] == [0.0] * 3
+        assert all(e["grad_norm"] > 0 for e in log)
 
     def test_max_epochs_zero_returns_initial_model(self):
         ds, _ = self.small_ds(seed=2)
@@ -395,9 +458,10 @@ class TestTrain:
         step = AdamW.step
 
         def checked_step(opt, grads):
-            step(opt, grads)
+            out = step(opt, grads)
             W = opt.params[opt.names.index("W")]
             diag.append(np.abs(np.diag(W)).max())
+            return out
 
         monkeypatch.setattr(AdamW, "step", checked_step)
         r = train(ds, self.small_cfg(warmup_epochs=2, max_epochs=4,
@@ -494,6 +558,16 @@ class TestPersistence:
                        + (d / "model.json").read_bytes()
                        + (d / "model.npz").read_bytes())
         assert out[0] == out[1]
+
+    def test_log_writes_a_non_finite_value_as_null(self, tmp_path):
+        dss, _ = generate_synthetic(L=3, d=12, n=40, n_envs=1, seed=8)
+        r = train(dss[0], TrainConfig(max_epochs=1, hidden=3, enc_dim=3))
+        r.log[0].update(grad_norm=math.inf, clip_rate=math.nan)
+        save_run(tmp_path, r)
+        (entry,) = [json.loads(line, parse_constant=pytest.fail) for line in
+                    (tmp_path / "log.jsonl").read_text().splitlines()]
+        assert entry["grad_norm"] is entry["clip_rate"] is None
+        assert entry["epoch"] == 0 and entry["ce"] == r.log[0]["ce"]
 
     def test_run_without_graph_removes_a_stale_graph(self, tmp_path):
         dss, _ = generate_synthetic(L=3, d=12, n=40, n_envs=1, seed=8)
