@@ -28,6 +28,21 @@ ABLATIONS = {
 }
 ABLATION_FLAGS = tuple(ABLATIONS)
 
+# each training flag and the TrainConfig field it sets, whose type it parses
+TRAIN_FLAGS = {"--seed": "seed", "--epochs": "max_epochs",
+               "--players": "n_players", "--topk": "k_topk",
+               "--warmup": "warmup_epochs", "--m-envs": "m_envs",
+               "--gamma": "gamma", "--eta": "eta",
+               "--gamma-r-peak": "gamma_r_t"}
+
+# each `gen` flag -> (type, allowed values, default or None: required)
+GEN_FLAGS = {"--labels": (int, "[2, inf)", None),
+             "--dim": (int, "[1, inf)", None),
+             "--samples": (int, "[1, inf)", None),
+             "--envs": (int, "[1, inf)", 1),
+             "--seed": (*training.FIELD_RULES["seed"], 0),
+             "--edge-density": (float, "[0, 1]", 0.15)}
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -96,13 +111,8 @@ def apply_ablations(cfg: training.TrainConfig, flags) -> training.TrainConfig:
 
 
 def cmd_gen(args) -> int:
-    for flag, rule in (("labels", (int, "[2, inf)")),
-                       ("dim", (int, "[1, inf)")),
-                       ("samples", (int, "[1, inf)")),
-                       ("envs", (int, "[1, inf)")),
-                       ("seed", training.FIELD_RULES["seed"]),
-                       ("edge_density", (float, "[0, 1]"))):
-        checked(getattr(args, flag), rule, "--" + flag.replace("_", "-"))
+    for flag, (*rule, _) in GEN_FLAGS.items():
+        checked(getattr(args, flag[2:].replace("-", "_")), rule, flag)
     datasets, world = generate_synthetic(args.labels, args.dim, args.samples,
                                          args.envs, args.seed,
                                          edge_density=args.edge_density)
@@ -226,16 +236,8 @@ def _add_train_opts(p, sweep: bool):
     if sweep:
         p.add_argument("--test", help="dataset each run is scored on")
     p.add_argument("--config", help="flat JSON config (TrainConfig fields)")
-    # each flag's dest is the TrainConfig field it sets
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", dest="max_epochs", type=int)
-    p.add_argument("--players", dest="n_players", type=int)
-    p.add_argument("--topk", dest="k_topk", type=int)
-    p.add_argument("--warmup", dest="warmup_epochs", type=int)
-    p.add_argument("--m-envs", dest="m_envs", type=int)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--gamma-r-peak", dest="gamma_r_t", type=float)
+    for flag, name in TRAIN_FLAGS.items():
+        p.add_argument(flag, dest=name, type=training.FIELD_RULES[name][0])
     p.add_argument("--world", help="planted-world JSON for env-view generation")
     if not sweep:
         p.add_argument("--ablate", action="append",
@@ -247,12 +249,8 @@ def make_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic planted-world benchmark")
-    p.add_argument("--labels", type=int, required=True)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--envs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--edge-density", dest="edge_density", type=float, default=0.15)
+    for flag, (kind, _, default) in GEN_FLAGS.items():
+        p.add_argument(flag, type=kind, default=default, required=default is None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 

@@ -179,17 +179,17 @@ def head(model: SemModel, Hp: np.ndarray) -> np.ndarray:
 
 
 def head_backward(model: SemModel, Hp: np.ndarray, probs: np.ndarray,
-                  dprobs: np.ndarray, grads: SemModel | None,
-                  dHp: np.ndarray) -> None:
-    """Accumulate grads for one head, into b and W at the held pairs; dHp
-    collects dLoss/dHp. With grads=None only dHp is accumulated."""
+                  dprobs: np.ndarray, grads: SemModel | None) -> np.ndarray:
+    """The (B, P) dLoss/dHp of one head given dLoss/dprobs; with a gradient,
+    also adds the head's gradients into b and W at the held pairs."""
     dlogits = dprobs * probs * (1.0 - probs)
     i, j = model.pairs.T
     dl_pairs = dlogits[:, i]  # (B, P): each pair's target label's dlogits
     if grads is not None:
         grads.b += dlogits.sum(axis=0)
         grads.W[i, j] += np.einsum("bp,bp->p", dl_pairs, Hp)
-    dHp += dl_pairs * model.W[i, j]
+    # in C order (dl_pairs is not), as pair_backward sums it over rows
+    return np.multiply(dl_pairs, model.W[i, j], order="C")
 
 
 def pair_backward(model: SemModel, cache, dHp: np.ndarray,

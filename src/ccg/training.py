@@ -22,18 +22,19 @@ each label's mask row belongs to one player, so one head gives every
 player's predictions on its own labels; on the labels it does not own a
 player outputs sigmoid(b), which needs no head. The M environment views are
 stacked as the rows of one batch, so the pair MLPs and the head run once
-over all of them, one stacked `encode_batch` call encodes them for every
-player, and one backward pass carries every term's gradient; the terms that
-read only the raw batch use its leading rows. The coefficients and view
-settings are read from the run's `TrainConfig`, which checks every setting's
-type and range against `FIELD_RULES` when it is built; `ObjectiveSpec` holds
-the rest of a step's context. A step without masks is a warm-up step, which
-runs only the CE, rare and graph terms. The environment views
-(`invariance.make_env_views_batch`) and the counterfactual inputs
-(`reward.generate_counterfactual`, ranked by the salience of the raw rows)
-are each built in one whole-batch pass and enter as constants. Gradients are
-exact reverse-mode for every term; w1's is held as its factors
-(`sem.FactoredGrad`), so no step holds a dense first-layer gradient.
+over all of them and one stacked `encode_batch` call encodes them for every
+player; the counterfactual rows are stacked under them for the one backward
+pass that carries every term's gradient, and the terms that read only the
+raw batch use the leading rows. The coefficients and view settings come from
+the run's `TrainConfig`, whose annotations give each one's type and range
+(`FIELD_RULES`); `ObjectiveSpec` holds the rest of a step's context. A step
+without masks is a warm-up step, which runs only the CE, rare and graph
+terms. The environment views (`invariance.make_env_views_batch`) and the
+counterfactual inputs (`reward.generate_counterfactual`, ranked by the
+salience of the raw rows) are each built in one whole-batch pass and enter
+as constants. Gradients are exact reverse-mode for every term; w1's is held
+as its factors (`sem.FactoredGrad`), so no step holds a dense first-layer
+gradient.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ import math
 import os
 import zipfile
 from dataclasses import dataclass, field, asdict, replace
+from typing import Annotated, get_args, get_type_hints
 
 import numpy as np
 
@@ -62,63 +64,45 @@ from .sem import (FactoredGrad, SemModel, all_pairs, expit, head,
                   head_backward, init_model, pair_backward, pair_features)
 
 
-# each TrainConfig field's JSON type and the interval or choices its value
-# must lie in, the rule data.checked reads; grad_clip 0 turns clipping off
-FIELD_RULES = {
-    **dict.fromkeys(("batch_size", "n_players", "k_topk", "m_envs", "hidden",
-                     "enc_dim"), (int, "[1, inf)")),
-    **dict.fromkeys(("max_epochs", "warmup_epochs", "patience", "seed"),
-                    (int, "[0, inf)")),
-    **dict.fromkeys(("lr_main", "lr_aux", "weight_decay", "grad_clip",
-                     "lambda_graph", "lambda_inv", "lambda_env", "lambda_rwd",
-                     "lambda_rare", "beta0", "beta_t", "gamma_r0",
-                     "gamma_r_t"), (float, "[0, inf)")),
-    "val_frac": (float, "[0, 1)"),
-    "perturb_frac": (float, "(0, 1]"),
-    "gamma": (float, "[0, 1]"),
-    "rare_pct": (float, "[0, 100]"),
-    "eta": (float, "[1, inf)"),
-    "partition_source": (str, ("learned", "cooccur")),
-    "uniform_alpha": (bool, (False, True)),
-}
-
-
 @dataclass(frozen=True)
 class TrainConfig:
-    """Every training setting. Building one checks each value against its
-    FIELD_RULES entry, raising ValueError naming the field, and keeps it."""
+    """Every training setting. Each field's annotation holds its JSON type
+    and the interval or choices its value must lie in, the FIELD_RULES
+    entry data.checked reads; building one checks every value in field
+    order, raising ValueError naming the first bad field, and keeps it."""
     # training from scratch at this scale needs larger steps than a
     # pretrained-encoder setup would use
-    lr_main: float = 1e-3
-    lr_aux: float = 1e-2
-    weight_decay: float = 1e-2
-    batch_size: int = 16
-    max_epochs: int = 30
-    patience: int = 5
-    grad_clip: float = 1.0
-    n_players: int = 5
-    k_topk: int = 3
-    warmup_epochs: int = 5
-    lambda_graph: float = 1.0
-    lambda_inv: float = 1.0
-    lambda_env: float = 1.0
-    lambda_rwd: float = 1.0
-    lambda_rare: float = 0.5
-    seed: int = 0
-    m_envs: int = 3
-    gamma: float = 0.5
-    eta: float = 1.5
-    beta0: float = 1.0
-    beta_t: float = 0.2
-    gamma_r0: float = 0.2
-    gamma_r_t: float = 1.0
-    perturb_frac: float = 0.12
-    rare_pct: float = 30.0
-    hidden: int = 16
-    enc_dim: int = 16
-    val_frac: float = 0.2
-    partition_source: str = "learned"  # "learned" | "cooccur" (w/o CGM)
-    uniform_alpha: bool = False        # w/o RLE sets alpha(l) = 1
+    lr_main: Annotated[float, "[0, inf)"] = 1e-3
+    lr_aux: Annotated[float, "[0, inf)"] = 1e-2
+    weight_decay: Annotated[float, "[0, inf)"] = 1e-2
+    batch_size: Annotated[int, "[1, inf)"] = 16
+    max_epochs: Annotated[int, "[0, inf)"] = 30
+    patience: Annotated[int, "[0, inf)"] = 5
+    grad_clip: Annotated[float, "[0, inf)"] = 1.0  # 0 turns clipping off
+    n_players: Annotated[int, "[1, inf)"] = 5
+    k_topk: Annotated[int, "[1, inf)"] = 3
+    warmup_epochs: Annotated[int, "[0, inf)"] = 5
+    lambda_graph: Annotated[float, "[0, inf)"] = 1.0
+    lambda_inv: Annotated[float, "[0, inf)"] = 1.0
+    lambda_env: Annotated[float, "[0, inf)"] = 1.0
+    lambda_rwd: Annotated[float, "[0, inf)"] = 1.0
+    lambda_rare: Annotated[float, "[0, inf)"] = 0.5
+    seed: Annotated[int, "[0, inf)"] = 0
+    m_envs: Annotated[int, "[1, inf)"] = 3
+    gamma: Annotated[float, "[0, 1]"] = 0.5
+    eta: Annotated[float, "[1, inf)"] = 1.5
+    beta0: Annotated[float, "[0, inf)"] = 1.0
+    beta_t: Annotated[float, "[0, inf)"] = 0.2
+    gamma_r0: Annotated[float, "[0, inf)"] = 0.2
+    gamma_r_t: Annotated[float, "[0, inf)"] = 1.0
+    perturb_frac: Annotated[float, "(0, 1]"] = 0.12
+    rare_pct: Annotated[float, "[0, 100]"] = 30.0
+    hidden: Annotated[int, "[1, inf)"] = 16
+    enc_dim: Annotated[int, "[1, inf)"] = 16
+    val_frac: Annotated[float, "[0, 1)"] = 0.2
+    # "cooccur" is w/o CGM, and w/o RLE sets alpha(l) = 1
+    partition_source: Annotated[str, ("learned", "cooccur")] = "learned"
+    uniform_alpha: Annotated[bool, (False, True)] = False
 
     def __post_init__(self):
         for name, rule in FIELD_RULES.items():
@@ -134,6 +118,11 @@ class TrainConfig:
             return cls(**obj)
         except (TypeError, ValueError) as exc:  # TypeError: an unknown key
             raise ValueError(f"{where}: {exc}") from None
+
+
+# field name -> (type, allowed), from the annotations, in field order
+FIELD_RULES = {name: get_args(hint) for name, hint in get_type_hints(
+    TrainConfig, include_extras=True).items()}
 
 
 def alpha_weights(stats: LabelStats) -> np.ndarray:
@@ -212,7 +201,6 @@ def composite_value_and_grads(model: SemModel, X: np.ndarray, Y: np.ndarray,
     views = make_env_views_batch(X, M, obj.planted, rng_views)
     Xs = views.reshape(M * B, model.d)
     Hp, cache = pair_features(model, Xs)
-    dHp = np.zeros_like(Hp)
     P = head(model, Hp)
     dP = np.zeros_like(P)
 
@@ -253,9 +241,8 @@ def composite_value_and_grads(model: SemModel, X: np.ndarray, Y: np.ndarray,
         # salience is |d(mean prediction)/dx| of the raw batch; the
         # counterfactuals perturb its least salient features and count as
         # constants, since the ranking that picks them has no derivative
-        dHs = np.zeros_like(Hp[:B])
-        head_backward(model, Hp[:B], P[:B],
-                      np.full_like(P[:B], 1.0 / model.L), None, dHs)
+        dHs = head_backward(model, Hp[:B], P[:B],
+                            np.full_like(P[:B], 1.0 / model.L), None)
         Xcf = generate_counterfactual(
             X, pair_backward(model, cache, dHs), cfg.perturb_frac,
             np.random.default_rng(list(obj.rng_seed) + [2]))
@@ -276,12 +263,12 @@ def composite_value_and_grads(model: SemModel, X: np.ndarray, Y: np.ndarray,
         dP[:B] += cfg.lambda_rwd * d_cur
         grads.b += (cfg.lambda_rwd * dP_rest * P_rest
                     * (1.0 - P_rest)).sum(axis=0)
-        dHcf = np.zeros_like(Hcf)
-        head_backward(model, Hcf, P_cf, cfg.lambda_rwd * dP_cf, grads, dHcf)
-        pair_backward(model, cache_cf, dHcf, grads)
+        # the counterfactual rows join the batch's one backward pass
+        Hp, P = np.vstack([Hp, Hcf]), np.vstack([P, P_cf])
+        dP = np.vstack([dP, cfg.lambda_rwd * dP_cf])
+        cache = tuple(np.concatenate(c) for c in zip(cache, cache_cf))
 
-    head_backward(model, Hp, P, dP, grads, dHp)
-    pair_backward(model, cache, dHp, grads)
+    pair_backward(model, cache, head_backward(model, Hp, P, dP, grads), grads)
 
     bd["total"] = _check_finite("total", total)
     return total, grads, bd

@@ -641,3 +641,26 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             run(["frobnicate"])
         assert exc.value.code == 1
+
+    # each flag parses its value with its declared type, and a value of
+    # another type exits 1 with one line naming the flag
+    @pytest.mark.parametrize("argv", [
+        *(["train", "--data", "d.jsonl", "--out", "o", flag, value]
+          for flag, value in (
+              ("--seed", "1.5"), ("--epochs", "1.5"), ("--players", "2.0"),
+              ("--topk", "three"), ("--warmup", "1e1"), ("--m-envs", "1.5"),
+              ("--gamma", "abc"), ("--eta", "1,5"), ("--gamma-r-peak", ""))),
+        *(["gen", "--labels", "4", "--dim", "16", "--samples", "5",
+           "--out", "o", flag, value]
+          for flag, value in (
+              ("--labels", "4.0"), ("--dim", "x"), ("--samples", "5.5"),
+              ("--envs", ""), ("--seed", "0.5"), ("--edge-density", "abc")))],
+        ids=lambda argv: f"{argv[0]} {argv[-2]}")
+    def test_flag_value_of_another_type_exits_1_naming_it(self, argv,
+                                                           capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"argument {argv[-2]}: " in err
+        assert "Traceback" not in err

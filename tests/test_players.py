@@ -1,12 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from ccg.data import Dataset
-from ccg.evaluation import predict_dataset
+from ccg.data import Dataset, generate_synthetic
+from ccg.evaluation import mean_average_precision, predict_dataset
 from ccg.graph import CausalGraph, extract_graph
 from ccg.players import (build_masks, encode_batch, partition_labels,
                          player_encoders)
 from ccg.sem import expit, init_model, predict_batch
+from ccg.training import TrainConfig, train
 
 
 def random_graph(L, rng, density=0.3):
@@ -226,3 +229,34 @@ class TestPlayerHeads:
         for _, rest, players in self.cases(rng):
             for own, P_k in players:
                 np.testing.assert_array_equal(P_k[:, ~own], rest[:, ~own])
+
+
+class TestPlayerGame:
+    def test_coalition_gain_is_the_sum_of_its_members_gains(self):
+        # a label reads only its own player's pairs, so a coalition predicts
+        # its members' labels as the full model does and sigmoid(b) on the
+        # rest: the game is additive. A change that lets players share a
+        # representation breaks this on purpose
+        (ds, held), _ = generate_synthetic(L=6, d=24, n=120, n_envs=2,
+                                           seed=2)
+        r = train(ds, TrainConfig(max_epochs=3, warmup_epochs=2, n_players=3,
+                                  hidden=4, enc_dim=2, seed=2))
+        owner = np.empty(ds.L, dtype=int)
+        for k, sub in enumerate(r.masks.subsets):
+            owner[sub] = k
+        pair_owner = owner[r.masks.pairs[:, 0]]
+        assert sorted(set(pair_owner)) == [0, 1, 2]
+
+        def value(coalition):
+            mask = np.zeros((ds.L, ds.L))
+            mask[tuple(r.masks.pairs[np.isin(pair_owner, coalition)].T)] = 1
+            return mean_average_precision(
+                predict_dataset(r.model, held, mask), held.Y)
+
+        empty = value([])
+        gains = [value([k]) - empty for k in range(3)]
+        assert all(gains)
+        for n in range(4):
+            for coalition in itertools.combinations(range(3), n):
+                assert value(list(coalition)) - empty == pytest.approx(
+                    sum(gains[k] for k in coalition), rel=0, abs=1e-12)

@@ -169,8 +169,10 @@ class TestCompositeObjective:
     @pytest.mark.parametrize("M", [3, 5])
     def test_full_step_kernel_calls_do_not_grow_with_views(self, M,
                                                            monkeypatch):
-        # the M views run as one stacked batch: one forward and one backward
-        # for all of them, and one encoder call for every player
+        # the M views run as one stacked batch: one forward for all of them
+        # and one backward for them and the counterfactual rows stacked
+        # under them, besides the salience pass, and one encoder call for
+        # every player
         ds, stats, model, _, masks, wt = toy_setup(L=6, N=5, seed=11)
         calls = dict.fromkeys(("pair_features", "pair_backward", "head",
                                "head_backward", "encode_batch"), 0)
@@ -183,8 +185,8 @@ class TestCompositeObjective:
                             lambda_rare=0.5, lambda_graph=0.4, lambda_inv=0.3,
                             lambda_env=0.6, lambda_rwd=0.8, m_envs=M)
         composite_value_and_grads(model, ds.X, ds.Y, obj)
-        assert calls == {"pair_features": 2, "pair_backward": 3, "head": 2,
-                         "head_backward": 3, "encode_batch": 1}
+        assert calls == {"pair_features": 2, "pair_backward": 2, "head": 2,
+                         "head_backward": 2, "encode_batch": 1}
 
     def test_nonfinite_probability_raises_numerical_error(self):
         ds, stats, model, _, masks, wt = toy_setup(seed=9)
@@ -624,6 +626,10 @@ class TestTrainConfig:
 
     def test_defaults_pass_their_rules(self):
         TrainConfig()
+
+    def test_first_bad_field_in_field_order_is_named(self):
+        with pytest.raises(ValueError, match=r"^lr_main must be"):
+            TrainConfig(batch_size=0, lr_main=-1)
 
     @pytest.mark.parametrize("name", FIELDS)
     def test_bad_value_rejected_naming_the_field(self, name):
