@@ -1,5 +1,5 @@
 """Command-line entry point: data generation, training, evaluation, and the
-experiment harnesses (player sweep, ablation, sensitivity, graph export).
+experiment harnesses (ablation, sensitivity sweeps, graph export).
 
 Exit codes: 0 success, 1 usage or IO failure, 2 numerical failure.
 """
@@ -179,13 +179,6 @@ def _sweep(args, header: str, runs, what: str) -> int:
     return 0
 
 
-def cmd_sweep_players(args) -> int:
-    cfg0 = build_config(args)
-    runs = [(N, replace(cfg0, n_players=N))
-            for N in _settings("--ns", args.ns, "n_players")]
-    return _sweep(args, "n_players,map,rare_f1", runs, "sweep")
-
-
 def cmd_ablate(args) -> int:
     cfg0 = build_config(args)
     only = args.only.split(",") if args.only else list(ABLATION_FLAGS)
@@ -199,13 +192,14 @@ SENSITIVITY_GRID = {
     "eta": [1.0, 1.5, 2.0, 2.5],
     "gamma_r_t": [0.5, 1.0, 1.5],
     "m_envs": [1, 3, 5],
+    "n_players": [1, 2, 3, 4, 5, 6, 8, 10],
 }
 
 
 def cmd_sensitivity(args) -> int:
     cfg0 = build_config(args)
-    values = (_settings("--values", args.values, args.param) if args.values
-              else SENSITIVITY_GRID[args.param])
+    values = (SENSITIVITY_GRID[args.param] if args.values is None
+              else _settings("--values", args.values, args.param))
     runs = [(v, replace(cfg0, **{args.param: v})) for v in values]
     return _sweep(args, f"{args.param},map,rare_f1", runs,
                   "sensitivity sweep")
@@ -269,11 +263,6 @@ def make_parser() -> _Parser:
     p.add_argument("--rare-pcts", dest="rare_pcts", default="20,30,40,50")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("sweep-players", help="train/eval over player counts")
-    p.add_argument("--ns", default="1,2,3,4,5,6,8,10")
-    _add_train_opts(p, sweep=True)
-    p.set_defaults(func=cmd_sweep_players)
 
     p = sub.add_parser("ablate", help="one-at-a-time component ablations")
     p.add_argument("--only", help="comma list of flags to ablate")

@@ -1,17 +1,15 @@
-"""Augmented-environment views and the dual invariance losses: the
-cross-environment prediction consistency loss and the contrastive encoder
-invariance loss, each returning its value and gradient.
+"""Augmented-environment views and the contrastive encoder invariance loss.
 
 The M views of a batch are one (M, B, d) array, so the model can run them
-as the M*B rows of one batch; each loss is one whole-array expression over
-the view axis."""
+as the M*B rows of one batch. The invariance loss is one whole-array
+expression over the view axis; the environment-consistency loss is the one
+BCE of the CE and rare terms, `training.weighted_ce`, over those rows."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .data import PlantedWorld
-from .reward import bce_terms
 
 
 def make_env_views_batch(X: np.ndarray, M: int, planted: PlantedWorld | None,
@@ -53,19 +51,3 @@ def contrastive_inv_loss(E):
     B = E.shape[2]
     # every unordered pair appears twice in D, once with each sign
     return float((D ** 2).sum() / (2 * B)), (2.0 / B) * D.sum(axis=2)
-
-
-def env_consistency_loss(P, Y: np.ndarray):
-    """(1/M) sum over the M environment views of the binary cross-entropy
-    against the true labels, summed over labels, mean over the batch.
-
-    P is (M, B, L): P[m] holds the probabilities of view m through every
-    player's pairs, which on label i are those of the player owning it, so
-    this is the sum over players of each player's loss on its own labels.
-    Returns (value, dP), dP the gradient for P.
-    """
-    P = np.asarray(P, dtype=np.float64)
-    if len(P) < 1:
-        raise ValueError("need at least one environment")
-    loss, dprobs = bce_terms(P, Y)
-    return float(loss.sum(axis=2).mean()), dprobs / (len(P) * len(Y))

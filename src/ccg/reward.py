@@ -1,8 +1,9 @@
 """Counterfactual curiosity reward: the differentiable curiosity surrogate
 (prediction diversity, counterfactual JS consistency, logged rare-label
-accuracy), the Bernoulli divergences and clamped BCE it shares with the
-other loss terms, the salience-ranked counterfactual inputs of a whole
-batch, and the beta/gamma_R annealing schedule.
+accuracy), the Bernoulli divergences, the clamped BCE under the one
+`training.weighted_ce` that serves the CE, rare-label and environment
+terms, the salience-ranked counterfactual inputs of a whole batch, and the
+beta/gamma_R annealing schedule.
 
 Diversity is the KL of each player's predictions on its own labels from
 sigmoid(b), which is what every other player's mask leaves on those labels.

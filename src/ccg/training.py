@@ -3,12 +3,12 @@
 Each loss term has one function that returns its value and its gradient
 with respect to its direct inputs:
 
-- imbalance-weighted cross-entropy (`weighted_ce`) and the rare-column BCE
-  regularizer (`rare_reg_loss`) are here;
+- one label-weighted BCE, `weighted_ce`, is the imbalance-weighted
+  cross-entropy (weights alpha), the rare-label regularizer (1 on the rare
+  labels, 0 elsewhere) and the cross-environment consistency loss (1 on
+  every label of the M*B stacked view rows, the mean CE over the views);
 - the graph-learning loss on W is `graph.graph_loss`;
-- the contrastive encoder invariance loss and the cross-environment
-  prediction consistency loss are `invariance.contrastive_inv_loss` and
-  `invariance.env_consistency_loss`;
+- the contrastive invariance loss is `invariance.contrastive_inv_loss`;
 - the differentiable curiosity surrogate (-beta * diversity +
   gamma_R * JS_cf) is `reward.curiosity_surrogate`. Diversity is the KL of
   each player's predictions on its own labels from sigmoid(b), which is what
@@ -54,8 +54,7 @@ from .data import (Dataset, LabelStats, PlantedWorld, checked, co_occurrence,
 from .errors import DimensionError, NumericalError
 from .graph import (CausalGraph, extract_graph, graph_loss, ideal_weights,
                     save_graph, load_graph)
-from .invariance import (contrastive_inv_loss, env_consistency_loss,
-                         make_env_views_batch)
+from .invariance import contrastive_inv_loss, make_env_views_batch
 from .players import (MaskSet, PlayerEncoder, build_masks, encode_batch,
                       partition_labels, player_encoders)
 from .reward import (anneal, bce_terms, curiosity_surrogate,
@@ -134,24 +133,12 @@ def alpha_weights(stats: LabelStats) -> np.ndarray:
 
 
 def weighted_ce(P: np.ndarray, Y: np.ndarray, alpha: np.ndarray):
-    """Imbalance-weighted BCE of (B, L) probabilities: mean over the batch,
-    alpha-weighted sum over labels, with both class terms included.
-    Returns (value, dP)."""
+    """Label-weighted BCE of (B, L) probabilities: mean over the rows,
+    alpha-weighted sum over labels, with both class terms included; a 0
+    weight drops its label. Returns (value, dP)."""
     loss, dprobs = bce_terms(P, Y)
     value = float((loss * alpha[None, :]).sum(axis=1).mean())
     return value, dprobs * alpha[None, :] / len(P)
-
-
-def rare_reg_loss(P: np.ndarray, Y: np.ndarray, rare_cols: list[int]):
-    """BCE of (B, L) probabilities restricted to the rare-label columns,
-    summed over them, mean over the batch; 0 when there are none.
-    Returns (value, dP)."""
-    dP = np.zeros_like(P)
-    if not rare_cols:
-        return 0.0, dP
-    loss, dprobs = bce_terms(P[:, rare_cols], Y[:, rare_cols])
-    dP[:, rare_cols] = dprobs / len(P)
-    return float(loss.sum(axis=1).mean()), dP
 
 
 @dataclass
@@ -210,16 +197,18 @@ def composite_value_and_grads(model: SemModel, X: np.ndarray, Y: np.ndarray,
     dP[:B] += d_ce
 
     if cfg.lambda_rare != 0.0:
-        rr, d_rr = rare_reg_loss(P[:B], Y, sorted(obj.stats.rare_set))
+        rare = np.zeros(model.L)
+        rare[list(obj.stats.rare_set)] = 1.0
+        rr, d_rr = weighted_ce(P[:B], Y, rare)
         bd["rare"] = _check_finite("rare_reg", rr)
         total += cfg.lambda_rare * rr
         dP[:B] += cfg.lambda_rare * d_rr
 
     if full and cfg.lambda_env != 0.0:
-        env, d_env = env_consistency_loss(P.reshape(M, B, model.L), Y)
+        env, d_env = weighted_ce(P, np.tile(Y, (M, 1)), np.ones(model.L))
         bd["env"] = _check_finite("env_consistency", env)
         total += cfg.lambda_env * env
-        dP += cfg.lambda_env * d_env.reshape(M * B, model.L)
+        dP += cfg.lambda_env * d_env
 
     if cfg.lambda_graph != 0.0:
         gl, gW = graph_loss(model.W, obj.wtilde, cfg.eta, obj.stats.rare_set)

@@ -245,8 +245,9 @@ class TestTrainCommand:
                      str(tmp_path / "five_labels.jsonl")):
             cases.append((["ablate", *data, "--test", test, "--only", "cgm"],
                           f"--test {test}"))
-            cases.append((["sweep-players", *data, "--test", test,
-                           "--ns", "2"], f"--test {test}"))
+            cases.append((["sensitivity", *data, "--test", test,
+                           "--param", "n_players", "--values", "2"],
+                          f"--test {test}"))
         # an eval --ood of another d or L, or with a line that does not parse
         lines = read(gen_dir / "env1.jsonl").splitlines()
         (tmp_path / "torn.jsonl").write_text(f"{lines[0]}\n{{\n")
@@ -484,8 +485,9 @@ class TestEvalCommand:
 class TestHarnessCommands:
     def test_sweep_players(self, gen_dir, tmp_path, tmp_path_factory):
         out = tmp_path / "sweep.csv"
-        rc = run(["sweep-players", "--data", str(gen_dir / "env0.jsonl"),
-                  "--ns", "1,2", "--epochs", "2", "--warmup", "1",
+        rc = run(["sensitivity", "--data", str(gen_dir / "env0.jsonl"),
+                  "--param", "n_players", "--values", "1,2",
+                  "--epochs", "2", "--warmup", "1",
                   "--config", str(_tiny_config(tmp_path_factory)),
                   "--out", str(out)])
         assert rc == 0
@@ -507,12 +509,12 @@ class TestHarnessCommands:
                                           monkeypatch, ns):
         monkeypatch.setattr(training.AdamW, "step", _no_step)
         out = tmp_path / "sweep.csv"
-        rc = run(["sweep-players", "--data", str(gen_dir / "env0.jsonl"),
-                  "--ns", ns, "--epochs", "2", "--warmup", "1",
-                  "--out", str(out)])
+        rc = run(["sensitivity", "--data", str(gen_dir / "env0.jsonl"),
+                  "--param", "n_players", "--values", ns,
+                  "--epochs", "2", "--warmup", "1", "--out", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert f"--ns {ns}" in err and "Traceback" not in err
+        assert f"--values {ns}" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_ablate_only_rle(self, gen_dir, tmp_path, tmp_path_factory):

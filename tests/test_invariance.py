@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ccg.data import PlantedWorld, generate_synthetic
-from ccg.invariance import (contrastive_inv_loss, env_consistency_loss,
-                            make_env_views_batch)
+from ccg.invariance import contrastive_inv_loss, make_env_views_batch
+from ccg.training import weighted_ce
 
 
 def planted_world():
@@ -112,8 +112,11 @@ class TestContrastiveInvLoss:
 
 
 def env_loss(P_views, Y):
-    return env_consistency_loss([np.atleast_2d(P) for P in P_views],
-                                np.atleast_2d(Y))[0]
+    """The environment-consistency term as the composite computes it:
+    weighted_ce with unit weights over the views' stacked rows."""
+    P = np.vstack([np.atleast_2d(P) for P in P_views])
+    return weighted_ce(P, np.tile(np.atleast_2d(Y), (len(P_views), 1)),
+                       np.ones(P.shape[1]))[0]
 
 
 class TestEnvConsistencyLoss:
@@ -139,10 +142,6 @@ class TestEnvConsistencyLoss:
         y = np.array([1.0, 0.0])
         assert env_loss([p], y) == pytest.approx(
             env_loss([p[:1]], y[:1]) + env_loss([p[1:]], y[1:]))
-
-    def test_requires_one_environment(self):
-        with pytest.raises(ValueError):
-            env_consistency_loss([], np.zeros((1, 1)))
 
     def test_perfect_predictions_near_zero(self):
         p = np.array([1.0 - 1e-6, 1e-6])

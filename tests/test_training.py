@@ -8,14 +8,14 @@ import pytest
 
 from ccg.data import LabelStats, generate_synthetic
 from ccg.errors import DimensionError, NumericalError
-from ccg.invariance import contrastive_inv_loss, env_consistency_loss
-from ccg.reward import curiosity_surrogate
+from ccg.invariance import contrastive_inv_loss, make_env_views_batch
+from ccg.reward import clamp_probs, curiosity_surrogate
 from ccg import training
-from ccg.sem import PAIR_ARRAYS, init_model
+from ccg.sem import PAIR_ARRAYS, init_model, predict_batch
 from ccg.training import (ADAM_GROUPS, FIELD_RULES, AdamW, ObjectiveSpec,
                           TrainConfig, alpha_weights,
-                          composite_value_and_grads, load_run, rare_reg_loss,
-                          save_run, train, weighted_ce)
+                          composite_value_and_grads, load_run, save_run,
+                          train, weighted_ce)
 
 from conftest import (dense_grads, fd_probe, gradient_of,
                       objective_config, toy_setup)
@@ -59,16 +59,18 @@ class TestLossHelpers:
         oracle = -(math.log(0.9) + math.log(0.5)) / 2
         assert weighted_ce(preds, y, np.ones(1))[0] == pytest.approx(oracle)
 
+    # the rare-label regularizer is weighted_ce with weight 1 on the rare
+    # labels and 0 on the rest
     def test_rare_reg_restricted_to_rare_columns(self):
         preds = np.array([[0.9, 0.2]])
         y = np.array([[1, 0]])
-        value, dP = rare_reg_loss(preds, y, [1])
+        value, dP = weighted_ce(preds, y, np.array([0.0, 1.0]))
         assert value == pytest.approx(-math.log(0.8))
         assert dP[0, 0] == 0.0 and dP[0, 1] == pytest.approx(1 / 0.8)
 
     def test_rare_reg_empty_set_zero(self):
-        value, dP = rare_reg_loss(np.array([[0.5, 0.5]]), np.array([[1, 0]]),
-                                  [])
+        value, dP = weighted_ce(np.array([[0.5, 0.5]]), np.array([[1, 0]]),
+                                np.zeros(2))
         assert value == 0.0
         assert not dP.any()
 
@@ -81,21 +83,23 @@ def _probs(rng, shape):
 
 def _term_case(name, rng):
     """(value_fn, input arrays) for one loss term at a small shape:
-    B=5 samples, L=4 labels, 3 environment views, 2 players."""
+    B=5 samples, L=4 labels, 3 environment views, 2 players. The rare and
+    environment terms are weighted_ce as the composite calls it: 0/1
+    weights on the rare labels, and unit weights over the 3 views' stacked
+    rows."""
     B, L = 5, 4
     Y = (rng.random((B, L)) < 0.5).astype(np.float64)
-    if name in ("weighted_ce", "rare_reg"):
-        P = _probs(rng, (B, L))
-        extra = rng.uniform(0.5, 2.0, L) if name == "weighted_ce" else [1, 3]
-        term = weighted_ce if name == "weighted_ce" else rare_reg_loss
+    if name in ("weighted_ce", "rare_reg", "env_consistency"):
+        M = 3 if name == "env_consistency" else 1
+        P = _probs(rng, (M * B, L))
+        weights = {"weighted_ce": rng.uniform(0.5, 2.0, L),
+                   "rare_reg": np.array([0.0, 1.0, 0.0, 1.0]),
+                   "env_consistency": np.ones(L)}[name]
 
         def value_fn():
-            value, dP = term(P, Y, extra)
+            value, dP = weighted_ce(P, np.tile(Y, (M, 1)), weights)
             return value, [dP]
         return value_fn, [P]
-    if name == "env_consistency":
-        Ps = [_probs(rng, (B, L)) for _ in range(3)]
-        return lambda: env_consistency_loss(Ps, Y), Ps
     if name == "contrastive_inv":
         encs = [[rng.normal(size=(B, 3)) for _ in range(3)] for _ in range(2)]
 
@@ -187,6 +191,41 @@ class TestCompositeObjective:
         composite_value_and_grads(model, ds.X, ds.Y, obj)
         assert calls == {"pair_features": 2, "pair_backward": 2, "head": 2,
                          "head_backward": 2, "encode_batch": 1}
+
+    def test_bce_terms_match_their_formulas(self):
+        # the environment term is the unweighted BCE, summed over labels and
+        # averaged over rows, of each of the M views the composite builds
+        # from its seed, averaged over the views; the rare term is that BCE
+        # over the rare labels alone, on the raw rows
+        ds, stats, model, _, masks, wt = toy_setup(L=5, N=2, seed=12)
+        assert 0 < len(stats.rare_set) < ds.L
+        obj = self.make_obj(ds, stats, masks, wt, lambda_rare=0.5,
+                            lambda_env=0.6, lambda_inv=0.3, m_envs=3)
+        _, _, bd = composite_value_and_grads(model, ds.X, ds.Y, obj)
+        views = make_env_views_batch(ds.X, 3, None, np.random.default_rng(
+            list(obj.rng_seed) + [1]))
+        y = ds.Y.astype(np.float64)
+
+        def bce(X):
+            p = clamp_probs(predict_batch(model, X))
+            return -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
+        env = np.mean([bce(V).sum(axis=1).mean() for V in views])
+        assert bd["env"] == pytest.approx(env, rel=0, abs=1e-12)
+        rare = sorted(stats.rare_set)
+        assert bd["rare"] == pytest.approx(
+            bce(ds.X)[:, rare].sum(axis=1).mean(), rel=0, abs=1e-12)
+
+        # with no rare label the term is 0 and moves no gradient
+        stats = dataclasses.replace(stats, rare_set=frozenset())
+        grads = []
+        for lam in (0.5, 0.0):
+            obj = self.make_obj(ds, stats, masks, wt, lambda_rare=lam,
+                                lambda_env=0.6, lambda_rwd=0.8, m_envs=3)
+            _, g, bd = composite_value_and_grads(model, ds.X, ds.Y, obj)
+            assert bd["rare"] == 0.0
+            grads.append(dense_grads(g))
+        for name, a in grads[0].items():
+            np.testing.assert_array_equal(a, grads[1][name])
 
     def test_nonfinite_probability_raises_numerical_error(self):
         ds, stats, model, _, masks, wt = toy_setup(seed=9)
