@@ -156,8 +156,9 @@ def cmd_eval(args) -> int:
 
 def _sweep(args, header: str, runs, what: str) -> int:
     """Train each (row label, config) of runs on --data and write one CSV
-    row of mAP and rare-F1 per run: on --test when given, else the last
-    epoch's validation figures. A --test of another (d, L) fails first."""
+    row of mAP and rare-F1 per run: on --test when given, else the
+    validation figures of the epoch whose model train returns
+    (returned_entry). A --test of another (d, L) fails first."""
     ds = _read("--data", args.data)
     planted = _read("--world", args.world, ds)
     test = _read("--test", args.test, ds)
@@ -169,10 +170,9 @@ def _sweep(args, header: str, runs, what: str) -> int:
                                          test, None, result.stats,
                                          [cfg.rare_pct])
             m, f1 = scores.map, scores.rare_f1[cfg.rare_pct]
-        elif result.log:
-            m, f1 = result.log[-1]["val_map"], result.log[-1]["val_rare_f1"]
-        else:
-            m = f1 = 0.0
+        else:  # 0, 0 without a logged epoch
+            best = result.returned_entry or dict(val_map=0.0, val_rare_f1=0.0)
+            m, f1 = best["val_map"], best["val_rare_f1"]
         rows.append(f"{label},{m},{f1}")
     _write(args.out, "\n".join(rows) + "\n")
     print(f"{what} written to {args.out}")

@@ -35,39 +35,36 @@ class MetricsReport:
 
     def to_csv(self) -> str:
         rows = ["metric,value", f"map,{self.map}"]
-        for p, v in sorted(self.rare_f1.items()):
-            rows.append(f"rare_f1@{p},{v}")
+        rows += [f"rare_f1@{p},{v}" for p, v in sorted(self.rare_f1.items())]
         if self.ood is not None:
             rows.append(f"ood_map_drop,{self.map - self.ood.map}")
-            for p, v in sorted(self.rare_f1.items()):
-                rows.append(f"ood_rare_f1_drop@{p},{v - self.ood.rare_f1[p]}")
+            rows += [f"ood_rare_f1_drop@{p},{v - self.ood.rare_f1[p]}"
+                     for p, v in sorted(self.rare_f1.items())]
         if self.structure is not None:
-            rows.append(f"structure_precision,{self.structure[0]}")
-            rows.append(f"structure_recall,{self.structure[1]}")
+            rows += [f"structure_precision,{self.structure[0]}",
+                     f"structure_recall,{self.structure[1]}"]
         return "\n".join(rows) + "\n"
 
 
-def average_precision(scores: np.ndarray, y: np.ndarray) -> float:
+def average_precision(scores: np.ndarray, y: np.ndarray):
     """AP with ranking by descending score, ties broken by ascending sample
-    index: mean over positives of precision at that positive's rank."""
-    scores = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(y)
-    if y.sum() == 0:
+    index: mean over positives (y == 1) of precision at that positive's
+    rank. Of (n, L) arrays, each column's AP in a list from one stable sort
+    of the (L, n) rows, None for a column without a positive (excluded from
+    mAP); of (n,) arrays, the float, and ValueError without a positive."""
+    S, Yt = np.atleast_2d(np.asarray(scores, dtype=np.float64).T,
+                          np.asarray(y).T)
+    hit = np.take_along_axis(Yt, np.argsort(-S, axis=1, kind="stable"),
+                             axis=1) == 1
+    # hits so far over rank at each positive's rank, row after row; a row's
+    # AP is np.mean's own sum and division over its run of them
+    prec = (np.cumsum(hit, axis=1) / np.arange(1, S.shape[1] + 1))[hit]
+    ends = np.cumsum(hit.sum(axis=1)).tolist()
+    aps = [float(np.add.reduce(prec[a:b]) / (b - a)) if b > a else None
+           for a, b in zip([0] + ends, ends)]
+    if np.ndim(scores) == 1 and aps[0] is None:
         raise ValueError("average_precision needs at least one positive")
-    hit = y[np.argsort(-scores, kind="stable")] == 1
-    # hits so far over rank, at each positive's rank
-    return float(np.mean(np.cumsum(hit)[hit] / (np.flatnonzero(hit) + 1)))
-
-
-def per_label_average_precision(probs: np.ndarray, Y: np.ndarray) -> list:
-    """AP per label; None where a label has no positives (excluded from mAP)."""
-    out = []
-    for lab in range(Y.shape[1]):
-        if Y[:, lab].sum() == 0:
-            out.append(None)
-        else:
-            out.append(average_precision(probs[:, lab], Y[:, lab]))
-    return out
+    return aps if np.ndim(scores) == 2 else aps[0]
 
 
 def _map_of(aps: list) -> float:
@@ -77,14 +74,14 @@ def _map_of(aps: list) -> float:
 
 
 def mean_average_precision(probs: np.ndarray, Y: np.ndarray) -> float:
-    return _map_of(per_label_average_precision(probs, Y))
+    return _map_of(average_precision(probs, Y))
 
 
-def _f1(tp: int, fp: int, fn: int) -> float:
+def _f1(tp: int, pred: int, true: int) -> float:
     if tp == 0:
         return 0.0
-    prec = tp / (tp + fp)
-    rec = tp / (tp + fn)
+    prec = tp / pred
+    rec = tp / true
     return 2 * prec * rec / (prec + rec)
 
 
@@ -95,24 +92,20 @@ def rare_f1(preds: np.ndarray, y: np.ndarray, stats: LabelStats,
     cols = sorted(rare_set_for(np.asarray(stats.freq), p))
     if not cols:
         return 0.0
-    yhat = (np.asarray(preds)[:, cols] >= 0.5).astype(int)
-    yt = np.asarray(y)[:, cols].astype(int)
-    tp = ((yhat == 1) & (yt == 1)).sum(axis=0).tolist()
-    fp = ((yhat == 1) & (yt == 0)).sum(axis=0).tolist()
-    fn = ((yhat == 0) & (yt == 1)).sum(axis=0).tolist()
-    return float(np.mean([_f1(*c) for c in zip(tp, fp, fn)]))
+    yhat = np.asarray(preds)[:, cols] >= 0.5
+    yt = np.asarray(y)[:, cols] == 1
+    tp = (yhat & yt).sum(axis=0).tolist()
+    pred, true = yhat.sum(axis=0).tolist(), yt.sum(axis=0).tolist()
+    return float(np.mean([_f1(*c) for c in zip(tp, pred, true)]))
 
 
 def structure_score(learned: CausalGraph, planted: PlantedWorld) -> tuple[float, float]:
     """Direction-sensitive edge precision/recall against the planted DAG."""
     if learned.L != planted.L:
         raise ValueError("label count mismatch")
-    le = learned.edge_set()
-    pe = planted.edge_set()
+    le, pe = learned.edge_set(), planted.edge_set()
     inter = len(le & pe)
-    precision = inter / len(le) if le else 0.0
-    recall = inter / len(pe) if pe else 0.0
-    return precision, recall
+    return (inter / len(le) if le else 0.0), (inter / len(pe) if pe else 0.0)
 
 
 PREDICT_BATCH = 256  # samples per predict_batch call
@@ -138,7 +131,7 @@ def evaluate(model: SemModel, partition, masks, ds_id: Dataset,
     structure scores given both graphs. The model's pair index is its mask,
     so neither partition nor masks is read."""
     probs = predict_dataset(model, ds_id)
-    aps = per_label_average_precision(probs, ds_id.Y)
+    aps = average_precision(probs, ds_id.Y)
     report = MetricsReport(
         map=_map_of(aps),
         rare_f1={p: rare_f1(probs, ds_id.Y, stats, p) for p in p_list},

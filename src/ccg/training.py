@@ -372,6 +372,14 @@ class TrainResult:
     def encoders(self) -> list[PlayerEncoder]:
         return player_encoders(self.model)
 
+    @property
+    def returned_entry(self) -> dict | None:
+        """The log entry of the epoch whose model train returns: the first
+        full epoch (n_players > 0) of highest val_map, else (max_epochs <=
+        warmup_epochs, or an early abort) the last entry; None for no entry."""
+        full = [e for e in self.log if e["n_players"]] or self.log[-1:]
+        return max(full, key=lambda e: e["val_map"], default=None)
+
 
 def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
           ood: Dataset | None = None) -> TrainResult:
@@ -411,7 +419,7 @@ def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
 
     masks: MaskSet | None = None
     graph: CausalGraph | None = None
-    best = {"map": -1.0, "epoch": -1, "model": None}
+    best_model = None
     global_step = 0
     obj = ObjectiveSpec(cfg=cfg, alpha=alpha, stats=stats, wtilde=wtilde,
                         planted=planted)
@@ -464,18 +472,17 @@ def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
                 entry["ood_map"] = scores.ood.map
             result.log.append(entry)
 
-            # warmup epochs are evaluated unmasked and aren't comparable to
-            # the masked predictor returned at the end, so best-checkpoint
-            # selection only starts once the partition exists
-            if masks is not None and scores.map > best["map"]:
-                best.update(map=scores.map, epoch=epoch, model=model.copy())
+            # only a full epoch's masked model is a checkpoint (returned_entry)
+            best = result.returned_entry
+            if best is entry and masks is not None:
+                best_model = model.copy()
             if epoch - best["epoch"] >= cfg.patience and epoch >= cfg.warmup_epochs:
                 break
     except NumericalError as exc:
         result.aborted = str(exc)
 
-    if best["model"] is not None:
-        model = best["model"]
+    if best_model is not None:
+        model = best_model
     if masks is None and not result.aborted:
         graph, masks = build_partition()
     result.model, result.graph, result.masks = model, graph, masks

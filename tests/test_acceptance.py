@@ -11,8 +11,7 @@ from ccg.cli import apply_ablations, main as cli_main
 from ccg.data import (compute_label_stats, generate_from_world,
                       generate_synthetic)
 from ccg.evaluation import (average_precision, mean_average_precision,
-                            per_label_average_precision, predict_dataset,
-                            rare_f1, structure_score)
+                            predict_dataset, rare_f1, structure_score)
 from ccg.graph import extract_graph, graph_loss, rare_indicator_matrix
 from ccg.players import build_masks, partition_labels
 from ccg.reward import anneal, clamp_probs, js_bernoulli, kl_bernoulli

@@ -392,10 +392,15 @@ class TestTrainCommand:
         row["features"] = [1e300] * len(row["features"])
         data = tmp_path / "overflow.jsonl"
         data.write_text("\n".join([json.dumps(row)] + lines[1:]) + "\n")
-        rc = run(["train", "--data", str(data), "--epochs", "2",
-                  "--warmup", "1", "--players", "2", "--seed", "0",
-                  "--out", str(tmp_path / "o")])
+        # the two expected overflows: semantic_similarity's centroid norms
+        # and the invariance loss's squared distances, whose term aborts
+        with pytest.warns(RuntimeWarning, match="overflow") as caught:
+            rc = run(["train", "--data", str(data), "--epochs", "2",
+                      "--warmup", "1", "--players", "2", "--seed", "0",
+                      "--out", str(tmp_path / "o")])
         assert rc == 2
+        assert len(caught) == 2 and "linalg" in caught[0].filename
+        assert caught[1].filename.endswith("invariance.py")
         assert "term '" in capsys.readouterr().err
         # the epochs before the abort are saved as strict JSON
         log = (tmp_path / "o" / "log.jsonl").read_text().splitlines()
@@ -472,6 +477,28 @@ class TestEvalCommand:
                                    [30.0]).to_dict()
         assert report == json.loads(json.dumps(want))
 
+    def test_reaches_the_functions_the_benchmark_traces(
+            self, gen_dir, run_dir, tmp_path, monkeypatch):
+        # bench/spans.py times these by replacing the module's attributes,
+        # so evaluate must call each through its name in ccg.evaluation
+        calls = dict.fromkeys(("average_precision", "rare_f1",
+                               "predict_dataset"), 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(evaluation, name,
+                                counted(name, getattr(evaluation, name)))
+        assert run(["eval", "--model", str(run_dir),
+                    "--data", str(gen_dir / "env0.jsonl"),
+                    "--ood", str(gen_dir / "env1.jsonl"),
+                    "--out", str(tmp_path / "eval")]) == 0
+        assert min(calls.values()) >= 1, calls
+
     def test_dimension_mismatch_exits_1(self, run_dir, tmp_path):
         other = tmp_path / "other"
         run(["gen", "--labels", "4", "--dim", "8", "--samples", "20",
@@ -495,7 +522,8 @@ class TestHarnessCommands:
         assert lines[0] == "n_players,map,rare_f1"
         assert len(lines) == 3
         assert lines[1].startswith("1,") and lines[2].startswith("2,")
-        # without --test a row holds the last epoch's validation figures
+        # without --test a row holds the validation figures of the epoch
+        # whose model train returns, here the one full epoch
         rc = run(["train", "--data", str(gen_dir / "env0.jsonl"),
                   "--players", "2", "--epochs", "2", "--warmup", "1",
                   "--config", str(_tiny_config(tmp_path_factory)),
@@ -503,6 +531,27 @@ class TestHarnessCommands:
         assert rc == 0
         last = json.loads(read(tmp_path / "run" / "log.jsonl").splitlines()[-1])
         assert lines[2] == f"2,{last['val_map']},{last['val_rare_f1']}"
+
+    def test_sweep_row_is_the_epoch_train_returns(self, gen_dir, tmp_path,
+                                                  monkeypatch):
+        # train returns the first full epoch of highest val_map: epoch 2,
+        # not the warm-up epoch 0 above it, its tie 3 or the last, 4
+        log = [{"epoch": e, "n_players": 2 if e else 0, "val_map": m,
+                "val_rare_f1": f1}
+               for e, (m, f1) in enumerate([(0.875, 0.875), (0.5, 0.125),
+                                            (0.75, 0.25), (0.75, 0.5),
+                                            (0.625, 0.375)])]
+
+        def fake_train(ds, cfg, planted=None, ood=None):
+            return training.TrainResult(model=None, masks=None, graph=None,
+                                        stats=None, config=cfg, log=log)
+
+        monkeypatch.setattr(training, "train", fake_train)
+        out = tmp_path / "sweep.csv"
+        assert run(["sensitivity", "--data", str(gen_dir / "env0.jsonl"),
+                    "--param", "n_players", "--values", "2",
+                    "--out", str(out)]) == 0
+        assert read(out).splitlines()[1] == "2,0.75,0.25"
 
     @pytest.mark.parametrize("ns", ["1,x", "0", "2,-1", "1.5", ""])
     def test_sweep_players_bad_ns_exits_1(self, gen_dir, tmp_path, capsys,

@@ -1,18 +1,46 @@
 import numpy as np
 import pytest
 
-from ccg.data import LabelStats
-from ccg.evaluation import (MetricsReport, average_precision,
-                            mean_average_precision,
-                            per_label_average_precision, rare_f1,
+from ccg.data import LabelStats, PlantedWorld, generate_synthetic, rare_set_for
+from ccg.evaluation import (MetricsReport, average_precision, evaluate,
+                            mean_average_precision, predict_dataset, rare_f1,
                             structure_score)
-from ccg.data import PlantedWorld
 from ccg.graph import CausalGraph
+from ccg.training import TrainConfig, train
 
 
 def stats_for(freq):
     return LabelStats(freq=np.asarray(freq), rare_set=frozenset(),
                       rare_pct=30.0)
+
+
+def rank_loop_ap(scores, y):
+    """AP walking the stable descending ranking one sample at a time; None
+    without a positive."""
+    hits, precs = 0, []
+    for rank, i in enumerate(np.argsort(-scores, kind="stable"), 1):
+        if y[i] == 1:
+            hits += 1
+            precs.append(hits / rank)
+    return float(np.mean(precs)) if precs else None
+
+
+def rare_f1_loop(probs, y, freq, p):
+    """Macro F1 over rare_set_for(freq, p), counting each label's tp, fp and
+    fn one sample at a time."""
+    f1s = []
+    for c in sorted(rare_set_for(freq, p)):
+        tp = fp = fn = 0
+        for prob, label in zip(probs[:, c], y[:, c]):
+            tp += bool(prob >= 0.5 and label == 1)
+            fp += bool(prob >= 0.5 and label == 0)
+            fn += bool(prob < 0.5 and label == 1)
+        if tp == 0:
+            f1s.append(0.0)
+        else:
+            prec, rec = tp / (tp + fp), tp / (tp + fn)
+            f1s.append(2 * prec * rec / (prec + rec))
+    return float(np.mean(f1s)) if f1s else 0.0
 
 
 class TestAveragePrecision:
@@ -72,11 +100,53 @@ class TestAveragePrecision:
             assert average_precision(scores, y) == float(np.mean(precs))
 
 
+class TestMatrixAveragePrecision:
+    def test_columns_equal_the_rank_loop_bit_for_bit(self, rng):
+        # scores on a coarse grid, so most ranks are decided by index; column
+        # 0 is constant, as a label without a feature path predicts, column
+        # 1 has no positive and column 2 no negative
+        for _ in range(100):
+            n, L = int(rng.integers(1, 40)), int(rng.integers(3, 8))
+            S = np.round(rng.random((n, L)), 1)
+            Y = (rng.random((n, L)) < 0.4).astype(np.int8)
+            S[:, 0], Y[:, 1], Y[:, 2] = 0.5, 0, 1
+            aps = average_precision(S, Y)
+            assert len(aps) == L and aps[1] is None
+            for c in range(L):
+                assert aps[c] == rank_loop_ap(S[:, c], Y[:, c])
+                if aps[c] is not None:
+                    assert average_precision(S[:, c], Y[:, c]) == aps[c]
+
+    def test_one_sample(self):
+        assert average_precision(np.array([[0.2, 0.9, 0.4]]),
+                                 np.array([[1, 0, 1]])) == [1.0, None, 1.0]
+        assert average_precision(np.array([0.3]), np.array([1])) == 1.0
+
+    def test_evaluate_equals_per_label_and_per_p_loops(self):
+        # a trained toy run; label 1 is a player of its own holding no
+        # pair, so it predicts a constant and every sample ties
+        dss, _ = generate_synthetic(L=5, d=20, n=90, n_envs=2, seed=4,
+                                    edge_density=0.3)
+        r = train(dss[0], TrainConfig(max_epochs=3, warmup_epochs=1,
+                                      n_players=2, hidden=4, enc_dim=4))
+        pcts = [20.0, 40.0, 60.0, 100.0]
+        for ds in dss:
+            probs = predict_dataset(r.model, ds)
+            report = evaluate(r.model, None, r.masks, ds, None, r.stats, pcts)
+            aps = [rank_loop_ap(probs[:, c], ds.Y[:, c]) for c in range(ds.L)]
+            assert report.per_label_ap == aps
+            assert report.map == float(np.mean([a for a in aps
+                                                 if a is not None]))
+            assert report.rare_f1 == {p: rare_f1_loop(probs, ds.Y,
+                                                      r.stats.freq, p)
+                                      for p in pcts}
+
+
 class TestMeanAveragePrecision:
     def test_skips_labels_without_positives(self):
         probs = np.array([[0.9, 0.1], [0.2, 0.3]])
         Y = np.array([[1, 0], [0, 0]])
-        per = per_label_average_precision(probs, Y)
+        per = average_precision(probs, Y)
         assert per[1] is None
         assert mean_average_precision(probs, Y) == per[0]
 

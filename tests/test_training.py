@@ -10,7 +10,7 @@ from ccg.data import LabelStats, generate_synthetic
 from ccg.errors import DimensionError, NumericalError
 from ccg.invariance import contrastive_inv_loss, make_env_views_batch
 from ccg.reward import clamp_probs, curiosity_surrogate
-from ccg import training
+from ccg import evaluation, training
 from ccg.sem import PAIR_ARRAYS, init_model, predict_batch
 from ccg.training import (ADAM_GROUPS, FIELD_RULES, AdamW, ObjectiveSpec,
                           TrainConfig, alpha_weights,
@@ -543,6 +543,35 @@ class TestTrain:
                   self.small_cfg(max_epochs=2, warmup_epochs=1,
                                  val_frac=val_frac))
         assert [e["val_on_train"] for e in r.log] == [on_train] * 2
+
+    def test_returns_the_model_of_its_returned_entry(self):
+        # the returned model scores the returned entry's val_map on the
+        # validation split train draws, the first val_frac of its
+        # permutation; here that is epoch 4 of 0-5
+        ds, world = self.small_ds(seed=4)
+        cfg = self.small_cfg(max_epochs=6, warmup_epochs=1, patience=6,
+                             lr_main=0.03)
+        r = train(ds, cfg, planted=world)
+        best = r.returned_entry
+        assert best is r.log[4] and best["n_players"] == 2
+        assert best["val_map"] == max(e["val_map"] for e in r.log[1:])
+        perm = np.random.default_rng([cfg.seed, 11]).permutation(ds.n)
+        val = ds.subset(perm[:int(round(cfg.val_frac * ds.n))])
+        assert evaluation.evaluate(r.model, None, r.masks, val, None, r.stats,
+                                   [cfg.rare_pct]).map == best["val_map"]
+
+    # without a full epoch train returns the last epoch's model
+    @pytest.mark.parametrize("maps,players,want", [
+        ([0.5, 0.9, 0.7], [0, 0, 0], 2),
+        ([], [], None),
+    ])
+    def test_returned_entry_without_a_full_epoch(self, maps, players, want):
+        log = [{"epoch": e, "val_map": m, "n_players": n}
+               for e, (m, n) in enumerate(zip(maps, players))]
+        r = training.TrainResult(model=None, masks=None, graph=None,
+                                 stats=None, config=TrainConfig(), log=log)
+        got = r.returned_entry
+        assert (None if got is None else got["epoch"]) == want
 
     def test_empty_dataset_rejected(self):
         ds, _ = self.small_ds()
