@@ -49,16 +49,29 @@ class MetricsReport:
 def average_precision(scores: np.ndarray, y: np.ndarray):
     """AP with ranking by descending score, ties broken by ascending sample
     index: mean over positives (y == 1) of precision at that positive's
-    rank. Of (n, L) arrays, each column's AP in a list from one stable sort
-    of the (L, n) rows, None for a column without a positive (excluded from
-    mAP); of (n,) arrays, the float, and ValueError without a positive."""
-    S, Yt = np.atleast_2d(np.asarray(scores, dtype=np.float64).T,
-                          np.asarray(y).T)
-    hit = np.take_along_axis(Yt, np.argsort(-S, axis=1, kind="stable"),
-                             axis=1) == 1
+    rank. Of (n, L) arrays, each column's AP in a list, None for a column
+    without a positive (excluded from mAP); of (n,) arrays, the float, and
+    ValueError without a positive.
+
+    The (L, n) rows are ranked by numpy's default (unstable) argsort. A row
+    whose ranked scores are not strictly decreasing holds a tie or a NaN,
+    so its order is not unique; it is ranked again with the stable sort,
+    which orders equal scores by index and puts NaNs last, so every row
+    ranks exactly as a stable sort of all of them would."""
+    P = np.asarray(scores, dtype=np.float64)
+    neg = np.atleast_2d(-P.T)
+    L, n = neg.shape
+    rows = np.arange(L)[:, None]
+    order = np.argsort(neg, axis=1)
+    # P and y flattened: row l's sample i sits at i * L + l
+    ranked = P.ravel()[order * L + rows]
+    tie = ~(ranked[:, :-1] > ranked[:, 1:]).all(axis=1)
+    if tie.any():
+        order[tie] = np.argsort(neg[tie], axis=1, kind="stable")
+    hit = np.asarray(y).ravel()[order * L + rows] == 1
     # hits so far over rank at each positive's rank, row after row; a row's
     # AP is np.mean's own sum and division over its run of them
-    prec = (np.cumsum(hit, axis=1) / np.arange(1, S.shape[1] + 1))[hit]
+    prec = (np.cumsum(hit, axis=1) / np.arange(1, n + 1))[hit]
     ends = np.cumsum(hit.sum(axis=1)).tolist()
     aps = [float(np.add.reduce(prec[a:b]) / (b - a)) if b > a else None
            for a, b in zip([0] + ends, ends)]
@@ -86,17 +99,22 @@ def _f1(tp: int, pred: int, true: int) -> float:
 
 
 def rare_f1(preds: np.ndarray, y: np.ndarray, stats: LabelStats,
-            p: float) -> float:
-    """Macro F1 over the bottom-p% labels by training frequency, predictions
-    thresholded at 0.5."""
-    cols = sorted(rare_set_for(np.asarray(stats.freq), p))
-    if not cols:
-        return 0.0
+            p_list: list[float]) -> dict[float, float]:
+    """{p: macro F1 over the bottom-p% labels by training frequency} for each
+    p of p_list, predictions thresholded at 0.5; 0.0 for an empty set. The
+    sets nest (each is a prefix of one order in rare_set_for), so each
+    label's counts are taken once, over the largest set, and each p's mean
+    sums its own labels' F1s in ascending label order."""
+    freq = np.asarray(stats.freq)
+    sets = {p: sorted(rare_set_for(freq, p)) for p in p_list}
+    cols = max(sets.values(), key=len, default=[])
     yhat = np.asarray(preds)[:, cols] >= 0.5
     yt = np.asarray(y)[:, cols] == 1
-    tp = (yhat & yt).sum(axis=0).tolist()
-    pred, true = yhat.sum(axis=0).tolist(), yt.sum(axis=0).tolist()
-    return float(np.mean([_f1(*c) for c in zip(tp, pred, true)]))
+    counts = zip((yhat & yt).sum(axis=0).tolist(), yhat.sum(axis=0).tolist(),
+                 yt.sum(axis=0).tolist())
+    f1 = {c: _f1(*cnt) for c, cnt in zip(cols, counts)}
+    return {p: float(np.mean([f1[c] for c in sub])) if sub else 0.0
+            for p, sub in sets.items()}
 
 
 def structure_score(learned: CausalGraph, planted: PlantedWorld) -> tuple[float, float]:
@@ -134,7 +152,7 @@ def evaluate(model: SemModel, partition, masks, ds_id: Dataset,
     aps = average_precision(probs, ds_id.Y)
     report = MetricsReport(
         map=_map_of(aps),
-        rare_f1={p: rare_f1(probs, ds_id.Y, stats, p) for p in p_list},
+        rare_f1=rare_f1(probs, ds_id.Y, stats, p_list),
         per_label_ap=aps)
     if ds_ood is not None:
         report.ood = evaluate(model, partition, masks, ds_ood, None, stats,

@@ -99,9 +99,9 @@ def export_dot(g: CausalGraph, label_names: list[str] | None = None) -> str:
 
 
 def save_graph(g: CausalGraph, path) -> None:
+    """Write g as one line of compact JSON."""
     with open(path, "w") as fh:
-        json.dump(g.to_json(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(g.to_json(), sort_keys=True) + "\n")
 
 
 def load_graph(path) -> CausalGraph:

@@ -59,6 +59,14 @@ def _components(L: int, edges) -> list[list[int]]:
         low = nxt
 
 
+def _root(root: dict, v: int) -> int:
+    """v's union-find root, halving the path on the way."""
+    while root[v] != v:
+        root[v] = root[root[v]]
+        v = root[v]
+    return v
+
+
 def partition_labels(g: CausalGraph, N: int,
                      freq: np.ndarray) -> list[list[int]]:
     """Partition labels into exactly N subsets. Start from weakly-connected
@@ -80,17 +88,24 @@ def partition_labels(g: CausalGraph, N: int,
 
     while len(comps) < N:
         # split the largest component (ties: smallest min label index) by
-        # removing its weakest internal edges until it disconnects, which
-        # is when the graph gains a component
+        # removing its weakest internal edges until it disconnects. Joining
+        # its labels strongest edge first, the edge that connects them is
+        # the last of those removals: drop it and every weaker one
         comp = set(min(comps, key=lambda c: (-len(c), c[0])))
         internal = [e for e in edges if e[0] in comp and e[1] in comp]
         internal.sort(key=lambda e: (e[2], e[0], e[1]))
-        for e in internal:
+        root = {v: v for v in comp}
+        pieces = len(comp)
+        for last in range(len(internal) - 1, -1, -1):
+            a, b = (_root(root, v) for v in internal[last][:2])
+            if a != b:
+                root[a] = b
+                pieces -= 1
+                if pieces == 1:
+                    break
+        for e in internal[:last + 1]:
             edges.remove(e)
-            split = _components(L, edges)
-            if len(split) > len(comps):
-                break
-        comps = split
+        comps = _components(L, edges)
 
     return comps
 

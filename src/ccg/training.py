@@ -501,16 +501,18 @@ def save_run(run_dir: str, result: TrainResult) -> None:
     # uncompressed zip members with a fixed date: equal arrays, equal bytes
     np.savez(os.path.join(run_dir, "model.npz"), **m.param_arrays())
     players = result.masks.subsets if result.masks else None
+    # json.dumps, as json.dump always takes the pure-Python encoder
     with open(os.path.join(run_dir, "model.json"), "w") as fh:
-        json.dump({"d": m.d, "L": m.L, "hidden": m.hidden,
-                   "encoders": len(m.enc_w), "players": players},
-                  fh, sort_keys=True)
+        fh.write(json.dumps({"d": m.d, "L": m.L, "hidden": m.hidden,
+                             "encoders": len(m.enc_w), "players": players},
+                            sort_keys=True))
     with open(os.path.join(run_dir, "config.json"), "w") as fh:
-        json.dump(asdict(result.config), fh, sort_keys=True, indent=2)
+        fh.write(json.dumps(asdict(result.config), sort_keys=True, indent=2))
     with open(os.path.join(run_dir, "stats.json"), "w") as fh:
-        json.dump({"freq": result.stats.freq.tolist(),
-                   "rare_pct": result.stats.rare_pct,
-                   "rare_set": sorted(result.stats.rare_set)}, fh, sort_keys=True)
+        fh.write(json.dumps({"freq": result.stats.freq.tolist(),
+                             "rare_pct": result.stats.rare_pct,
+                             "rare_set": sorted(result.stats.rare_set)},
+                            sort_keys=True))
     gpath = os.path.join(run_dir, "graph.json")
     if result.graph is not None:
         save_graph(result.graph, gpath)

@@ -242,7 +242,8 @@ def test_criterion_05_metric_oracles():
         else:
             pr, rc = tp / (tp + fp), tp / (tp + fn)
             per_label.append(2 * pr * rc / (pr + rc))
-    ok &= abs(rare_f1(preds, y, stats, 100) - np.mean(per_label)) < 1e-12
+    ok &= abs(rare_f1(preds, y, stats, [100])[100]
+              - np.mean(per_label)) < 1e-12
     _report(5, "metric oracles", ok)
 
 
@@ -279,8 +280,8 @@ def _ood_drop(seed, flags):
     cfg = TrainConfig(max_epochs=12, warmup_epochs=4, seed=seed, n_players=3)
     cfg = apply_ablations(cfg, flags)
     result = train(dss[0], cfg, planted=world)
-    f1 = [rare_f1(predict_dataset(result.model, ds), ds.Y,
-                  result.stats, cfg.rare_pct) for ds in dss]
+    f1 = [rare_f1(predict_dataset(result.model, ds), ds.Y, result.stats,
+                  [cfg.rare_pct])[cfg.rare_pct] for ds in dss]
     return f1[0] - f1[1]
 
 
@@ -372,7 +373,8 @@ def test_criterion_10_ablation_harness(tmp_path):
             tcfg = apply_ablations(tcfg, flags)
             result = train(dss[0], tcfg, planted=world)
             probs = predict_dataset(result.model, test_ds)
-            f1[name] = rare_f1(probs, test_ds.Y, result.stats, tcfg.rare_pct)
+            f1[name] = rare_f1(probs, test_ds.Y, result.stats,
+                               [tcfg.rare_pct])[tcfg.rare_pct]
         passes += f1["full"] >= f1["rle"]
         details.append(f"seed{seed} full={f1['full']:.3f} "
                        f"w/o-RLE={f1['rle']:.3f}")

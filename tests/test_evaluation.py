@@ -104,12 +104,19 @@ class TestMatrixAveragePrecision:
     def test_columns_equal_the_rank_loop_bit_for_bit(self, rng):
         # scores on a coarse grid, so most ranks are decided by index; column
         # 0 is constant, as a label without a feature path predicts, column
-        # 1 has no positive and column 2 no negative
-        for _ in range(100):
-            n, L = int(rng.integers(1, 40)), int(rng.integers(3, 8))
+        # 1 has no positive and column 2 no negative, column 3 holds exact
+        # 0.0, -0.0 and 1.0 scores, column 4 NaNs among tie-free scores and
+        # column 5 tie-free scores alone. At 300 and 1000 rows the unstable
+        # sort leaves equal scores out of index order, so a ranking that
+        # skipped the stable pass over tied or NaN rows fails here
+        for n in [*rng.integers(1, 40, 100), 300, 1000]:
+            L = int(rng.integers(6, 9))
             S = np.round(rng.random((n, L)), 1)
             Y = (rng.random((n, L)) < 0.4).astype(np.int8)
             S[:, 0], Y[:, 1], Y[:, 2] = 0.5, 0, 1
+            S[:, 3] = rng.choice([0.0, -0.0, 1.0], n)
+            S[:, 4:6] = rng.random((n, 2))
+            S[rng.random(n) < 0.3, 4] = np.nan
             aps = average_precision(S, Y)
             assert len(aps) == L and aps[1] is None
             for c in range(L):
@@ -169,7 +176,7 @@ class TestRareF1:
         y = np.array([[1, 1], [0, 0], [1, 0]])
         st = stats_for([10, 2])
         # bottom 50% = label 1: tp=1 fp=1 fn=0 -> f1 = 2/3
-        assert rare_f1(preds, y, st, 50) == pytest.approx(2 / 3)
+        assert rare_f1(preds, y, st, [50])[50] == pytest.approx(2 / 3)
 
     def test_p_100_equals_macro_f1_over_all_labels(self, rng):
         preds = rng.random((30, 4))
@@ -187,11 +194,25 @@ class TestRareF1:
                 p_ = tp / (tp + fp)
                 r_ = tp / (tp + fn)
                 scores.append(2 * p_ * r_ / (p_ + r_))
-        assert rare_f1(preds, y, st, 100) == pytest.approx(np.mean(scores))
+        assert rare_f1(preds, y, st, [100])[100] == pytest.approx(
+            np.mean(scores))
 
     def test_p_zero_returns_zero(self):
         st = stats_for([3, 1])
-        assert rare_f1(np.ones((2, 2)), np.ones((2, 2)), st, 0) == 0.0
+        assert rare_f1(np.ones((2, 2)), np.ones((2, 2)), st, [0]) == {0: 0.0}
+
+    def test_p_list_equals_the_per_p_loop(self, rng):
+        # an unsorted list with p 0 and p 100; each p keeps its place
+        pcts = [50.0, 0.0, 100.0, 20.0, 35.0]
+        for _ in range(50):
+            n, L = int(rng.integers(1, 40)), int(rng.integers(1, 12))
+            preds = np.round(rng.random((n, L)), 1)
+            y = (rng.random((n, L)) < 0.4).astype(np.int8)
+            freq = rng.integers(0, 5, L)
+            got = rare_f1(preds, y, stats_for(freq), pcts)
+            assert list(got) == pcts
+            assert got == {p: rare_f1_loop(preds, y, freq, p) for p in pcts}
+        assert rare_f1(preds, y, stats_for(freq), []) == {}
 
 
 class TestStructureScore:

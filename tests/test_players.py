@@ -6,8 +6,8 @@ import pytest
 from ccg.data import Dataset, generate_synthetic
 from ccg.evaluation import mean_average_precision, predict_dataset
 from ccg.graph import CausalGraph, extract_graph
-from ccg.players import (build_masks, encode_batch, partition_labels,
-                         player_encoders)
+from ccg.players import (_components, build_masks, encode_batch,
+                         partition_labels, player_encoders)
 from ccg.sem import expit, init_model, predict_batch
 from ccg.training import TrainConfig, train
 
@@ -86,6 +86,43 @@ class TestPartitionLabels:
             g = CausalGraph(L=L, edges=edges)
             assert partition_labels(g, len(comps),
                                     rng.integers(1, 50, L)) == comps
+
+    def test_equals_the_edge_by_edge_split_loop(self, rng):
+        # the partition with its split as a loop: remove the largest
+        # component's internal edges weakest first, (strength, src, dst)
+        # breaking ties, until the graph gains a component. Coarse
+        # strengths make ties common
+        def loop_partition(g, N, freq):
+            edges = list(g.edges)
+            comps = _components(g.L, edges)
+            while len(comps) > N:
+                a, b = sorted(comps, key=lambda c: (int(freq[c].sum()),
+                                                    c[0]))[:2]
+                comps = sorted([c for c in comps if c is not a and c is not b]
+                               + [sorted(a + b)])
+            while len(comps) < N:
+                comp = set(min(comps, key=lambda c: (-len(c), c[0])))
+                internal = sorted((e for e in edges
+                                   if e[0] in comp and e[1] in comp),
+                                  key=lambda e: (e[2], e[0], e[1]))
+                for e in internal:
+                    edges.remove(e)
+                    split = _components(g.L, edges)
+                    if len(split) > len(comps):
+                        break
+                comps = split
+            return comps
+
+        for trial in range(60):
+            L = int(rng.integers(1, 13))
+            edges = [(j, i, float(np.round(rng.random(), 1)))
+                     for j in range(L) for i in range(L)
+                     if j != i and rng.random() < 0.4]
+            g = CausalGraph(L=L, edges=edges)
+            freq = rng.integers(1, 50, L)
+            for N in range(1, L + 1):
+                assert partition_labels(g, N, freq) == \
+                    loop_partition(g, N, freq)
 
     def test_deterministic(self, rng):
         g = random_graph(8, np.random.default_rng(3))
