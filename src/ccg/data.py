@@ -5,6 +5,11 @@ binary label vectors of length L. The synthetic generator plants a label
 DAG with noisy-OR dynamics, per-label causal feature blocks, per-pair
 spurious feature blocks, and shiftable environments so that structure
 recovery and OOD robustness can be scored against known ground truth.
+
+Every JSON input (dataset lines, run files, --config, --world) is parsed by
+orjson, which reads a double bit-identically to the stdlib and about six
+times as fast, and refuses NaN, Infinity and numbers that overflow a
+float64, as RFC 8259 does. Every JSON output is written by the stdlib.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
+import orjson
 
 from .errors import CapacityError, DatasetError
 
@@ -32,7 +38,9 @@ class Dataset:
             X = np.asarray(self.X, dtype=np.float64)
         except OverflowError:  # an int above the largest float reads as inf
             X = np.asarray(self.X, dtype=object)
-            X = np.where(abs(X) > sys.float_info.max, np.inf, X).astype(float)
+            with np.errstate(invalid="ignore"):  # NaN compares False, silently
+                X = np.where(abs(X) > sys.float_info.max, np.inf, X)
+            X = X.astype(float)
         if X.size == 0 or Y.size == 0:
             raise DatasetError("empty dataset: no sample, feature or label")
         if X.ndim != 2 or Y.ndim != 2 or len(X) != len(Y):
@@ -88,17 +96,22 @@ def compute_label_stats(ds: Dataset, rare_pct: float) -> LabelStats:
 def load_dataset(path) -> Dataset:
     """Read a JSONL dataset: one {"features": [...], "labels": [...]} per
     line, JSON numbers and JSON ints (a bool is neither), every line as wide
-    as the first. Dataset tests the values; an error at a line names it."""
+    as the first. The file is UTF-8; a line that is not, or that holds NaN,
+    Infinity or a number beyond a float64, is a parse error. Lines end in
+    LF, CRLF or CR, and blank ones are skipped. Dataset tests the values; an
+    error at a line names it."""
     feats, labs, linenos = [], [], []
-    with open(path) as fh:
+    # a byte that is not UTF-8 decodes to a lone surrogate, which orjson
+    # refuses at its own line
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                obj = orjson.loads(line)
                 f, y = obj["features"], obj["labels"]
             except (KeyError, TypeError, ValueError) as exc:
-                # ValueError covers json.JSONDecodeError
+                # ValueError covers orjson.JSONDecodeError
                 raise DatasetError(f"line {lineno}: parse error ({exc})") from exc
             if not (type(f) is type(y) is list and set(map(type, y)) <= {int}
                     and set(map(type, f)) <= {int, float}):
@@ -120,12 +133,13 @@ def load_dataset(path) -> Dataset:
 
 def read_json(path, build=lambda obj: obj, where=None):
     """build applied to the object the JSON file at path holds. A file that
-    is not JSON, or an object build cannot read (a missing key, a value of
-    the wrong type), raises DatasetError naming where, by default path."""
-    with open(path) as fh:
+    is not JSON (not UTF-8, or holding NaN, Infinity or a number beyond a
+    float64), or an object build cannot read (a missing key, a value of the
+    wrong type), raises DatasetError naming where, by default path."""
+    with open(path, "rb") as fh:
         try:
-            return build(json.load(fh))
-        except json.JSONDecodeError as exc:
+            return build(orjson.loads(fh.read()))
+        except json.JSONDecodeError as exc:  # orjson's error subclasses it
             why = f"not valid JSON ({exc})"
         except KeyError as exc:
             why = f"missing key {exc}"

@@ -138,8 +138,9 @@ class TestTrainCommand:
     @pytest.mark.parametrize("line,why", [
         ('{"features": [], "labels": []}', "empty dataset"),
         ('{"features": ["1.5", true], "labels": [true, 1.0]}', "line 1: "),
+        # a number beyond a float64 is refused by the parser
         ('{"features": [%s], "labels": [1]}' % ("9" * 400),
-         "line 1: non-finite feature value")],
+         "line 1: parse error")],
         ids=["no-width", "no-numbers", "400-digits"])
     def test_dataset_of_no_width_or_of_no_numbers_exits_1(self, tmp_path,
                                                           capsys, line, why):
@@ -150,6 +151,18 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert f"--data {path}: {why}" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    def test_dataset_not_utf8_names_its_flag_and_line(self, gen_dir,
+                                                      tmp_path, capsys):
+        lines = read(gen_dir / "env0.jsonl").encode().splitlines(True)
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes(lines[0] + lines[1].replace(b"{", b'{"id": "\xff", ',
+                                                     1) + lines[2])
+        rc = run(["train", "--data", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"--data {path}: line 2: parse error" in err
+        assert "Traceback" not in err and not (tmp_path / "o").exists()
 
     def test_m_envs_zero_exits_1(self, gen_dir, run_dir, tmp_path, capsys,
                                  monkeypatch):

@@ -1,11 +1,14 @@
 import json
+import random
+import re
 
 import numpy as np
+import orjson
 import pytest
 
 from ccg.data import (Dataset, PlantedWorld, co_occurrence, compute_label_stats,
                       generate_from_world, generate_synthetic, load_dataset,
-                      save_dataset, semantic_similarity)
+                      read_json, save_dataset, semantic_similarity)
 from ccg.errors import CapacityError, DatasetError
 
 
@@ -13,6 +16,36 @@ def write_lines(tmp_path, lines):
     path = tmp_path / "ds.jsonl"
     path.write_text("\n".join(json.dumps(x) for x in lines) + "\n")
     return path
+
+
+def bits(a) -> np.ndarray:
+    """The float64 values of a as their bit patterns."""
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+# lines that each break a dataset whose line 1 is one feature and one label
+MALFORMED = ['not json',
+             '{"features": null, "labels": [0]}',
+             '{"features": [1.0], "labels": null}',
+             '{"features": ["abc"], "labels": [0]}',
+             '{"features": "abc", "labels": [0]}',
+             '{"features": 1.0, "labels": [0]}',
+             '{"features": [1.0], "labels": 0}',
+             '{"features": [NaN], "labels": [0]}',
+             '{"features": [-Infinity], "labels": [0]}',
+             # a string or bool is no number, a bool or 1.0 no label
+             '{"features": ["1.5", true], "labels": [true, 1.0]}',
+             '{"features": ["1.5"], "labels": [0]}',
+             '{"features": [true], "labels": [0]}',
+             '{"features": [null], "labels": [0]}',
+             '{"features": [[1.0]], "labels": [0]}',
+             '{"features": [1.0], "labels": [true]}',
+             '{"features": [1.0], "labels": [1.0]}',
+             # an int too large for a float
+             '{"features": [%s], "labels": [0]}' % ("9" * 400),
+             # as wide as line 1 or not at all
+             '{"features": [], "labels": [0]}',
+             '{"features": [1.0], "labels": []}']
 
 
 class TestLoadDataset:
@@ -38,28 +71,7 @@ class TestLoadDataset:
 
     def test_malformed_line_reports_lineno(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        for bad in ('not json',
-                    '{"features": null, "labels": [0]}',
-                    '{"features": [1.0], "labels": null}',
-                    '{"features": ["abc"], "labels": [0]}',
-                    '{"features": "abc", "labels": [0]}',
-                    '{"features": 1.0, "labels": [0]}',
-                    '{"features": [1.0], "labels": 0}',
-                    '{"features": [NaN], "labels": [0]}',
-                    '{"features": [-Infinity], "labels": [0]}',
-                    # a string or bool is no number, a bool or 1.0 no label
-                    '{"features": ["1.5", true], "labels": [true, 1.0]}',
-                    '{"features": ["1.5"], "labels": [0]}',
-                    '{"features": [true], "labels": [0]}',
-                    '{"features": [null], "labels": [0]}',
-                    '{"features": [[1.0]], "labels": [0]}',
-                    '{"features": [1.0], "labels": [true]}',
-                    '{"features": [1.0], "labels": [1.0]}',
-                    # an int too large for a float
-                    '{"features": [%s], "labels": [0]}' % ("9" * 400),
-                    # as wide as line 1 or not at all
-                    '{"features": [], "labels": [0]}',
-                    '{"features": [1.0], "labels": []}'):
+        for bad in MALFORMED:
             path.write_text('{"features": [1.0], "labels": [0]}\n' + bad
                             + "\n")
             with pytest.raises(DatasetError, match="line 2"):
@@ -71,8 +83,8 @@ class TestLoadDataset:
         good = '{"features": [1.0, 2.0], "labels": [0]}'
         path.write_text(f"{good}\n\n{good}\n"
                         '{"features": [1.0, NaN], "labels": [1]}\n')
-        with pytest.raises(DatasetError,
-                           match="^line 4: non-finite feature value$"):
+        # NaN is no JSON number, so the parser refuses it at its line
+        with pytest.raises(DatasetError, match="^line 4: parse error"):
             load_dataset(path)
 
     def test_inconsistent_dims(self, tmp_path):
@@ -90,13 +102,269 @@ class TestLoadDataset:
             '{"features": [1.5, -0.1, 3.0, 1e-05], "labels": [1, 0]}\n')
 
     def test_roundtrip(self, tmp_path):
-        ds = Dataset(np.array([[1.5, -0.5], [0.0, 2.0]]),
-                     np.array([[1, 0, 1], [0, 0, 1]]))
+        # bit for bit, on a hand-made dataset and on generated ones
+        dss, _ = generate_synthetic(L=6, d=24, n=300, n_envs=2, seed=13)
+        dss.append(Dataset(np.array([[1.5, -0.5], [0.0, 2.0]]),
+                           np.array([[1, 0, 1], [0, 0, 1]])))
         path = tmp_path / "rt.jsonl"
-        save_dataset(ds, path)
-        ds2 = load_dataset(path)
-        np.testing.assert_array_equal(ds.X, ds2.X)
-        np.testing.assert_array_equal(ds.Y, ds2.Y)
+        for ds in dss:
+            save_dataset(ds, path)
+            back = load_dataset(path)
+            assert (back.X.dtype, back.Y.dtype) == (np.float64, np.int8)
+            assert bits(back.X).tobytes() == bits(ds.X).tobytes()
+            assert back.Y.tobytes() == ds.Y.tobytes()
+
+    def test_byte_not_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes(b'{"features": [1.0], "labels": [0]}\n'
+                         b'{"features": [1.0], "labels": [0], "id": "\xff"}\n')
+        with pytest.raises(DatasetError, match="^line 2: parse error"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity",
+                                       "1e400", "-1e999", "9" * 400,
+                                       str(2 ** 1024 - 2 ** 970)])
+    def test_no_json_number_is_refused_at_its_line(self, tmp_path, token):
+        # RFC 8259 has no NaN or Infinity, and a number beyond a float64
+        # would read as one
+        good = '{"features": [1.0], "labels": [0]}'
+        path = tmp_path / "ds.jsonl"
+        path.write_text(f"{good}\n\n"
+                        f'{{"features": [{token}], "labels": [0]}}\n{good}\n')
+        with pytest.raises(DatasetError, match="^line 3: parse error"):
+            load_dataset(path)
+        path.write_text(f'{{"L": 2, "x": [{token}]}}')
+        with pytest.raises(DatasetError, match="not valid JSON"):
+            read_json(path)
+
+    def test_read_json_refuses_a_file_not_utf8(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{"name": "\xff"}')
+        with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}: "
+                                               "not valid JSON"):
+            read_json(path)
+        path.write_text('{"name": "naïve 日本"}', encoding="utf-8")
+        assert read_json(path) == {"name": "naïve 日本"}
+
+
+# decimal strings whose nearest double is hard to find: halfway cases,
+# the subnormal and overflow edges, and digits past the 17th
+HARD_TOKENS = ["9007199254740993.0", "9007199254740993.0000000001",
+               "1.00000000000000011102230246251565404236316680908203125",
+               "1.00000000000000011102230246251565404236316680908203126",
+               "2.2250738585072011e-308", "2.2250738585072012e-308",
+               "4.9406564584124654e-324", "2.4703282292062327e-324",
+               "2.4703282292062328e-324", "1e-400", "-1e-400",
+               "1.7976931348623157e308", "1.7976931348623158e308",
+               "123456789012345678901234567890e-10", "8.589973e9", "1e23",
+               "0.1", "1E5", "1e+5", "-0", "-0.0", "0e0", "7.0E-10"]
+
+
+class TestJsonNumbers:
+    """orjson, the parser behind every JSON input, reads each number as
+    Python's float() or int() reads its token, bit for bit."""
+
+    @staticmethod
+    def parse(values):
+        """orjson's reading of json.dumps(values), and that text's tokens."""
+        text = json.dumps(values)
+        return orjson.loads(text), text[1:-1].split(", ")
+
+    def test_doubles_read_as_float_reads_them(self):
+        rng = np.random.default_rng(0)
+        big = np.finfo(np.float64).max
+        tiny = np.finfo(np.float64).smallest_normal
+        # random bit patterns span every exponent; their finite ones stay
+        patterns = np.frombuffer(rng.bytes(8 * 40_000), dtype=np.float64)
+        subnormals = rng.integers(1, 2 ** 52, 10_000,
+                                  dtype=np.uint64).view(np.float64)
+        near_max = (bits(big) - rng.integers(0, 2 ** 20, 5_000,
+                                             dtype=np.uint64)).view(np.float64)
+        scaled = [rng.standard_normal(8_000) * 10.0 ** k
+                  for k in (-300, -20, -5, 0, 5, 20, 300)]
+        short = np.round(rng.standard_normal(5_000), 3)
+        edges = [0.0, -0.0, 5e-324, -5e-324, tiny, -tiny,
+                 np.nextafter(tiny, 0), big, -big, np.nextafter(big, 0)]
+        values = np.concatenate([patterns[np.isfinite(patterns)], subnormals,
+                                 -subnormals, near_max, -near_max, *scaled,
+                                 short, edges])
+        assert len(values) > 10 ** 5
+        got, tokens = self.parse(values.tolist())
+        assert {type(v) for v in got} == {float}
+        want = bits([float(t) for t in tokens])
+        assert (bits(got) == want).all()
+        assert (want == bits(values)).all()
+
+    def test_hard_decimal_strings_read_as_float_reads_them(self):
+        got = orjson.loads("[" + ", ".join(HARD_TOKENS) + "]")
+        for token, value in zip(HARD_TOKENS, got):
+            want = int(token) if token == "-0" else float(token)
+            assert type(value) is type(want), token
+            assert bits(value) == bits(want), token
+
+    def test_ints_of_64_bits_read_as_int_and_as_features(self, tmp_path):
+        r = random.Random(1)
+        ints = [-2 ** 63, -2 ** 63 + 1, -1, 0, 1, 2 ** 53 + 1, 2 ** 63 - 1,
+                2 ** 63, 2 ** 63 + 1, 2 ** 64 - 1]
+        ints += [r.randrange(-2 ** 63, 2 ** 64) for _ in range(20_000)]
+        ints += [r.randrange(-2 ** b, 2 ** b) for b in range(1, 64)
+                 for _ in range(100)]
+        got, tokens = self.parse(ints)
+        assert {type(v) for v in got} == {int}
+        assert got == [int(t) for t in tokens] == ints
+        path = tmp_path / "ints.jsonl"
+        path.write_text(json.dumps({"features": ints, "labels": [1]}) + "\n")
+        X = load_dataset(path).X[0]
+        assert (bits(X) == bits([float(i) for i in ints])).all()
+
+    def test_ints_beyond_64_bits_read_as_the_nearest_float(self):
+        r = random.Random(2)
+        ints = [2 ** 64, 2 ** 64 + 2 ** 11, 2 ** 64 + 2 ** 11 + 1,
+                2 ** 64 + 3 * 2 ** 11, -2 ** 63 - 1, -2 ** 63 - 2 ** 10,
+                -2 ** 63 - 2 ** 10 - 1, 10 ** 308, 2 ** 1024 - 2 ** 971,
+                2 ** 1024 - 2 ** 970 - 1]
+        for b in range(65, 1024):
+            n = r.randrange(2 ** (b - 1), 2 ** b)
+            # n, and n moved to halfway between two doubles
+            half = n >> (b - 53) << (b - 53) | 1 << (b - 54)
+            ints += [n, -n, half, half + 1, half - 1]
+        got, tokens = self.parse(ints)
+        assert {type(v) for v in got} == {float}
+        assert (bits(got) == bits([float(int(t)) for t in tokens])).all()
+
+
+def stdlib_load_dataset(path) -> Dataset:
+    """load_dataset as it was when the stdlib parsed each line, before
+    orjson did, read as UTF-8 as a UTF-8 locale read it: the reference
+    TestStdlibReference compares load_dataset with."""
+    feats, labs, linenos = [], [], []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+                f, y = obj["features"], obj["labels"]
+            except (KeyError, TypeError, ValueError) as exc:
+                # ValueError covers json.JSONDecodeError
+                raise DatasetError(f"line {lineno}: parse error ({exc})") from exc
+            if not (type(f) is type(y) is list and set(map(type, y)) <= {int}
+                    and set(map(type, f)) <= {int, float}):
+                raise DatasetError(f"line {lineno}: features must be a list "
+                                   f"of JSON numbers, labels of JSON ints")
+            if feats and (len(f), len(y)) != (len(feats[0]), len(labs[0])):
+                raise DatasetError(f"line {lineno}: inconsistent width, "
+                                   f"not that of line {linenos[0]}")
+            feats.append(f)
+            labs.append(y)
+            linenos.append(lineno)
+    try:
+        return Dataset(feats, labs)
+    except DatasetError as exc:
+        if exc.row is None:
+            raise
+        raise DatasetError(f"line {linenos[exc.row]}: {exc}") from None
+
+
+# what the stdlib reads and orjson refuses: NaN, Infinity, numbers beyond a
+# float64, an int label beyond 64 bits (orjson reads it as a float) and an
+# escaped lone surrogate in a string
+REFUSED = ["NaN", "Infinity", "1e400", "-1e999", "9" * 400,
+           str(2 ** 64 + 7), "\\ud800"]
+NAMES = ["naïve", "日本語", "☃ snow", "émigré", "\U0001d11e clef", "plain"]
+
+
+def feature_token(r: random.Random) -> str:
+    kind = r.randrange(6)
+    if kind == 0:
+        return repr(r.gauss(0, 1) * 10.0 ** r.randrange(-300, 300))
+    if kind == 1:
+        return str(r.randrange(-10, 10))
+    if kind == 2:  # 64-bit ints, and those past, which read as floats
+        return str(r.randrange(-2 ** 63, 2 ** 64) * r.choice([1, 2 ** 40]))
+    if kind == 3:
+        return r.choice(HARD_TOKENS)
+    return repr(r.gauss(0, 1))
+
+
+def dataset_line(r: random.Random, d: int, L: int) -> str:
+    """One line of d features and L labels, its keys shuffled and joined
+    with extra ones, or one of MALFORMED, or now and then one holding a
+    REFUSED token."""
+    if r.random() < 0.05:
+        return r.choice(MALFORMED)
+    feats = [feature_token(r) for _ in range(d)]
+    labs = [r.choice("01") if r.random() > 0.02 else "2" for _ in range(L)]
+    extra = [("id", json.dumps(r.choice(NAMES),
+                               ensure_ascii=r.random() < 0.5)),
+             ("w", feature_token(r)), ("meta", '{"a": [1, "x"], "b": null}')]
+    if r.random() < 0.015:
+        token = r.choice(REFUSED)
+        if token == "\\ud800":
+            extra.append(("tag", '"\\ud800"'))
+        elif token.startswith("18446744"):
+            labs[r.randrange(L)] = token
+        else:
+            feats[r.randrange(d)] = token
+    sep = r.choice([", ", ",", " , "])
+    pairs = [("features", "[" + sep.join(feats) + "]"),
+             ("labels", "[" + sep.join(labs) + "]")]
+    pairs += r.sample(extra, r.randrange(len(extra) + 1))
+    r.shuffle(pairs)
+    colon = r.choice([": ", ":"])
+    pad = r.choice(["", " ", "\t"])
+    return pad + "{" + sep.join(f'"{k}"{colon}{v}' for k, v in pairs) + "}" + pad
+
+
+def outcome(load, path):
+    """("ok", arrays as bytes) or ("error", line named or message, what)."""
+    try:
+        ds = load(path)
+    except DatasetError as exc:
+        m = re.match(r"line (\d+): ([^(]*)", str(exc))
+        return (("error", int(m[1]), m[2].strip()) if m
+                else ("error", str(exc), ""))
+    return ("ok", ds.X.shape, bits(ds.X).tobytes(), ds.Y.dtype,
+            ds.Y.tobytes())
+
+
+class TestStdlibReference:
+    def test_random_files_load_as_the_stdlib_loader_loads_them(self,
+                                                              tmp_path):
+        r = random.Random(3)
+        path = tmp_path / "mixed.jsonl"
+        differed = 0
+        for _ in range(1500):
+            d, L = r.randint(1, 3), r.randint(1, 2)
+            lines = [r.choice(["", " ", "\t", "  \t "]) if r.random() < 0.1
+                     else dataset_line(r, d, L)
+                     for _ in range(r.randint(1, 12))]
+            ends = r.choice([["\n"], ["\r\n"], ["\r"], ["\n", "\r\n", "\r"]])
+            text = "".join(line + r.choice(ends) for line in lines)
+            if r.random() < 0.5:
+                text = text.rstrip("\r\n")
+            path.write_bytes(text.encode("utf-8"))
+            new, ref = outcome(load_dataset, path), outcome(stdlib_load_dataset,
+                                                            path)
+            with open(path, encoding="utf-8") as fh:
+                refused = [n for n, line in enumerate(fh, start=1)
+                           if any(t in line for t in REFUSED)]
+            if not refused:
+                assert new == ref, text
+                continue
+            # refused at its own line, unless a line before it fails a
+            # test of its own; Dataset's tests come after every line's
+            if (ref[0] == "error" and ref[1] < refused[0]
+                    and ref[2] not in ("label not binary",
+                                       "non-finite feature value")):
+                assert new == ref, text
+            else:
+                assert new[:2] == ("error", refused[0]), text
+                assert new[2] == "parse error" or (
+                    new[2].startswith("features must") and
+                    str(2 ** 64 + 7) in text), text
+                differed += new != ref
+        assert differed > 0
 
 
 class TestDataset:
@@ -139,6 +407,13 @@ class TestDataset:
         assert exc.value.row == 2
         ds = Dataset([[1.0, 2], [2 ** 1024 - 2 ** 971, 4]], [[0], [1]])
         assert ds.X[1, 0] == np.finfo(np.float64).max
+
+    def test_int_too_large_for_a_float_beside_nan_carries_its_row(self):
+        # NaN has no order, and comparing it with the largest float must
+        # raise no floating-point warning
+        with pytest.raises(DatasetError, match="non-finite") as exc:
+            Dataset([[1.0, 2.0], [np.nan, 10 ** 400]], [[0], [1]])
+        assert exc.value.row == 1
 
 
 class TestLabelStats:
