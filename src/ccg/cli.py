@@ -210,8 +210,10 @@ def cmd_export_graph(args) -> int:
     if graph is None:
         raise DatasetError(f"--model {args.model} has no graph.json")
     names = None
-    if args.names:
+    if args.names is not None:
         names = args.names.split(",")
+        if "" in names:
+            raise DatasetError(f"--names {args.names!r} gives an empty name")
         if len(names) != graph.L:
             raise DatasetError(f"--names gives {len(names)} names for a "
                                f"graph of {graph.L} labels")

@@ -71,9 +71,9 @@ class Dataset:
 
 @dataclass
 class LabelStats:
+    """Training label counts and the rare set they fix at TrainConfig.rare_pct."""
     freq: np.ndarray        # (L,) nonnegative counts
     rare_set: frozenset     # label indices in the bottom rare_pct%
-    rare_pct: float
 
 
 def rare_set_for(freq: np.ndarray, pct: float) -> frozenset:
@@ -90,7 +90,7 @@ def compute_label_stats(ds: Dataset, rare_pct: float) -> LabelStats:
     if not 0 <= rare_pct <= 100:
         raise ValueError("rare_pct must be in [0, 100]")
     freq = ds.Y.astype(np.int64).sum(axis=0)
-    return LabelStats(freq=freq, rare_set=rare_set_for(freq, rare_pct), rare_pct=rare_pct)
+    return LabelStats(freq=freq, rare_set=rare_set_for(freq, rare_pct))
 
 
 def load_dataset(path) -> Dataset:

@@ -13,11 +13,15 @@ from .sem import SemModel, predict_batch
 
 @dataclass
 class MetricsReport:
-    map: float
+    """A dataset's scores; its mAP is that of per_label_ap, not stored."""
     rare_f1: dict[float, float]
     per_label_ap: list[float | None]   # None for labels with no positives
     ood: MetricsReport | None = None  # the OOD set's own scores
     structure: tuple[float, float] | None = None
+
+    @property
+    def map(self) -> float:
+        return _map_of(self.per_label_ap)
 
     def to_dict(self) -> dict:
         out = {"map": self.map,
@@ -149,11 +153,8 @@ def evaluate(model: SemModel, partition, masks, ds_id: Dataset,
     structure scores given both graphs. The model's pair index is its mask,
     so neither partition nor masks is read."""
     probs = predict_dataset(model, ds_id)
-    aps = average_precision(probs, ds_id.Y)
-    report = MetricsReport(
-        map=_map_of(aps),
-        rare_f1=rare_f1(probs, ds_id.Y, stats, p_list),
-        per_label_ap=aps)
+    report = MetricsReport(rare_f1=rare_f1(probs, ds_id.Y, stats, p_list),
+                           per_label_ap=average_precision(probs, ds_id.Y))
     if ds_ood is not None:
         report.ood = evaluate(model, partition, masks, ds_ood, None, stats,
                               p_list)

@@ -50,7 +50,7 @@ import numpy as np
 
 from . import evaluation
 from .data import (Dataset, LabelStats, PlantedWorld, checked, co_occurrence,
-                   compute_label_stats, read_json)
+                   compute_label_stats, rare_set_for, read_json)
 from .errors import DimensionError, NumericalError
 from .graph import (CausalGraph, extract_graph, graph_loss, ideal_weights,
                     save_graph, load_graph)
@@ -386,12 +386,13 @@ def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
     """Algorithm-1 training loop: ideal-weight estimation, warm-up of W,
     graph extraction and player partitioning (frozen thereafter, and
     trimming the model to the pairs the masks read), then full-composite
-    epochs with early stopping on validation mAP. With an
-    ood dataset, each epoch also logs the mAP on it as ood_map; one of
-    another d or L raises DimensionError before any epoch."""
+    epochs with early stopping on validation mAP. With an ood dataset, each
+    epoch also logs the mAP on it as ood_map; one of another d or L raises
+    DimensionError before any epoch. Its config caps n_players at L."""
     if ood is not None and (ood.d, ood.L) != (ds.d, ds.L):
         raise DimensionError(f"ood data has (d, L) = ({ood.d}, {ood.L}), the "
                              f"training data ({ds.d}, {ds.L})")
+    cfg = replace(cfg, n_players=min(cfg.n_players, ds.L))
     n = ds.n
     perm = np.random.default_rng([cfg.seed, 11]).permutation(n)
     n_val = int(round(cfg.val_frac * n))
@@ -404,8 +405,7 @@ def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
     stats = compute_label_stats(train_ds, cfg.rare_pct)
     alpha = np.ones(ds.L) if cfg.uniform_alpha else alpha_weights(stats)
     wtilde = ideal_weights(train_ds, cfg.gamma)
-    n_players = min(cfg.n_players, ds.L)
-    model = init_model(ds.d, ds.L, cfg.hidden, cfg.seed, n_players,
+    model = init_model(ds.d, ds.L, cfg.hidden, cfg.seed, cfg.n_players,
                        cfg.enc_dim)
 
     result = TrainResult(model=model, masks=None, graph=None, stats=stats,
@@ -431,7 +431,7 @@ def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
         nonlocal model
         src = co_occurrence(train_ds) if cfg.partition_source == "cooccur" else model.W
         g = extract_graph(src, cfg.k_topk)
-        ms = build_masks(partition_labels(g, n_players, stats.freq), g)
+        ms = build_masks(partition_labels(g, cfg.n_players, stats.freq), g)
         model = opt.keep_pairs(model, ms.union())
         return g, ms
 
@@ -493,9 +493,9 @@ def train(ds: Dataset, cfg: TrainConfig, planted: PlantedWorld | None = None,
 # run persistence
 
 def save_run(run_dir: str, result: TrainResult) -> None:
-    """Write the parameter arrays to model.npz, their shapes and the players
-    to the model.json manifest, and the config, stats, graph and log. A run
-    without a graph removes any graph.json already there."""
+    """Write the arrays to model.npz, d, L and the players to model.json,
+    the config to config.json, the label counts to stats.json, the graph and
+    log; each fact once. A run without a graph removes any graph.json."""
     os.makedirs(run_dir, exist_ok=True)
     m = result.model
     # uncompressed zip members with a fixed date: equal arrays, equal bytes
@@ -503,16 +503,12 @@ def save_run(run_dir: str, result: TrainResult) -> None:
     players = result.masks.subsets if result.masks else None
     # json.dumps, as json.dump always takes the pure-Python encoder
     with open(os.path.join(run_dir, "model.json"), "w") as fh:
-        fh.write(json.dumps({"d": m.d, "L": m.L, "hidden": m.hidden,
-                             "encoders": len(m.enc_w), "players": players},
+        fh.write(json.dumps({"d": m.d, "L": m.L, "players": players},
                             sort_keys=True))
     with open(os.path.join(run_dir, "config.json"), "w") as fh:
         fh.write(json.dumps(asdict(result.config), sort_keys=True, indent=2))
     with open(os.path.join(run_dir, "stats.json"), "w") as fh:
-        fh.write(json.dumps({"freq": result.stats.freq.tolist(),
-                             "rare_pct": result.stats.rare_pct,
-                             "rare_set": sorted(result.stats.rare_set)},
-                            sort_keys=True))
+        fh.write(json.dumps({"freq": result.stats.freq.tolist()}))
     gpath = os.path.join(run_dir, "graph.json")
     if result.graph is not None:
         save_graph(result.graph, gpath)
@@ -527,29 +523,29 @@ def save_run(run_dir: str, result: TrainResult) -> None:
 
 def load_run(run_dir: str):
     """Rebuild (model, encoders, subsets, masks, graph, stats, config), where
-    subsets is masks.subsets (None without masks). The model's pair index is
-    the pairs the players' masks read, or every off-diagonal pair without
-    players. A run file that is not JSON, lacks a key, holds a value of the
-    wrong type or range, or disagrees with the others raises a ValueError
-    naming it."""
+    subsets is masks.subsets (None without masks). model.json gives d, L and
+    the players; config.json the hidden and encoder widths, the player count
+    and rare_pct; stats.json the label counts, whose rare set rare_set_for
+    fixes. Other keys are ignored. The model's pair index is the pairs the
+    players' masks read, or every off-diagonal pair without players. A run
+    file that is not JSON, lacks a key, holds a value of the wrong type or
+    range, or disagrees with the others raises a ValueError naming it (a
+    config.json the arrays disagree with names model.npz)."""
     def manifest(obj):
-        sizes = [checked(obj[k], (int, low), k) for k, low in (
-            ("d", "[1, inf)"), ("L", "[1, inf)"), ("hidden", "[1, inf)"),
-            ("encoders", "[0, inf)"))]
-        L, players = sizes[1], obj.get("players")
+        d, L = (checked(obj[k], (int, "[1, inf)"), k) for k in ("d", "L"))
+        players = obj.get("players")
         if players is not None:
             players = [sorted(checked(x, (int, range(L)), "a player's label")
                               for x in sub) for sub in players]
             if not all(players) or sorted(sum(players, [])) != list(range(L)):
                 raise ValueError("players must be disjoint non-empty label "
                                  f"lists covering range({L})")
-        return *sizes, players
+        return d, L, players
 
-    d, L, h, n, players = read_json(os.path.join(run_dir, "model.json"),
-                                    manifest)
+    d, L, players = read_json(os.path.join(run_dir, "model.json"), manifest)
     path = os.path.join(run_dir, "config.json")
     cfg = TrainConfig.from_dict(read_json(path), path)
-    e = cfg.enc_dim
+    h, n, e = cfg.hidden, cfg.n_players, cfg.enc_dim
     graph = masks = None
     path = os.path.join(run_dir, "graph.json")
     if os.path.exists(path):
@@ -582,13 +578,12 @@ def load_run(run_dir: str):
         raise DimensionError(f"{path} holds {held}, expected {want}")
     model = SemModel(d=d, L=L, hidden=h, pairs=pairs, **arrays)
 
-    def label_stats(st):
+    def label_counts(st):
         freq = [checked(f, (int, "[0, inf)"), "freq") for f in st["freq"]]
         checked(len(freq), (int, (L,)), "len(freq)")
-        rare = [checked(i, (int, range(L)), "rare_set") for i in st["rare_set"]]
-        pct = checked(st["rare_pct"], FIELD_RULES["rare_pct"], "rare_pct")
-        return LabelStats(np.array(freq), frozenset(rare), pct)
+        return np.array(freq)
 
-    stats = read_json(os.path.join(run_dir, "stats.json"), label_stats)
+    freq = read_json(os.path.join(run_dir, "stats.json"), label_counts)
+    stats = LabelStats(freq, rare_set_for(freq, cfg.rare_pct))
     return (model, player_encoders(model), masks.subsets if masks else None,
             masks, graph, stats, cfg)

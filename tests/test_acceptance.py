@@ -143,7 +143,7 @@ def test_criterion_03_exact_formulas():
 
     from ccg.data import LabelStats
     a = alpha_weights(LabelStats(freq=np.array([16, 1]),
-                                 rare_set=frozenset(), rare_pct=30.0))
+                                 rare_set=frozenset()))
     ok &= a[1] / a[0] == pytest.approx(2.0, abs=1e-12)
 
     cfg = TrainConfig()
@@ -230,7 +230,7 @@ def test_criterion_05_metric_oracles():
     from ccg.data import LabelStats
     preds = rng.random((40, 5))
     y = (rng.random((40, 5)) < 0.5).astype(int)
-    stats = LabelStats(freq=y.sum(axis=0), rare_set=frozenset(), rare_pct=100.0)
+    stats = LabelStats(freq=y.sum(axis=0), rare_set=frozenset())
     yhat = (preds >= 0.5).astype(int)
     per_label = []
     for c in range(5):

@@ -119,14 +119,16 @@ class TestTrainCommand:
             assert (run_dir / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_one_encoder_per_player(self, gen_dir, tmp_path):
-        # 9 players on 4 labels partition into 4, and 4 encoders are saved
+        # 9 players on 4 labels partition into 4, config.json holds the 4
+        # the run used, and 4 encoders are saved
         out = tmp_path / "run9"
         rc = run(["train", "--data", str(gen_dir / "env0.jsonl"),
                   "--epochs", "2", "--warmup", "1", "--players", "9",
                   "--out", str(out)])
         assert rc == 0
         manifest = json.loads(read(out / "model.json"))
-        assert manifest["encoders"] == len(manifest["players"]) == 4
+        config = json.loads(read(out / "config.json"))
+        assert config["n_players"] == len(manifest["players"]) == 4
         with np.load(out / "model.npz") as npz:
             assert npz["enc_w"].shape[0] == npz["enc_b"].shape[0] == 4
 
@@ -198,14 +200,19 @@ class TestTrainCommand:
                               ("m_envs", "3,5.5"), ("gamma", "0.2,x")):
             cases.append((["sensitivity", *data, "--param", param,
                            "--values", values], param))
-        for i, (key, val) in enumerate((("typo_key", 1), ("gamma", "0.5"),
-                                        ("gamma", 2.0))):
+        # a bad config.json value names its key; config.json alone gives the
+        # hidden width and the player count (2 here), so one that disagrees
+        # with the saved arrays fails their shape check
+        for i, (key, val, name) in enumerate((
+                ("typo_key", 1, "typo_key"), ("gamma", "0.5", "gamma"),
+                ("gamma", 2.0, "gamma"), ("hidden", 8, "model.npz"),
+                ("n_players", 1, "model.npz"))):
             bad_run = tmp_path / f"run{i}"
             shutil.copytree(run_dir, bad_run)
             config = json.loads(read(bad_run / "config.json"))
             (bad_run / "config.json").write_text(
                 json.dumps({**config, key: val}))
-            cases.append((["eval", "--model", str(bad_run), *data], key))
+            cases.append((["eval", "--model", str(bad_run), *data], name))
         # a model.npz array of the wrong shape, one only pickle reads, a
         # file cut short, and pair MLPs for all L*L pairs, as runs saved
         # before models held only the pairs their masks read
@@ -235,8 +242,7 @@ class TestTrainCommand:
         # miss a label or name one outside range(L)
         manifest = json.loads(read(run_dir / "model.json"))
         for i, change in enumerate((
-                {"encoders": None}, {"d": None}, {"L": "4"}, {"hidden": 4.0},
-                {"encoders": True}, {"players": [[0, 1], [1, 2, 3]]},
+                {"d": None}, {"L": "4"}, {"players": [[0, 1], [1, 2, 3]]},
                 {"players": [[0, 1], [2]]}, {"players": [[0, 1, 2, 3, 4]]},
                 {"players": [[0, 1], []]}, {"players": 3})):
             bad_run = tmp_path / f"manifest{i}"
@@ -326,15 +332,11 @@ class TestTrainCommand:
             for argv in (["eval", "--model", str(bad_run), *data],
                          ["export-graph", "--model", str(bad_run)]):
                 cases.append((argv, str(bad_run / "graph.json")))
-        # a stats.json whose freq is not one count per label, or whose
-        # rare_set or rare_pct lies outside its range
+        # a stats.json whose freq is not one count per label
         stats = json.loads(read(run_dir / "stats.json"))
         for i, change in enumerate((
                 {"freq": stats["freq"][:2]}, {"freq": [1, 2, 3, -1]},
-                {"freq": [1, 2, 3, 4.5]}, {"freq": [True, 1, 2, 3]},
-                {"rare_set": [0, 4]}, {"rare_set": [-1]},
-                {"rare_set": [2.0]}, {"rare_pct": 150.0},
-                {"rare_pct": "30"})):
+                {"freq": [1, 2, 3, 4.5]}, {"freq": [True, 1, 2, 3]})):
             bad_run = tmp_path / f"stats{i}"
             shutil.copytree(run_dir, bad_run)
             (bad_run / "stats.json").write_text(json.dumps({**stats,
@@ -636,6 +638,18 @@ class TestHarnessCommands:
         err = capsys.readouterr().err
         assert "--names a,a,b,c" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("names", ["", "a,,b,c"])
+    def test_export_graph_empty_name_exits_1(self, run_dir, tmp_path, capsys,
+                                             names):
+        # an empty --names is a list of one empty name, not "no names"
+        out = tmp_path / "g.dot"
+        rc = run(["export-graph", "--model", str(run_dir), "--names", names,
+                  "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--names" in err and "empty name" in err
+        assert "Traceback" not in err and not out.exists()
 
     def test_export_graph_without_a_graph_names_the_run(self, gen_dir,
                                                         tmp_path, capsys):

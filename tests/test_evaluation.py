@@ -10,8 +10,7 @@ from ccg.training import TrainConfig, train
 
 
 def stats_for(freq):
-    return LabelStats(freq=np.asarray(freq), rare_set=frozenset(),
-                      rare_pct=30.0)
+    return LabelStats(freq=np.asarray(freq), rare_set=frozenset())
 
 
 def rank_loop_ap(scores, y):
@@ -247,11 +246,12 @@ class TestStructureScore:
 
 class TestMetricsReport:
     def report(self):
-        # binary fractions, so each drop is exact
-        ood = MetricsReport(map=0.5, rare_f1={20.0: 0.25, 30.0: 0.625},
+        # binary fractions, so each drop is exact; each mAP is that of its
+        # per-label APs
+        ood = MetricsReport(rare_f1={20.0: 0.25, 30.0: 0.625},
                             per_label_ap=[0.5, None])
-        return MetricsReport(map=0.75, rare_f1={20.0: 0.5, 30.0: 0.75},
-                             per_label_ap=[0.8, None], ood=ood,
+        return MetricsReport(rare_f1={20.0: 0.5, 30.0: 0.75},
+                             per_label_ap=[0.75, None], ood=ood,
                              structure=(0.6, 0.4))
 
     def test_to_dict_keys(self):

@@ -22,8 +22,7 @@ from conftest import (dense_grads, fd_probe, gradient_of,
 
 
 def stats_for(freq, rare=()):
-    return LabelStats(freq=np.asarray(freq), rare_set=frozenset(rare),
-                      rare_pct=30.0)
+    return LabelStats(freq=np.asarray(freq), rare_set=frozenset(rare))
 
 
 class TestAlphaWeights:
@@ -598,8 +597,42 @@ class TestPersistence:
         np.testing.assert_array_equal(masks.pairs, r.masks.pairs)
         assert subsets == masks.subsets == r.masks.subsets
         assert graph.edges == r.graph.edges
+        np.testing.assert_array_equal(stats.freq, r.stats.freq)
         assert stats.rare_set == r.stats.rare_set
         assert cfg2 == r.config
+
+    def test_run_saved_with_the_old_duplicate_keys_loads(self, tmp_path):
+        # runs saved before each fact had one home also hold hidden and
+        # encoders in model.json, rare_pct and rare_set in stats.json;
+        # load_run reads none of them and rebuilds the same run
+        dss, world = generate_synthetic(L=4, d=16, n=60, n_envs=1, seed=7,
+                                        edge_density=0.3)
+        r = train(dss[0], TrainConfig(max_epochs=3, warmup_epochs=1,
+                                      n_players=2, hidden=4, enc_dim=4,
+                                      seed=1), planted=world)
+        save_run(tmp_path, r)
+        assert set(json.loads((tmp_path / "model.json").read_text())) == \
+            {"d", "L", "players"}
+        assert set(json.loads((tmp_path / "stats.json").read_text())) == \
+            {"freq"}
+        new = load_run(tmp_path)
+        for name, extra in (("model.json", {"hidden": 4, "encoders": 2}),
+                            ("stats.json", {"rare_pct": 30.0, "rare_set":
+                                            sorted(r.stats.rare_set)})):
+            path = tmp_path / name
+            path.write_text(json.dumps({**json.loads(path.read_text()),
+                                        **extra}, sort_keys=True))
+        old = load_run(tmp_path)
+        for a, b in zip(old[0].param_arrays().values(),
+                        r.model.param_arrays().values()):
+            np.testing.assert_array_equal(a, b)
+        for got in (old, new):
+            np.testing.assert_array_equal(got[0].pairs, r.model.pairs)
+            assert got[2] == r.masks.subsets
+            assert got[4].edges == r.graph.edges
+            np.testing.assert_array_equal(got[5].freq, r.stats.freq)
+            assert got[5].rare_set == r.stats.rare_set
+            assert got[6] == r.config
 
     def test_load_run_rejects_a_bad_config(self, tmp_path):
         dss, _ = generate_synthetic(L=3, d=12, n=40, n_envs=1, seed=8)
@@ -607,7 +640,9 @@ class TestPersistence:
         save_run(tmp_path, r)
         path = tmp_path / "config.json"
         good = json.loads(path.read_text())
-        for key, val in (("typo_key", 1), ("gamma", "0.5"), ("gamma", 2.0)):
+        for key, val in (("typo_key", 1), ("gamma", "0.5"), ("gamma", 2.0),
+                         ("hidden", 4.0), ("rare_pct", 150),
+                         ("rare_pct", "30")):
             path.write_text(json.dumps({**good, key: val}))
             with pytest.raises(ValueError, match=f"config.json: .*{key}"):
                 load_run(tmp_path)
